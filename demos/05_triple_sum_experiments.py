@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure the triple-sum remainder delta against the symbolic bound.
 
-The raw sums are exact integers from the blocked hyperbola method; the
+The raw sums are exact integers from the three-variable hyperbola; the
 residue of the L-product is subtracted; ratios |delta| / bound and a
 fitted growth exponent are reported (report-only by design: constants and
 the x^eps factor make pass/fail assertions meaningless at desk scale)."""

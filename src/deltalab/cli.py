@@ -1,7 +1,8 @@
 """Command-line entry point wiring all modules.
 
 Exit codes: 0 success, 1 validation/usage error, 2 internal regression
-mismatch (the derivation pipeline or an exact identity check).
+mismatch (the derivation pipeline, an exact identity check, or the raw
+triple sum against its triple-loop oracle).
 
 Every run echoes its fully resolved configuration first.  A config file of
 key=value lines (--config) overrides flags; unknown keys are rejected.
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -26,11 +26,11 @@ from typing import Dict, List, Optional
 from . import __version__
 from .characters import gauss_sum, l_one, l_one_derivative, make_character
 from .delta import (
+    OracleMismatchError,
     bound_check,
     exp_sum,
     exp_sum_max_sign,
     exponent_fit,
-    naive_triple_raw,
     triple_delta,
 )
 from .exponents import as_fraction, bound_eval, derive_tuple
@@ -352,8 +352,9 @@ def _cmd_delta(args, config):
                      naive_check=args.naive_check)
     payload = _delta_payload(s)
     if args.naive_check:
+        # triple_delta raised unless the triple-loop oracle equals raw_sum
         payload["naive_check"] = "passed"
-        payload["naive_raw"] = naive_triple_raw(c1, c2, c3, float(args.x))
+        payload["naive_raw"] = s.raw_sum
     _emit(payload, "json" if args.json else "text", config)
     return 0
 
@@ -362,15 +363,7 @@ def _cmd_delta_sweep(args, config):
     c1, c2, c3 = (make_character(d) for d in (args.d1, args.d2, args.d3))
     xs = _parse_grid(args.x_grid)
     cap = int(float(args.cap))
-
-    def work(x):
-        return triple_delta(c1, c2, c3, x, cap=cap)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            samples = list(pool.map(work, xs))  # submission order: deterministic
-    else:
-        samples = [work(x) for x in xs]
+    samples = [triple_delta(c1, c2, c3, x, cap=cap) for x in xs]
 
     path = _out_path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -539,7 +532,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--x-grid", required=True, help="lo:hi:geometric:n or lo:hi:linear:n")
     sp.add_argument("--out", default="samples.csv")
     sp.add_argument("--cap", default=str(10**9))
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     sp = add("expsum", _cmd_expsum, "inner exponential sum over an n3 range")
     sp.add_argument("--n1", type=int, required=True)
@@ -568,7 +560,6 @@ def build_parser() -> _Parser:
                     help="reduced limits: tables 1e5, delta 1e4")
     sp.add_argument("--table-limit", default=None)
     sp.add_argument("--delta-limit", default=None)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     return p
 
@@ -588,6 +579,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
     except IdentityCheckError as e:
         print(f"identity regression: {e}", file=sys.stderr)
+        return 2
+    except OracleMismatchError as e:
+        print(f"oracle regression: {e}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -325,7 +325,10 @@ class CountReport:
     ratio: float
 
     def __post_init__(self):
-        assert self.psi == self.psi_star + self.psi_substar
+        if self.psi != self.psi_star + self.psi_substar:
+            raise ValueError(
+                f"psi {self.psi} != psi_star {self.psi_star} + psi_substar {self.psi_substar}"
+            )
 
 
 def _li_window(a: float, b: float) -> float:

@@ -237,12 +237,12 @@ def _check_delta(limits: dict) -> List[CheckResult]:
                     if dl.triple_raw_sum(c1, c2, c3, x) != int(naive[x]):
                         return [CheckResult(
                             "delta-oracle", False, True,
-                            f"blocked raw sum differs at triple ({d1},{d2},{d3}), x={x}",
+                            f"production raw sum differs at triple ({d1},{d2},{d3}), x={x}",
                         )]
     out.append(CheckResult(
         "delta-oracle", True, True,
         f"27 triples over {{1,-4,5}}: naive == hyperbola for every x <= {N}; "
-        f"blocked production path spot-checked at {len(spot_x)} points per triple",
+        f"x^(2/3) hyperbola production path spot-checked at {len(spot_x)} points per triple",
     ))
     triv = chis[1]
     d3_10 = dl.triple_raw_sum(triv, triv, triv, 10)

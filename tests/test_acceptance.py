@@ -174,11 +174,11 @@ def test_criterion_6_delta_oracle_equivalence():
                 assert np.array_equal(naive, hyper), f"triple ({d1},{d2},{d3})"
                 for x in spots:
                     assert triple_raw_sum(c1, c2, c3, x) == int(naive[x]), \
-                        f"blocked path at ({d1},{d2},{d3}), x={x}"
+                        f"hyperbola path at ({d1},{d2},{d3}), x={x}"
     assert triple_raw_sum(chis[1], chis[1], chis[1], 10) == 53
     _report(6, True,
             "27 triples: naive == hyperbola for every integer x <= 1e4 "
-            f"(exact int64); blocked production path equal at {len(spots)} "
+            f"(exact int64); x^(2/3) hyperbola production path equal at {len(spots)} "
             "spot values per triple; sum d3(n<=10) = 53",
             time.perf_counter() - t0, 60.0)
 

@@ -7,10 +7,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltalab.characters import make_character
 from deltalab.delta import (
     BoundCheckReport,
+    DeltaSample,
     bound_check,
     exp_sum,
     exp_sum_max_sign,
@@ -63,6 +66,49 @@ def test_prefix_oracle_equality_small():
             assert triple_raw_sum(c1, c2, c3, x) == int(naive[x])
 
 
+ORACLE_DISCS = (1, -3, -4, 5, -8, 8, 12, -163)
+
+
+@given(
+    st.tuples(*(st.sampled_from(ORACLE_DISCS) for _ in range(3))),
+    st.integers(1, 30000),
+)
+@settings(max_examples=25, deadline=None)
+def test_triple_raw_sum_matches_naive_oracle(discs, x):
+    chis = [make_character(d) for d in discs]
+    naive = naive_triple_raw_prefix(*chis, x)
+    assert triple_raw_sum(*chis, x) == int(naive[x])
+
+
+def test_triple_raw_sum_at_cube_boundaries():
+    N = 31**3 + 1
+    for discs in ((1, 1, 1), (-3, 8, 1), (-163, 12, -4), (5, -8, 5)):
+        chis = [make_character(d) for d in discs]
+        naive = naive_triple_raw_prefix(*chis, N)
+        for y in (1, 2, 3, 7, 10, 21, 31):
+            for x in (y**3 - 1, y**3, y**3 + 1):
+                if x >= 1:
+                    assert triple_raw_sum(*chis, x) == int(naive[x]), (discs, x)
+
+
+def test_d3_summatory_pins():
+    # sum_{n <= 10^k} d_3(n), OEIS A061201; 10^k is a cube for k = 6 and 9,
+    # and d_3(10^6) = 28^2, d_3(10^6 + 1) = 3^2 (101 * 9901),
+    # d_3(10^9) = 55^2, d_3(10^9 + 1) = 3^5 (7 * 11 * 13 * 19 * 52579).
+    pins = {
+        10**6 - 1: 106030594 - 784,
+        10**6: 106030594,
+        10**6 + 1: 106030594 + 9,
+        10**7: 1421760251,
+        10**8: 18362473634,
+        10**9 - 1: 230375375227 - 3025,
+        10**9: 230375375227,
+        10**9 + 1: 230375375227 + 243,
+    }
+    for x, want in pins.items():
+        assert triple_raw_sum(TRIV, TRIV, TRIV, x) == want, x
+
+
 def test_triple_raw_floor_semantics():
     assert triple_raw_sum(TRIV, TRIV, TRIV, 10.99) == 53
     assert triple_raw_sum(TRIV, TRIV, TRIV, 0.3) == 0
@@ -92,6 +138,12 @@ def test_triple_delta_preconditions():
 def test_triple_delta_naive_check_path():
     s = triple_delta(CHI4, TRIV, CHI5, 3000, naive_check=True)
     assert s.raw_sum == naive_triple_raw(CHI4, TRIV, CHI5, 3000)
+
+
+def test_delta_sample_rejects_inconsistent_delta():
+    with pytest.raises(ValueError, match="delta"):
+        DeltaSample(x=10.0, d1=1, d2=1, d3=1, raw_sum=53, residue=50.0,
+                    delta=4.0, bound_value=1.0)
 
 
 def test_theorem_bound_value_is_max_of_terms():

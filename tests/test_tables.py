@@ -10,6 +10,7 @@ import pytest
 from deltalab.characters import l_one, l_one_derivative, make_character
 from deltalab.sieves import von_mangoldt_window
 from deltalab.tables import (
+    CountReport,
     IdentityCheckError,
     MemoryBudgetError,
     asymptotic_residual,
@@ -212,6 +213,12 @@ def test_psi_full_interval_equals_sieve():
 def test_psi_split_exact_at_1e5():
     rep = psi_counts(10**5, CHI4, 10**5, 10**4)
     assert rep.psi == rep.psi_star + rep.psi_substar
+
+
+def test_count_report_rejects_broken_split():
+    with pytest.raises(ValueError, match="psi_star"):
+        CountReport(x=100.0, y=10.0, psi=5.0, psi_star=3.0, psi_substar=1.0,
+                    pi_count=1, li_value=2.0, main_term=2.0, ratio=1.0)
 
 
 def test_psi_validation():
