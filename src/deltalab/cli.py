@@ -5,7 +5,8 @@ mismatch (the derivation pipeline, an exact identity check, or the raw
 triple sum against its triple-loop oracle).
 
 Every run echoes its fully resolved configuration first.  A config file of
-key=value lines (--config) overrides flags; unknown keys are rejected.
+key=value lines (--config) overrides flags; each value is typed and checked
+as its flag would be, and unknown keys are rejected.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -51,23 +52,14 @@ from .tables import (
 )
 from .verify import format_report, run_suite
 
-SUBCOMMANDS = (
-    "tuple", "derive", "compare", "character", "gauss", "lfunction",
-    "tables", "divisor-sum", "psi-short", "delta", "delta-sweep", "expsum",
-    "feasibility", "verify-all",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is exit 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._exit_1(message))
-
-    def _exit_1(self, message):
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _fmt(v) -> str:
@@ -102,25 +94,37 @@ def _load_config_file(path: str) -> Dict[str, str]:
     return out
 
 
-def _resolve_config(args: argparse.Namespace, parser_dests: List[str]) -> ExperimentConfig:
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_override(action: argparse.Action, raw: str):
+    """Type a config-file value as argparse types the same flag."""
+    try:
+        if action.nargs == 0:  # store_true
+            value = _BOOLS[raw.lower()]
+        else:
+            value = raw if action.type is None else action.type(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {action.dest}: invalid value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {action.dest}: {raw!r} is not one of {sorted(action.choices)}")
+    return value
+
+
+def _resolve_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> ExperimentConfig:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "config") and v is not None}
     if getattr(args, "config", None):
+        actions = {a.dest: a for a in sub._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
         overrides = _load_config_file(args.config)
-        unknown = set(overrides) - set(parser_dests)
+        unknown = set(overrides) - set(actions)
         if unknown:
             raise ValueError(
-                f"unknown config keys {sorted(unknown)}; known: {sorted(parser_dests)}"
+                f"unknown config keys {sorted(unknown)}; known: {sorted(actions)}"
             )
         for k, v in overrides.items():
-            cur = params.get(k)
-            if isinstance(cur, bool):
-                params[k] = v.lower() in ("1", "true", "yes", "on")
-            elif isinstance(cur, int) and not isinstance(cur, bool):
-                params[k] = int(float(v))
-            elif isinstance(cur, float):
-                params[k] = float(v)
-            else:
-                params[k] = v
+            params[k] = _parse_override(actions[k], v)
             setattr(args, k, params[k])
     seed = int(params.pop("seed", 0))
     return ExperimentConfig(command=params.pop("command"), params=params, seed=seed)
@@ -457,6 +461,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="deltalab", description=__doc__)
     p.add_argument("--version", action="version", version=f"deltalab {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    p.commands = sub.choices  # name -> subparser; its flags type --config values
 
     def add(name, fn, help_):
         sp = sub.add_parser(name, help=help_, parents=[], add_help=True)
@@ -570,9 +575,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
-    dests = [k for k in vars(args) if k not in ("func",)]
     try:
-        config = _resolve_config(args, dests)
+        config = _resolve_config(args, parser.commands[args.command])
         return args.func(args, config)
     except DerivationRegressionError as e:
         print(f"derivation regression: {e}", file=sys.stderr)

@@ -156,4 +156,7 @@ def as_fraction(v: RationalLike) -> Fraction:
     and '0.4923' (decimal strings parse exactly)."""
     if isinstance(v, Fraction):
         return v
-    return Fraction(str(v)) if not isinstance(v, int) else Fraction(v)
+    try:
+        return Fraction(str(v)) if not isinstance(v, int) else Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None

@@ -1,5 +1,5 @@
 """Shared sieve utilities: primes, smallest prime factors, Mobius, tau,
-and a segmented von Mangoldt window sum for large x.
+Dirichlet convolution, and a segmented von Mangoldt window sum for large x.
 
 Everything returns numpy arrays indexed by n (entry 0 unused where noted).
 """
@@ -7,7 +7,7 @@ Everything returns numpy arrays indexed by n (entry 0 unused where noted).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -53,12 +53,29 @@ def mobius_array(n: int) -> np.ndarray:
     return mu
 
 
+def convolve(f: np.ndarray, g: np.ndarray, n: int, fmax: Optional[int] = None) -> np.ndarray:
+    """h[k] = sum_{dm=k, d <= fmax} f[d] g[m] for 1 <= k <= n, split at
+    s = isqrt(n): a strided pass per nonzero f[d], d <= s, then one per
+    nonzero g[m], m <= n // (s + 1), for d in (s, min(n // m, fmax)].
+    Products take numpy's promoted dtype: f or g must be wide enough."""
+    fmax = n if fmax is None else max(0, min(int(fmax), n))
+    h = np.zeros(n + 1, dtype=np.result_type(f, g))
+    s = math.isqrt(n)
+    for d in np.flatnonzero(f[1 : min(s, fmax) + 1]).tolist():
+        d += 1
+        h[d::d] += f[d] * g[1 : n // d + 1]
+    if fmax > s:
+        for m in np.flatnonzero(g[1 : n // (s + 1) + 1]).tolist():
+            m += 1
+            top = min(n // m, fmax)
+            h[m * (s + 1) : m * top + 1 : m] += g[m] * f[s + 1 : top + 1]
+    return h
+
+
 def tau_array(n: int) -> np.ndarray:
-    """Divisor counts tau(k) for k <= n."""
-    tau = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        tau[d::d] += 1
-    return tau
+    """Divisor counts tau(k) for k <= n, as the convolution 1 * 1."""
+    one = np.broadcast_to(np.int64(1), (n + 1,))  # zero-stride constant 1
+    return convolve(one, one, n)
 
 
 def windows(lo: int, hi: int, width: int = SEGMENT) -> Iterator[Tuple[int, int]]:

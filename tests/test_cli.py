@@ -1,11 +1,19 @@
 """CLI contract tests: subcommand outputs, exit codes, config files, and
 the output-directory environment override.  All in-process via cli.run."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deltalab.cli import run
+from deltalab.cli import build_parser, run
 
 
 def out_of(capsys):
@@ -225,3 +233,98 @@ def test_verify_all_reduced(capsys):
     assert "[ok ] exponent-recursion" in text
     assert "gating checks passed" in text
     assert "[recorded]" in text
+
+
+# Every --config key of every subcommand, typed as its flag: a value that
+# does not parse, a negative, zero, a fraction and a zero denominator must
+# each end in exit 0, 1 or 2, never an exception.  The base arguments keep
+# each run small.
+_BASE_ARGV = {
+    "tuple": ["--order", "5"],
+    "derive": [],
+    "compare": [],
+    "character": ["--disc", "-4"],
+    "gauss": ["--disc", "5"],
+    "lfunction": ["--disc", "-4"],
+    "tables": ["--disc", "-4", "--limit", "100"],
+    "divisor-sum": ["--f", "rho", "--x", "100", "--disc", "-4"],
+    "psi-short": ["--x", "100", "--y", "10", "--disc", "-4"],
+    "delta": ["--d1", "1", "--d2", "1", "--d3", "-4", "--x", "1000"],
+    "delta-sweep": ["--d1", "1", "--d2", "1", "--d3", "-4", "--x-grid", "100:1000:geometric:3"],
+    "expsum": ["--n1", "3", "--n2", "7", "--d3", "5", "--x", "1e6", "--range", "1:50",
+               "--m", "2"],
+    "feasibility": ["--theta", "0.4923", "--r", "5"],
+    "tau-moment": ["--cap", "100", "--A", "1"],
+    "verify-all": ["--quick", "--table-limit", "2000", "--delta-limit", "500"],
+}
+_VALUES = ("junk", "-1", "0", "2.7", "1/0")
+_FLAG_VALUES = ("maybe", "yes")
+
+
+def _keys_by_command():
+    """command -> [(dest, is store_true)] for every key a config may set."""
+    parser = build_parser()
+    assert set(parser.commands) == set(_BASE_ARGV)
+    return {
+        command: [(a.dest, a.nargs == 0) for a in sub._actions
+                  if a.option_strings and a.dest not in ("help", "config")]
+        for command, sub in parser.commands.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "command,key,is_flag",
+    [(c, k, f) for c, keys in _keys_by_command().items() for k, f in keys],
+)
+def test_config_key_never_raises(command, key, is_flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
+    cfg = tmp_path / "run.cfg"
+    for value in _FLAG_VALUES if is_flag else _VALUES:
+        cfg.write_text(f"{key}={value}\n")
+        code = run([command, *_BASE_ARGV[command], "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (key, value, code)
+        assert "Traceback" not in err, (key, value)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_config_key_combinations_never_raise(data):
+    """Several keys at once, so that values meet each other (claim_x with
+    claim_D, limit with cutoff); verify-all's keys run in the matrix above."""
+    keys = {c: k for c, k in _keys_by_command().items() if c != "verify-all"}
+    command = data.draw(st.sampled_from(sorted(keys)))
+    chosen = data.draw(st.lists(st.sampled_from(keys[command]), min_size=1, unique_by=lambda a: a[0]))
+    # plus values that parse and run, too slow for verify-all's full mode
+    flag_values, values = _FLAG_VALUES + ("off",), _VALUES + ("7", "1e3")
+    lines = [f"{dest}={data.draw(st.sampled_from(flag_values if is_flag else values))}"
+             for dest, is_flag in chosen]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {"DELTALAB_OUT": tmp}), \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run([command, *_BASE_ARGV[command], "--config", str(cfg)])
+    assert code in (0, 1, 2), (command, lines, code)
+    assert "Traceback" not in err.getvalue(), (command, lines)
+
+
+def test_config_none_default_keys_are_typed(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("claim_x=1e6\nclaim_D=10\n")
+    assert run(["feasibility", "--theta", "0.4923", "--r", "5", "--config", str(cfg)]) == 0
+    text = out_of(capsys)
+    assert "claim_D=10 claim_x=1000000" in text
+    assert "x >= D^r: True" in text
+
+
+def test_config_values_checked_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("order=2.7\n")
+    assert run(["tuple", "--order", "5", "--config", str(cfg)]) == 1
+    assert "error: config key order: invalid value '2.7'" in capsys.readouterr().err
+    cfg.write_text("json=maybe\n")
+    assert run(["tuple", "--order", "5", "--config", str(cfg)]) == 1
+    cfg.write_text("report=xml\n")
+    assert run(["derive", "--config", str(cfg)]) == 1

@@ -3,12 +3,16 @@ log-coefficient identity checker, split spot-checks, asymptotics against
 the residue formulas, and short-interval counts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deltalab import tables
 from deltalab.characters import l_one, l_one_derivative, make_character
-from deltalab.sieves import von_mangoldt_window
+from deltalab.sieves import convolve, tau_array, von_mangoldt_window
 from deltalab.tables import (
     CountReport,
     IdentityCheckError,
@@ -98,11 +102,50 @@ def test_pointwise_split_identities(table4):
 
 
 def test_custom_cutoff():
-    t = sieve_tables(500, CHI4, cutoff=5)
-    assert t.cutoff == 5
-    for n in range(1, 500):
-        star = sum(t.lam[m] for m in divisors(n) if m <= 5)
-        assert t.rho_star[n] == star
+    # isqrt(500) = 22: cutoffs below it, and above it, where the split
+    # convolution's cofactor half also runs
+    for C in (5, 40, 300):
+        t = sieve_tables(500, CHI4, cutoff=C)
+        assert t.cutoff == C
+        for n in range(1, 500):
+            ms = [m for m in divisors(n) if m <= C]
+            assert t.rho_star[n] == sum(t.lam[m] for m in ms)
+            lstar = math.fsum(t.nu[m] * float(t.lam_prime[n // m]) for m in ms)
+            assert t.Lam_star[n] == pytest.approx(lstar, abs=1e-9)
+
+
+def brute_convolve(f, g, n, fmax):
+    h = [0] * (n + 1)
+    for d in range(1, n + 1 if fmax is None else min(fmax, n) + 1):
+        for m in range(1, n // d + 1):
+            h[d * m] += f[d] * g[m]
+    return h
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_convolve_matches_divisor_double_loop(data):
+    s = data.draw(st.integers(2, 40))
+    n = data.draw(st.sampled_from([s * s - 1, s * s, s * s + 1]) | st.integers(1, 1600))
+    r = math.isqrt(n)
+    fmax = data.draw(st.sampled_from([None, r - 1, r, r + 1]) | st.integers(0, n + 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = rng.integers(-5, 6, n + 1) * (rng.random(n + 1) < 0.6)
+    if data.draw(st.booleans()):
+        g = rng.standard_normal(n + 1)
+        want = brute_convolve(f.tolist(), g.tolist(), n, fmax)
+        assert np.allclose(convolve(f, g, n, fmax), want, rtol=0, atol=1e-9)
+    else:
+        g = rng.integers(-5, 6, n + 1) * (rng.random(n + 1) < 0.6)
+        got = convolve(f, g, n, fmax)
+        assert got.dtype == np.int64
+        assert got.tolist() == brute_convolve(f.tolist(), g.tolist(), n, fmax)
+
+
+def test_tau_array_by_divisor_enumeration():
+    tau = tau_array(500)
+    assert tau[0] == 0
+    assert tau[1:].tolist() == [len(divisors(n)) for n in range(1, 501)]
 
 
 def test_identity_checker_all_test_discriminants():
@@ -221,6 +264,26 @@ def test_count_report_rejects_broken_split():
                     pi_count=1, li_value=2.0, main_term=2.0, ratio=1.0)
 
 
+def test_psi_cutoff_loop_capped_at_x(monkeypatch):
+    chi = make_character(-47)  # C = 2209 > x, so every m > x adds 0
+    x, y = 1000, 100
+    uncapped = math.fsum(
+        nu_value(chi, m)
+        * (lam_prime_summatory(chi, x // m) - lam_prime_summatory(chi, (x - y) // m))
+        for m in range(1, chi.conductor**2 + 1)
+    )
+    calls = []
+
+    def counted(c, m):
+        calls.append(m)
+        return nu_value(c, m)
+
+    monkeypatch.setattr(tables, "nu_value", counted)
+    rep = psi_counts(x, chi, x, y)
+    assert rep.psi_star == uncapped
+    assert calls == list(range(1, x + 1))
+
+
 def test_psi_validation():
     with pytest.raises(ValueError):
         psi_counts(100, CHI4, 200, 10)
@@ -257,3 +320,24 @@ def test_tau_moment_values():
 def test_memory_budget_error():
     with pytest.raises(MemoryBudgetError, match="limit"):
         sieve_tables(10**9, CHI4)
+
+
+def test_sieve_tables_peak_within_bytes_per_entry():
+    N = 10**4
+    chi = make_character(13)
+    chi.value_table(1)  # the period array is cached; build it outside the trace
+    tracemalloc.start()
+    try:
+        sieve_tables(N, chi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= N * tables._BYTES_PER_ENTRY
+
+
+def test_memory_budget_error_just_below_need():
+    N = 10**4
+    need = N * tables._BYTES_PER_ENTRY
+    with pytest.raises(MemoryBudgetError):
+        sieve_tables(N, CHI4, memory_budget=need - 1)
+    assert sieve_tables(N, CHI4, memory_budget=need).limit == N
