@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -107,9 +107,9 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-def fundamental_discriminants(bound: int, include_trivial: bool = False):
-    """All fundamental discriminants with |d| <= bound, ascending by |d|."""
-    out = [1] if include_trivial else []
+def fundamental_discriminants(bound: int):
+    """All fundamental discriminants 1 < |d| <= bound, ascending by |d|."""
+    out = []
     for q in range(2, bound + 1):
         for d in (q, -q):
             if is_fundamental_discriminant(d):

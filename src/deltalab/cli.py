@@ -6,7 +6,11 @@ triple sum against its triple-loop oracle).
 
 Every run echoes its fully resolved configuration first.  A config file of
 key=value lines (--config) overrides flags; each value is typed and checked
-as its flag would be, and unknown keys are rejected.
+as its flag would be, and unknown keys are rejected.  Every flag is read by
+its command: --seed exists on verify-all only (the echo prints seed=0
+elsewhere), and --json only on the commands that have a JSON form.
+Count flags (--limit, --cap, --table-limit, --delta-limit) read 1e6 but
+reject 2.7, inf and nan.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -20,7 +24,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -98,6 +101,18 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
+def count(raw: str) -> int:
+    """An integer flag value that may be written as 1e6; fractions, inf and
+    nan are invalid rather than truncated."""
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(value)
+
+
 def _parse_override(action: argparse.Action, raw: str):
     """Type a config-file value as argparse types the same flag."""
     try:
@@ -126,7 +141,7 @@ def _resolve_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> E
         for k, v in overrides.items():
             params[k] = _parse_override(actions[k], v)
             setattr(args, k, params[k])
-    seed = int(params.pop("seed", 0))
+    seed = params.pop("seed", 0)
     return ExperimentConfig(command=params.pop("command"), params=params, seed=seed)
 
 
@@ -137,8 +152,8 @@ def _out_path(name: str) -> Path:
     return Path(os.environ.get("DELTALAB_OUT", ".")) / p
 
 
-def _emit(payload: dict, fmt: str, config: ExperimentConfig) -> None:
-    if fmt == "json":
+def _emit(payload: dict, as_json: bool, config: ExperimentConfig) -> None:
+    if as_json:
         print(json.dumps({"config": {"command": config.command, "seed": config.seed,
                                      **{k: _fmt(v) for k, v in sorted(config.params.items())}},
                           "result": payload}, indent=2, sort_keys=True))
@@ -156,7 +171,7 @@ def _emit(payload: dict, fmt: str, config: ExperimentConfig) -> None:
 def _parse_range(spec: str):
     """lo:hi  -> inclusive integer interval."""
     lo, hi = spec.split(":")
-    return int(float(lo)), int(float(hi))
+    return count(lo), count(hi)
 
 
 def _parse_mspec(spec: str) -> List[int]:
@@ -211,7 +226,7 @@ def _cmd_tuple(args, config):
 
 def _cmd_derive(args, config):
     r = derive_main_theorem()
-    if args.report == "json":
+    if args.json:
         print(json.dumps({"config": {"command": "derive"}, "pipeline": r.as_dict()}, indent=2))
         return 0
     print(config.echo())
@@ -280,13 +295,13 @@ def _cmd_lfunction(args, config):
     payload = {"L(1)": l_one(chi)}
     if args.derivative:
         payload["L'(1)"] = l_one_derivative(chi)
-    _emit(payload, "json" if args.json else "text", config)
+    _emit(payload, args.json, config)
     return 0
 
 
 def _cmd_tables(args, config):
     chi = make_character(args.disc)
-    N = int(float(args.limit))
+    N = args.limit
     t = sieve_tables(N, chi, cutoff=args.cutoff)
     if args.dump == "csv":
         path = _out_path(args.out or f"tables_{args.disc}_{N}.csv")
@@ -309,36 +324,34 @@ def _cmd_tables(args, config):
         "sum_rho": int(t.rho[1:].sum()),
         "sum_lambda_prime": float(t.lam_prime[1:].sum()),
         "psi(N)": float(t.Lam[1:].sum()),
-    }, "json" if args.json else "text", config)
+    }, args.json, config)
     return 0
 
 
 def _cmd_divisor_sum(args, config):
     chi = make_character(args.disc)
-    x = float(args.x)
-    t = sieve_tables(int(x), chi)
-    val = divisor_sum(t, args.f, x)
-    payload = {"f": args.f, "x": x, "sum": val}
+    t = sieve_tables(int(args.x), chi)
+    val = divisor_sum(t, args.f, args.x)
+    payload = {"f": args.f, "x": args.x, "sum": val}
     if args.residual:
-        rep = asymptotic_residual(t, args.f, x)
+        rep = asymptotic_residual(t, args.f, args.x)
         payload.update({"main": rep.main, "residual": rep.residual,
                         "normalized": rep.normalized})
-    _emit(payload, "json" if args.json else "text", config)
+    _emit(payload, args.json, config)
     return 0
 
 
 def _cmd_psi_short(args, config):
     chi = make_character(args.disc)
-    x = float(args.x)
     if args.y is None and args.alpha is None:
         raise ValueError("need --y or --alpha (y = x^alpha)")
-    y = float(args.y) if args.y is not None else x ** float(args.alpha)
-    rep = psi_counts(int(math.ceil(x)), chi, x, y, cutoff=args.cutoff)
+    y = args.y if args.y is not None else args.x ** args.alpha
+    rep = psi_counts(int(math.ceil(args.x)), chi, args.x, y, cutoff=args.cutoff)
     _emit({
         "x": rep.x, "y": rep.y, "psi": rep.psi, "psi_star": rep.psi_star,
         "psi_substar": rep.psi_substar, "pi_count": rep.pi_count,
         "li_window": rep.li_value, "main_term": rep.main_term, "ratio": rep.ratio,
-    }, "json" if args.json else "text", config)
+    }, args.json, config)
     return 0
 
 
@@ -352,22 +365,20 @@ def _delta_payload(s) -> dict:
 
 def _cmd_delta(args, config):
     c1, c2, c3 = (make_character(d) for d in (args.d1, args.d2, args.d3))
-    s = triple_delta(c1, c2, c3, float(args.x), cap=int(float(args.cap)),
-                     naive_check=args.naive_check)
+    s = triple_delta(c1, c2, c3, args.x, cap=args.cap, naive_check=args.naive_check)
     payload = _delta_payload(s)
     if args.naive_check:
         # triple_delta raised unless the triple-loop oracle equals raw_sum
         payload["naive_check"] = "passed"
         payload["naive_raw"] = s.raw_sum
-    _emit(payload, "json" if args.json else "text", config)
+    _emit(payload, args.json, config)
     return 0
 
 
 def _cmd_delta_sweep(args, config):
     c1, c2, c3 = (make_character(d) for d in (args.d1, args.d2, args.d3))
     xs = _parse_grid(args.x_grid)
-    cap = int(float(args.cap))
-    samples = [triple_delta(c1, c2, c3, x, cap=cap) for x in xs]
+    samples = [triple_delta(c1, c2, c3, x, cap=args.cap) for x in xs]
 
     path = _out_path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -399,17 +410,15 @@ def _cmd_expsum(args, config):
         config.params["D"] = args.D
     lo, hi = _parse_range(args.range)
     if args.sign == "max":
-        val, sig = exp_sum_max_sign(args.n1, args.n2, chi3, (lo, hi),
-                                    float(args.x), float(args.D), args.m)
+        val, sig = exp_sum_max_sign(args.n1, args.n2, chi3, (lo, hi), args.x, args.D, args.m)
     else:
         sig = int(args.sign)
-        val = exp_sum(args.n1, args.n2, chi3, (lo, hi), float(args.x),
-                      float(args.D), args.m, sign=sig)
+        val = exp_sum(args.n1, args.n2, chi3, (lo, hi), args.x, args.D, args.m, sign=sig)
     _emit({
         "n1": args.n1, "n2": args.n2, "d3": args.d3, "m": args.m, "sign": sig,
         "range": f"{lo}:{hi}", "length": hi - lo + 1,
         "re": val.real, "im": val.imag, "abs": abs(val),
-    }, "json" if args.json else "text", config)
+    }, args.json, config)
     return 0
 
 
@@ -433,21 +442,16 @@ def _cmd_feasibility(args, config):
 
 
 def _cmd_tau_moment(args, config):
-    s = tau_moment_bound(int(float(args.cap)), args.A)
-    comp = math.log(float(args.cap)) ** (2.0**args.A + 1.0)
-    _emit({"sum": s, "log_power_comparison": comp, "ratio": s / comp},
-          "json" if args.json else "text", config)
+    s = tau_moment_bound(args.cap, args.A)
+    comp = math.log(args.cap) ** (2.0**args.A + 1.0)
+    _emit({"sum": s, "log_power_comparison": comp, "ratio": s / comp}, args.json, config)
     return 0
 
 
 def _cmd_verify_all(args, config):
     print(config.echo())
-    overrides = {}
-    if args.table_limit is not None:
-        overrides["table_limit"] = int(float(args.table_limit))
-    if args.delta_limit is not None:
-        overrides["delta_limit"] = int(float(args.delta_limit))
-    results = run_suite(quick=args.quick, seed=args.seed, overrides=overrides or None)
+    results = run_suite(quick=args.quick, seed=args.seed, overrides={
+        "table_limit": args.table_limit, "delta_limit": args.delta_limit})
     sys.stdout.write(format_report(results, seed=args.seed, quick=args.quick))
     return 0 if all(r.ok for r in results if r.gating) else 1
 
@@ -463,12 +467,12 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
     p.commands = sub.choices  # name -> subparser; its flags type --config values
 
-    def add(name, fn, help_):
-        sp = sub.add_parser(name, help=help_, parents=[], add_help=True)
+    def add(name, fn, help_, json_output=True):
+        sp = sub.add_parser(name, help=help_)
         sp.set_defaults(func=fn)
         sp.add_argument("--config", help="key=value file overriding flags")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        sp.add_argument("--json", action="store_true", help="JSON output")
+        if json_output:
+            sp.add_argument("--json", action="store_true", help="JSON output")
         return sp
 
     sp = add("tuple", _cmd_tuple, "derivative-test exponents at a given order")
@@ -477,10 +481,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--eval-T", type=float, default=None)
     sp.add_argument("--eps", type=float, default=0.0)
 
-    sp = add("derive", _cmd_derive, "run the full symbolic bound derivation")
-    sp.add_argument("--report", choices=("text", "json"), default="text")
+    add("derive", _cmd_derive, "run the full symbolic bound derivation")
 
-    sp = add("compare", _cmd_compare, "exact comparison of exponent fractions")
+    sp = add("compare", _cmd_compare, "exact comparison of exponent fractions", json_output=False)
     sp.add_argument("--ours", default=None)
     sp.add_argument("--theirs", default=None)
 
@@ -498,22 +501,22 @@ def build_parser() -> _Parser:
 
     sp = add("tables", _cmd_tables, "sieve the convolution-function tables")
     sp.add_argument("--disc", type=int, required=True)
-    sp.add_argument("--limit", required=True)
+    sp.add_argument("--limit", type=count, required=True)
     sp.add_argument("--cutoff", type=int, default=None)
     sp.add_argument("--dump", choices=("csv",), default=None)
     sp.add_argument("--out", default=None)
 
     sp = add("divisor-sum", _cmd_divisor_sum, "exact partial sum of a table function")
     sp.add_argument("--f", required=True)
-    sp.add_argument("--x", required=True)
+    sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--disc", type=int, required=True)
     sp.add_argument("--residual", action="store_true",
                     help="also report the main term and normalized residual")
 
     sp = add("psi-short", _cmd_psi_short, "short-interval psi/pi counts")
-    sp.add_argument("--x", required=True)
+    sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--y", default=None)
+    sp.add_argument("--y", type=float, default=None)
     sp.add_argument("--disc", type=int, required=True)
     sp.add_argument("--cutoff", type=int, default=None)
 
@@ -521,11 +524,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--d1", type=int, required=True)
     sp.add_argument("--d2", type=int, required=True)
     sp.add_argument("--d3", type=int, required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--cap", default=str(10**9))
+    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--cap", type=count, default=10**9)
     sp.add_argument("--naive-check", action="store_true")
 
-    sp = add("delta-sweep", _cmd_delta_sweep, "delta samples over an x grid, to CSV")
+    sp = add("delta-sweep", _cmd_delta_sweep, "delta samples over an x grid, to CSV",
+             json_output=False)
     sp.description = (
         "CSV columns: x, d1, d2, d3, raw_sum (exact integer), residue, "
         "delta (= raw_sum - residue), bound_value (max of the four final "
@@ -536,20 +540,20 @@ def build_parser() -> _Parser:
     sp.add_argument("--d3", type=int, required=True)
     sp.add_argument("--x-grid", required=True, help="lo:hi:geometric:n or lo:hi:linear:n")
     sp.add_argument("--out", default="samples.csv")
-    sp.add_argument("--cap", default=str(10**9))
+    sp.add_argument("--cap", type=count, default=10**9)
 
     sp = add("expsum", _cmd_expsum, "inner exponential sum over an n3 range")
     sp.add_argument("--n1", type=int, required=True)
     sp.add_argument("--n2", type=int, required=True)
     sp.add_argument("--d3", type=int, required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--D", default=None,
+    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--D", type=float, default=None,
                     help="modulus product in the phase; defaults to the d3 conductor")
     sp.add_argument("--range", required=True, help="lo:hi inclusive")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--sign", default="1", choices=("1", "-1", "max"))
 
-    sp = add("feasibility", _cmd_feasibility, "exact (theta, r) condition")
+    sp = add("feasibility", _cmd_feasibility, "exact (theta, r) condition", json_output=False)
     sp.add_argument("--theta", required=True)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--minimal", action="store_true")
@@ -557,14 +561,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--claim-D", type=float, default=None)
 
     sp = add("tau-moment", _cmd_tau_moment, "divisor-moment sum vs its log power")
-    sp.add_argument("--cap", required=True)
+    sp.add_argument("--cap", type=count, required=True)
     sp.add_argument("--A", type=float, required=True)
 
-    sp = add("verify-all", _cmd_verify_all, "run the whole invariant suite")
+    sp = add("verify-all", _cmd_verify_all, "run the whole invariant suite", json_output=False)
+    sp.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")
     sp.add_argument("--quick", action="store_true",
                     help="reduced limits: tables 1e5, delta 1e4")
-    sp.add_argument("--table-limit", default=None)
-    sp.add_argument("--delta-limit", default=None)
+    sp.add_argument("--table-limit", type=count, default=None)
+    sp.add_argument("--delta-limit", type=count, default=None)
 
     return p
 

@@ -7,6 +7,11 @@ The two millionths literals are stored verbatim (they sum to 1 exactly);
 511/1038 = 0.4922928... is the plausible source of the first one, but the
 condition commits to the decimal literals and so do we.  All comparisons
 are exact Fraction arithmetic.
+
+The constants are the paper's, not parameters.  LEAD = 5/2 is also the
+D-power of the range condition D^(5/2) x^(c0 + c1/r) < y that claim_report
+evaluates: the theta condition is that range condition with D^(5/2)
+bounded by x^(5/(2r)), which x >= D^r allows.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ __all__ = [
     "C0",
     "C1",
     "LEAD",
-    "FeasibilityProblem",
     "check",
     "minimal_r",
     "claim_report",
@@ -40,49 +44,25 @@ PAPER_THETA = Fraction(4923, 10_000)
 PAPER_R = 433433
 
 
-@dataclass(frozen=True)
-class FeasibilityProblem:
-    theta: Fraction
-    r: int
-    c0: Fraction = C0
-    c1: Fraction = C1
-    lead: Fraction = LEAD
-
-    def __post_init__(self):
-        if self.c0 + self.c1 != 1:
-            raise ValueError("c0 + c1 must equal 1 exactly")
-        if self.lead <= 0:
-            raise ValueError("lead must be positive")
-
-    def holds(self) -> bool:
-        return check(self.theta, self.r, c0=self.c0, c1=self.c1, lead=self.lead)
-
-
-def check(
-    theta,
-    r: int,
-    c0: Fraction = C0,
-    c1: Fraction = C1,
-    lead: Fraction = LEAD,
-) -> bool:
-    """Exact evaluation of lead/r + c0 + c1/r <= theta."""
+def check(theta, r: int) -> bool:
+    """Exact evaluation of LEAD/r + C0 + C1/r <= theta."""
     r = int(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     theta = as_fraction(theta)
-    return lead / r + c0 + c1 / r <= theta
+    return LEAD / r + C0 + C1 / r <= theta
 
 
-def minimal_r(theta, c0: Fraction = C0, c1: Fraction = C1, lead: Fraction = LEAD) -> Optional[int]:
+def minimal_r(theta) -> Optional[int]:
     """Smallest r >= 1 satisfying the condition, or None when infeasible.
 
-    The condition rearranges to r >= (lead + c1)/(theta - c0), so the
+    The condition rearranges to r >= (LEAD + C1)/(theta - C0), so the
     answer is an exact rational ceiling.
     """
     theta = as_fraction(theta)
-    if theta <= c0:
+    if theta <= C0:
         return None
-    return max(1, math.ceil((lead + c1) / (theta - c0)))
+    return max(1, math.ceil((LEAD + C1) / (theta - C0)))
 
 
 @dataclass(frozen=True)
@@ -100,31 +80,14 @@ class ClaimReport:
     y_value: float
     y_lower_bound: float
     y_range_ok: bool
-    d_power: Fraction
-
-    def all_ok(self) -> bool:
-        return (
-            self.x_ge_D_pow_r
-            and self.alpha_in_range
-            and self.theta_condition
-            and self.y_range_ok
-        )
 
 
-def claim_report(
-    x: float,
-    alpha,
-    D: float,
-    r: int,
-    d_power=Fraction(5, 2),
-) -> ClaimReport:
+def claim_report(x: float, alpha, D: float, r: int) -> ClaimReport:
     """Evaluate the hypotheses at (x, alpha, D, r).
 
     Conditions: x >= D^r (compared through logarithms); alpha within
     [0.4923, 1]; the exact theta condition at theta = alpha; and the
-    y-range D^d_power * x^(c0 + c1/r) < y = x^alpha evaluated numerically.
-    d_power parameterizes the D-power of the range condition (default 5/2;
-    a D^2 variant also circulates, hence the knob).
+    y-range D^(5/2) * x^(c0 + c1/r) < y = x^alpha evaluated numerically.
     """
     if x <= 0 or D <= 0:
         raise ValueError("x and D must be positive")
@@ -132,7 +95,6 @@ def claim_report(
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     alpha = as_fraction(alpha)
-    d_power = as_fraction(d_power)
 
     x_ge = math.log(x) >= r * math.log(D) if D > 1 else x >= 1
     in_range = PAPER_THETA <= alpha <= 1
@@ -140,7 +102,7 @@ def claim_report(
     theta_ok = check(alpha, r)
 
     log_y = float(alpha) * math.log(x)
-    log_lower = float(d_power) * math.log(D) + float(C0 + C1 / r) * math.log(x)
+    log_lower = float(LEAD) * math.log(D) + float(C0 + C1 / r) * math.log(x)
     return ClaimReport(
         x=float(x),
         alpha=alpha,
@@ -152,5 +114,4 @@ def claim_report(
         y_value=math.exp(log_y),
         y_lower_bound=math.exp(log_lower),
         y_range_ok=bool(log_lower < log_y),
-        d_power=d_power,
     )

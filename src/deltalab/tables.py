@@ -65,6 +65,9 @@ class IdentityCheckError(AssertionError):
 _BYTES_PER_ENTRY = 74
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
+#: Absolute tolerance of the float checks in verify_table_identities.
+_FLOAT_SLACK = 1e-9
+
 #: Error-term monomials of the divisor-sum asymptotics, eps = 0.
 ERROR_MONOMIALS: Dict[str, Monomial] = {
     "lambda": mono(D=Fraction(1, 3), x=Fraction(1, 3)),
@@ -128,6 +131,16 @@ def _canonical_name(f: str) -> str:
         ) from None
 
 
+def _cutoff(chi: RealCharacter, cutoff: Optional[int]) -> int:
+    """The split point C: D^2 by default; below 1 every m <= C sum is empty."""
+    if cutoff is None:
+        return chi.conductor**2
+    C = int(cutoff)
+    if C < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    return C
+
+
 def nu_value(chi: RealCharacter, m: int) -> int:
     """nu(m) via multiplicativity: nu(p) = -1 - chi(p), nu(p^2) = chi(p),
     nu(p^k) = 0 for k >= 3."""
@@ -163,8 +176,8 @@ def sieve_tables(
 ) -> FunctionTable:
     """Build all nine arrays on [1, N] by square-root-split convolutions.
 
-    cutoff defaults to D^2.  Raises MemoryBudgetError with a suggested
-    smaller limit when the arrays would not fit the budget.
+    cutoff defaults to D^2 and must be >= 1.  Raises MemoryBudgetError with
+    a suggested smaller limit when the arrays would not fit the budget.
     """
     N = int(N)
     if N < 1:
@@ -176,7 +189,7 @@ def sieve_tables(
             f"use limit <= {memory_budget // _BYTES_PER_ENTRY} or psi_counts, "
             "which streams segmented sieves"
         )
-    C = chi.conductor**2 if cutoff is None else int(cutoff)
+    C = _cutoff(chi, cutoff)
     chi_tab = chi.value_table(N)
     one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
 
@@ -341,12 +354,13 @@ def psi_counts(
     convolution via O(sqrt z) partial sums of lam'; psi_* is the exact
     complement (Lambda_* = Lambda - Lambda*), and psi is reassembled as
     psi_star + psi_substar (equal to the sieve value up to one rounding).
+    cutoff C defaults to D^2 and must be >= 1.
     """
     if not 0 < y <= x:
         raise ValueError(f"need 0 < y <= x, got x={x}, y={y}")
     if x > N_limit:
         raise ValueError(f"x = {x} exceeds N_limit = {N_limit}")
-    C = chi.conductor**2 if cutoff is None else int(cutoff)
+    C = _cutoff(chi, cutoff)
     xi, xmy = math.floor(x), math.floor(x - y)
 
     psi_sieve, pi_cnt = von_mangoldt_window(xmy, xi)
@@ -447,7 +461,7 @@ def _reference_multiplicative(t: FunctionTable):
     return lam_ref, nu_ref, rho_ref
 
 
-def verify_table_identities(t: FunctionTable, slack: float = 1e-9) -> TableCheckReport:
+def verify_table_identities(t: FunctionTable) -> TableCheckReport:
     """Exact verification of every convolution identity.
 
     Integer functions are compared against independent multiplicative
@@ -459,7 +473,8 @@ def verify_table_identities(t: FunctionTable, slack: float = 1e-9) -> TableCheck
         Lambda route       (a_p * nu)(d) == [d is a power of p]
 
     plus the cutoff splits and 0 <= lam'(d) <= tau(d) log d (float check
-    with the stated slack).  Raises IdentityCheckError on any mismatch.
+    with absolute slack _FLOAT_SLACK).  Raises IdentityCheckError on any
+    mismatch.
     """
     N, C = t.limit, t.cutoff
     chi = t.chi
@@ -537,10 +552,9 @@ def verify_table_identities(t: FunctionTable, slack: float = 1e-9) -> TableCheck
     n_arr = np.arange(N + 1, dtype=np.float64)
     n_arr[0] = 1.0
     upper = tau * np.log(n_arr)
-    if np.any(lamp_float < -slack) or np.any(lamp_float[1:] > upper[1:] + slack):
-        bad = int(
-            np.flatnonzero((lamp_float < -slack) | (lamp_float > upper + slack))[0]
-        )
+    if np.any(lamp_float < -_FLOAT_SLACK) or np.any(lamp_float[1:] > upper[1:] + _FLOAT_SLACK):
+        bad = int(np.flatnonzero(
+            (lamp_float < -_FLOAT_SLACK) | (lamp_float > upper + _FLOAT_SLACK))[0])
         raise IdentityCheckError(f"0 <= lam' <= tau log fails at n={bad}")
 
     devs = [
@@ -548,7 +562,7 @@ def verify_table_identities(t: FunctionTable, slack: float = 1e-9) -> TableCheck
         float(np.max(np.abs(t.Lam_star - star_float))),
         float(np.max(np.abs(t.Lam_substar - sub_float))),
     ]
-    if max(devs) > slack:
+    if max(devs) > _FLOAT_SLACK:
         raise IdentityCheckError(
             f"float tables deviate from exact-coefficient evaluation by {max(devs)}"
         )

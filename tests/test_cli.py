@@ -52,7 +52,7 @@ def test_derive_text(capsys):
 
 
 def test_derive_json(capsys):
-    assert run(["derive", "--report", "json"]) == 0
+    assert run(["derive", "--json"]) == 0
     d = json.loads(out_of(capsys))
     assert len(d["pipeline"]["final"]) == 4
     assert d["pipeline"]["simplified"] == "D^(527/1038)*x^(511/1038)*x^eps"
@@ -326,5 +326,73 @@ def test_config_values_checked_like_flags(tmp_path, capsys):
     assert "error: config key order: invalid value '2.7'" in capsys.readouterr().err
     cfg.write_text("json=maybe\n")
     assert run(["tuple", "--order", "5", "--config", str(cfg)]) == 1
-    cfg.write_text("report=xml\n")
-    assert run(["derive", "--config", str(cfg)]) == 1
+    cfg.write_text("sign=2\n")
+    assert run(["expsum", *_BASE_ARGV["expsum"], "--config", str(cfg)]) == 1
+
+
+# Every key a run can set besides --config, which every subcommand has.
+# Each one is read by its command: a flag that does nothing fails this table.
+_OPTIONS = {
+    "tuple": {"json", "order", "eval_M", "eval_T", "eps"},
+    "derive": {"json"},
+    "compare": {"ours", "theirs"},
+    "character": {"json", "disc", "table"},
+    "gauss": {"json", "disc", "m"},
+    "lfunction": {"json", "disc", "derivative"},
+    "tables": {"json", "disc", "limit", "cutoff", "dump", "out"},
+    "divisor-sum": {"json", "f", "x", "disc", "residual"},
+    "psi-short": {"json", "x", "alpha", "y", "disc", "cutoff"},
+    "delta": {"json", "d1", "d2", "d3", "x", "cap", "naive_check"},
+    "delta-sweep": {"d1", "d2", "d3", "x_grid", "out", "cap"},
+    "expsum": {"json", "n1", "n2", "d3", "x", "D", "range", "m", "sign"},
+    "feasibility": {"theta", "r", "minimal", "claim_x", "claim_D"},
+    "tau-moment": {"json", "cap", "A"},
+    "verify-all": {"seed", "quick", "table_limit", "delta_limit"},
+}
+
+
+def test_option_surface():
+    got = {c: {k for k, _ in keys} for c, keys in _keys_by_command().items()}
+    assert got == _OPTIONS
+    assert sum(map(len, got.values())) + len(got) == 83  # + one --config each
+
+
+def test_echo_keeps_seed_without_seed_flag(capsys):
+    assert run(["lfunction", "--disc", "-4", "--json"]) == 0
+    assert json.loads(out_of(capsys))["config"]["seed"] == 0
+    assert run(["compare"]) == 0
+    assert out_of(capsys).startswith("# config command=compare seed=0\n")
+    assert run(["compare", "--seed", "1"]) == 1
+
+
+def test_fractional_limit_rejected(tmp_path, capsys):
+    argv = ["verify-all", "--quick", "--delta-limit", "500"]
+    assert run([*argv, "--table-limit", "2.7"]) == 1
+    assert "error: argument --table-limit: invalid count value: '2.7'" in capsys.readouterr().err
+    for bad in ("inf", "nan", "-inf"):
+        assert run([*argv, "--table-limit", bad]) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("table_limit=2.7\n")
+    assert run([*argv, "--config", str(cfg)]) == 1
+    assert "error: config key table_limit: invalid value '2.7'" in capsys.readouterr().err
+    expsum = ["expsum", *_BASE_ARGV["expsum"]]  # a later --range replaces its 1:50
+    assert run([*expsum, "--range", "1.5:50"]) == 1
+    assert "error: not an integer: '1.5'" in capsys.readouterr().err
+    assert run([*expsum, "--range", "1e1:50"]) == 0
+    assert "length = 41" in out_of(capsys)
+
+
+def test_count_flag_reads_exponent_form(capsys):
+    assert run(["tables", "--disc", "-4", "--limit", "1e3"]) == 0
+    text = out_of(capsys)
+    assert "limit=1000" in text.splitlines()[0]
+    assert "limit = 1000\n" in text
+    assert run(["tau-moment", "--cap", "1e1", "--A", "1"]) == 0
+    assert "sum = 6.00238095238" in out_of(capsys)
+
+
+def test_cutoff_below_one_rejected(capsys):
+    assert run(["tables", "--disc", "-4", "--limit", "100", "--cutoff", "-1"]) == 1
+    assert "cutoff must be >= 1" in capsys.readouterr().err
+    assert run(["psi-short", "--x", "100", "--y", "10", "--disc", "-4", "--cutoff", "0"]) == 1
+    assert "cutoff must be >= 1" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from deltalab.feasibility import (
     C0,
     C1,
     LEAD,
-    FeasibilityProblem,
     PAPER_R,
     PAPER_THETA,
     check,
@@ -77,15 +76,6 @@ def test_check_monotone(theta_millionths, r):
         assert check(theta, r + 1)
 
 
-def test_feasibility_problem_invariants():
-    p = FeasibilityProblem(theta=PAPER_THETA, r=PAPER_R)
-    assert p.holds()
-    with pytest.raises(ValueError):
-        FeasibilityProblem(theta=PAPER_THETA, r=PAPER_R, c0=F(1, 2), c1=F(1, 3))
-    with pytest.raises(ValueError):
-        FeasibilityProblem(theta=PAPER_THETA, r=PAPER_R, lead=F(-1))
-
-
 def test_claim_report_alpha_range():
     r = claim_report(x=1e9, alpha=1, D=2.0, r=3)
     assert r.alpha_in_range is True
@@ -104,11 +94,10 @@ def test_claim_report_theta_and_y_range():
     # huge D kills the y-range condition
     rep = claim_report(x=1e12, alpha=PAPER_THETA, D=1e6, r=PAPER_R)
     assert rep.y_range_ok is False
-    # the D-power of the range condition is a parameter (default 5/2)
-    a = claim_report(x=1e12, alpha=F(6, 10), D=10.0, r=10**6, d_power=F(5, 2))
-    b = claim_report(x=1e12, alpha=F(6, 10), D=10.0, r=10**6, d_power=F(2))
-    assert a.y_lower_bound > b.y_lower_bound
-    assert a.d_power == F(5, 2) and b.d_power == F(2)
+    # the range condition's lower bound is D^(5/2) x^(c0 + c1/r)
+    rep = claim_report(x=1e12, alpha=F(6, 10), D=10.0, r=10**6)
+    want = 10.0**2.5 * 1e12 ** float(C0 + C1 / 10**6)
+    assert rep.y_lower_bound == pytest.approx(want, rel=1e-12)
 
 
 def test_claim_report_validation():

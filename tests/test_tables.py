@@ -114,6 +114,19 @@ def test_custom_cutoff():
             assert t.Lam_star[n] == pytest.approx(lstar, abs=1e-9)
 
 
+def test_cutoff_below_one_rejected():
+    # a cutoff below 1 would empty every m <= C sum: rho* = Lambda* = 0
+    for C in (0, -1):
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            sieve_tables(100, CHI4, cutoff=C)
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            psi_counts(100, CHI4, 100, 10, cutoff=C)
+    t = sieve_tables(100, CHI4, cutoff=1)
+    assert t.cutoff == 1 and list(t.rho_star[1:6]) == [1] * 5
+    rep = psi_counts(100, CHI4, 100, 10, cutoff=1)  # only m = 1, nu(1) = 1
+    assert rep.psi_star == lam_prime_summatory(CHI4, 100) - lam_prime_summatory(CHI4, 90)
+
+
 def brute_convolve(f, g, n, fmax):
     h = [0] * (n + 1)
     for d in range(1, n + 1 if fmax is None else min(fmax, n) + 1):
