@@ -10,7 +10,10 @@ as its flag would be, and unknown keys are rejected.  Every flag is read by
 its command: --seed exists on verify-all only (the echo prints seed=0
 elsewhere), and --json only on the commands that have a JSON form.
 Count flags (--limit, --cap, --table-limit, --delta-limit) read 1e6 but
-reject 2.7, inf and nan.
+reject 2.7, inf and nan.  Flags that act only together (--eval-M with
+--eval-T, --claim-x with --claim-D, --ours with --theirs, --out with
+--dump csv) exit 1 when given alone, and psi-short takes exactly one of --y
+and --alpha.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -47,6 +50,7 @@ from .monomials import (
 )
 from .tables import (
     IdentityCheckError,
+    MemoryBudgetError,
     asymptotic_residual,
     divisor_sum,
     psi_counts,
@@ -192,6 +196,8 @@ def _parse_grid(spec: str) -> List[float]:
     lo, hi, kind, n = float(parts[0]), float(parts[1]), parts[2], int(parts[3])
     if n < 1 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
+    if kind == "geometric" and lo <= 0:
+        raise ValueError(f"a geometric grid needs lo > 0, got {spec!r}")
     if n == 1:
         return [lo]
     if kind == "geometric":
@@ -208,7 +214,16 @@ def _parse_grid(spec: str) -> List[float]:
 # ---------------------------------------------------------------------------
 
 
+def _require_pair(args, first: str, second: str) -> None:
+    """Flags that act only together: one without the other is an error."""
+    given = [dest for dest in (first, second) if getattr(args, dest) is not None]
+    if len(given) == 1:
+        missing = second if given[0] == first else first
+        raise ValueError(f"--{given[0]} needs --{missing}".replace("_", "-"))
+
+
 def _cmd_tuple(args, config):
+    _require_pair(args, "eval_M", "eval_T")
     t = derive_tuple(args.order)
     if args.json:
         print(json.dumps(t.as_dict(), indent=2))
@@ -218,7 +233,7 @@ def _cmd_tuple(args, config):
     for name in ("a", "b", "xi", "eta", "alpha", "gamma", "delta"):
         eps = " (+eps)" if name in t.eps_on else ""
         print(f"{name} = {d[name]}{eps}")
-    if args.eval_M is not None and args.eval_T is not None:
+    if args.eval_M is not None:
         print(f"bound({args.eval_M}, {args.eval_T}) = "
               f"{_fmt(bound_eval(t, args.eval_M, args.eval_T, args.eps))}")
     return 0
@@ -244,8 +259,9 @@ def _cmd_derive(args, config):
 
 
 def _cmd_compare(args, config):
+    _require_pair(args, "ours", "theirs")
     print(config.echo())
-    if args.ours and args.theirs:
+    if args.ours is not None:
         ours, theirs = as_fraction(args.ours), as_fraction(args.theirs)
         rel = "<" if ours < theirs else (">" if ours > theirs else "=")
         print(f"{ours} {rel} {theirs} (exact)")
@@ -300,6 +316,8 @@ def _cmd_lfunction(args, config):
 
 
 def _cmd_tables(args, config):
+    if args.out is not None and args.dump is None:
+        raise ValueError("--out needs --dump csv")
     chi = make_character(args.disc)
     N = args.limit
     t = sieve_tables(N, chi, cutoff=args.cutoff)
@@ -343,8 +361,8 @@ def _cmd_divisor_sum(args, config):
 
 def _cmd_psi_short(args, config):
     chi = make_character(args.disc)
-    if args.y is None and args.alpha is None:
-        raise ValueError("need --y or --alpha (y = x^alpha)")
+    if (args.y is None) == (args.alpha is None):
+        raise ValueError("need exactly one of --y and --alpha (y = x^alpha)")
     y = args.y if args.y is not None else args.x ** args.alpha
     rep = psi_counts(int(math.ceil(args.x)), chi, args.x, y, cutoff=args.cutoff)
     _emit({
@@ -423,6 +441,7 @@ def _cmd_expsum(args, config):
 
 
 def _cmd_feasibility(args, config):
+    _require_pair(args, "claim_x", "claim_D")
     theta = as_fraction(args.theta)
     print(config.echo())
     if args.minimal:
@@ -433,7 +452,7 @@ def _cmd_feasibility(args, config):
         raise ValueError("need --r or --minimal")
     ok = feas_check(theta, args.r)
     print(f"check(theta={theta}, r={args.r}) = {ok}")
-    if args.claim_x is not None and args.claim_D is not None:
+    if args.claim_x is not None:
         rep = claim_report(args.claim_x, theta, args.claim_D, args.r)
         print(f"x >= D^r: {rep.x_ge_D_pow_r}; alpha in [0.4923, 1]: {rep.alpha_in_range}; "
               f"theta condition: {rep.theta_condition}; y-range: {rep.y_range_ok} "
@@ -592,7 +611,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except OracleMismatchError as e:
         print(f"oracle regression: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as e:
+    except (ValueError, OverflowError, MemoryBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -75,9 +75,6 @@ ERROR_MONOMIALS: Dict[str, Monomial] = {
     "rho": mono(D=Fraction(527, 1038), x=Fraction(511, 1038)),
 }
 
-_INT_FIELDS = ("lam", "nu", "rho", "rho_star", "rho_substar")
-_FLOAT_FIELDS = ("lam_prime", "Lam", "Lam_star", "Lam_substar")
-
 
 @dataclass(frozen=True)
 class FunctionTable:
@@ -473,8 +470,9 @@ def verify_table_identities(t: FunctionTable) -> TableCheckReport:
         Lambda route       (a_p * nu)(d) == [d is a power of p]
 
     plus the cutoff splits and 0 <= lam'(d) <= tau(d) log d (float check
-    with absolute slack _FLOAT_SLACK).  Raises IdentityCheckError on any
-    mismatch.
+    with absolute slack _FLOAT_SLACK), on the exact-coefficient evaluation
+    and, for 0 <= lam', on the table's own array.  Raises IdentityCheckError
+    on any mismatch.
     """
     N, C = t.limit, t.cutoff
     chi = t.chi
@@ -556,6 +554,9 @@ def verify_table_identities(t: FunctionTable) -> TableCheckReport:
         bad = int(np.flatnonzero(
             (lamp_float < -_FLOAT_SLACK) | (lamp_float > upper + _FLOAT_SLACK))[0])
         raise IdentityCheckError(f"0 <= lam' <= tau log fails at n={bad}")
+    if np.any(t.lam_prime < -_FLOAT_SLACK):
+        bad = int(np.flatnonzero(t.lam_prime < -_FLOAT_SLACK)[0])
+        raise IdentityCheckError(f"table lam' < 0 at n={bad}")
 
     devs = [
         float(np.max(np.abs(t.lam_prime - lamp_float))),

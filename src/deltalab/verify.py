@@ -8,6 +8,9 @@ output.
 Checks marked gating decide the exit code.  Recorded-only lines report
 exact comparisons whose truth is part of the record (both directions of the
 exponent comparison, and the two remark pairs) without gating.
+
+The acceptance suite (tests/test_acceptance.py) calls these check functions
+at its own limits and seeds, so each invariant has this one implementation.
 """
 
 from __future__ import annotations
@@ -167,8 +170,8 @@ def _check_characters(limits: dict, rng: random.Random) -> List[CheckResult]:
     for d in discs:
         chi = ch.make_character(d)
         for _ in range(pairs):
-            m = rng.randrange(1, 10_000)
-            n = rng.randrange(1, 10_000)
+            m = rng.randrange(1, 10**6)
+            n = rng.randrange(1, 10**6)
             if chi(m * n) != chi(m) * chi(n):
                 bad_mult += 1
     r2 = CheckResult(
@@ -214,11 +217,13 @@ def _check_tables(limits: dict) -> CheckResult:
     )
 
 
-def _check_delta(limits: dict) -> List[CheckResult]:
+def _check_delta(limits: dict, rng: random.Random) -> List[CheckResult]:
     N = limits["delta_limit"]
     discs = (1, -4, 5)
     chis = {d: ch.make_character(d) for d in discs}
-    spot_x = sorted({x for x in (1, 2, 3, 5, 10, 53, 97, 100, 541, 1000, N) if x <= N})
+    spots = set(range(1, 31)) | {53, 97, 100, 541, 999, 1000, 5000, N}
+    spots |= {rng.randrange(1, N + 1) for _ in range(20)}
+    spot_x = sorted(x for x in spots if x <= N)
     out = []
     for d1 in discs:
         for d2 in discs:
@@ -321,7 +326,7 @@ def _check_feasibility(rng: random.Random) -> CheckResult:
     )
     mono_ok = True
     for _ in range(1000):
-        theta = _F(rng.randrange(492294, 520000), 1_000_000)
+        theta = _F(rng.randrange(492294, 550000), 1_000_000)
         r = rng.randrange(1, 10**7)
         if fs.check(theta, r):
             if not fs.check(theta + _F(1, 10**6), r) or not fs.check(theta, r + 1):
@@ -340,6 +345,9 @@ def run_suite(quick: bool = True, seed: int = 0, overrides: Optional[dict] = Non
         if unknown:
             raise ValueError(f"unknown limit overrides: {sorted(unknown)}")
         limits.update({k: v for k, v in overrides.items() if v is not None})
+    for key in ("table_limit", "delta_limit"):
+        if limits[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {limits[key]}")
     rng = random.Random(seed)
     results: List[CheckResult] = []
     results.append(_check_exponent_recursion())
@@ -347,7 +355,7 @@ def run_suite(quick: bool = True, seed: int = 0, overrides: Optional[dict] = Non
     results.extend(_check_comparisons())
     results.extend(_check_characters(limits, rng))
     results.append(_check_tables(limits))
-    results.extend(_check_delta(limits))
+    results.extend(_check_delta(limits, rng))
     results.append(_check_exp_sum())
     results.append(_check_residuals(limits))
     results.extend(_check_psi(limits))

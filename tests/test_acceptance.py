@@ -1,40 +1,37 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 and enforcing its stated runtime budget (run with -s to see the lines).
 
+Criteria 1, 3, 4, 5, 6, 8 and 9 run verify-all's own check of their
+invariant (deltalab.verify) at the stated limits and seed, and pass when
+every result it returns is ok; the line printed is the check's detail.
+Where a criterion states a literal that the check reads from a module
+constant, the test pins the constant.  Criterion 2 pins every derivation
+stage independently of monomials.py, criterion 7 fits residual trends on a
+1e7 grid that verify-all does not reach, and criterion 10 compares a
+verify-all subprocess with an in-process run.
+
 Two sub-checks are implemented exactly as specified and marked
 xfail(strict=True) because they are deterministically false on the
 prescribed data; the analysis lives next to each marker.
 """
 
-import math
+import io
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
-from deltalab import (
-    derive_main_theorem,
-    make_character,
-    psi_counts,
-    sieve_tables,
-    verify_table_identities,
-)
-from deltalab.characters import fundamental_discriminants, gauss_sum
-from deltalab.delta import (
-    exponent_fit,
-    hyperbola_raw_prefix,
-    naive_triple_raw_prefix,
-    triple_raw_sum,
-)
-from deltalab.exponents import base_tuple, derive_tuple, step
-from deltalab.feasibility import check as feas_check
-from deltalab.feasibility import minimal_r
-from deltalab.monomials import mono
+from deltalab import derive_main_theorem, make_character, sieve_tables, verify
+from deltalab.cli import run
+from deltalab.delta import exponent_fit
+from deltalab.feasibility import PAPER_R, PAPER_THETA
+from deltalab.monomials import COMPARISON_PAIRS, mono
 from deltalab.tables import asymptotic_residual
+from deltalab.verify import FULL_LIMITS, QUICK_LIMITS
 
 
 def _report(n: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -44,21 +41,19 @@ def _report(n: int, ok: bool, detail: str, elapsed: float, budget: float):
     assert elapsed < budget, f"criterion {n} overran its budget: {elapsed:.2f}s"
 
 
-def test_criterion_1_exponent_recursion():
+def _run_check(n: int, budget: float, check, *args):
+    """Run one verify-all check; every CheckResult it returns must be ok."""
     t0 = time.perf_counter()
-    t5 = derive_tuple(5)
-    want = (F(139, 194), F(13, 194), F(163, 388), F(31, 194),
-            F(745, 822), F(215, 194), F(21, 97))
-    ok = (t5.a, t5.b, t5.xi, t5.eta, t5.alpha, t5.gamma, t5.delta) == want
-    t = base_tuple()
-    for j in range(5, 51):
-        tn = step(t)
-        ok = ok and 2 * (t.b + 1) * tn.b == t.b
-        ok = ok and 2 * (t.b + 1) * tn.eta == t.eta
-        ok = ok and 2 * (t.b + 1) * tn.delta == t.delta
-        t = tn
-    _report(1, ok, "order-5 constants and step identities exact to order 50",
-            time.perf_counter() - t0, 1.0)
+    results = check(*args)
+    if isinstance(results, verify.CheckResult):
+        results = [results]
+    _report(n, all(r.ok for r in results),
+            "; ".join(f"{r.name}: {r.detail}" for r in results),
+            time.perf_counter() - t0, budget)
+
+
+def test_criterion_1_exponent_recursion():
+    _run_check(1, 1.0, verify._check_exponent_recursion)
 
 
 def test_criterion_2_derivation_pipeline():
@@ -93,11 +88,9 @@ def test_criterion_2_derivation_pipeline():
 
 
 def test_criterion_3_improvement_claim():
-    t0 = time.perf_counter()
-    ok = F(511, 1038) < F(2498, 5073)
-    ok = ok and F(4922, 10_000) < F(511, 1038) < F(4923, 10_000)
-    _report(3, ok, "511/1038 < 2498/5073 exactly; 0.4922 < 511/1038 < 0.4923",
-            time.perf_counter() - t0, 1.0)
+    assert COMPARISON_PAIRS["x_exponent"] == (F(511, 1038), F(2498, 5073))
+    _run_check(3, 1.0, lambda: next(
+        r for r in verify._check_comparisons() if r.name == "improvement-claim"))
 
 
 @pytest.mark.xfail(
@@ -117,70 +110,22 @@ def test_criterion_3_d_exponent_comparison_as_specified():
 
 
 def test_criterion_4_character_gauss_invariants():
-    t0 = time.perf_counter()
-    rng = random.Random(0)
-    worst_mag = worst_twist = 0.0
-    for d in fundamental_discriminants(200):
-        chi = make_character(d)
-        q = chi.conductor
-        g1 = gauss_sum(1, chi)
-        for m in range(1, q + 1):
-            if math.gcd(m, q) != 1:
-                continue
-            g = gauss_sum(m, chi)
-            worst_mag = max(worst_mag, abs(abs(g) - math.sqrt(q)))
-            worst_twist = max(worst_twist, abs(g - chi(m) * g1))
-        assert sum(chi(a) for a in range(1, q + 1)) == 0, f"orthogonality D={d}"
-        for _ in range(10_000):
-            a, b = rng.randrange(1, 10**6), rng.randrange(1, 10**6)
-            assert chi(a * b) == chi(a) * chi(b)
-    ok = worst_mag < 1e-9 and worst_twist < 1e-9
-    _report(4, ok,
-            f"|D|<=200, all coprime m: max ||G|-sqrt D| = {worst_mag:.2e}, "
-            f"max |G(m)-chi(m)G(1)| = {worst_twist:.2e}; orthogonality and "
-            "multiplicativity exact",
-            time.perf_counter() - t0, 30.0)
+    # every coprime m for |D| <= 200; 10,000 pairs from [1, 1e6) per D
+    assert (FULL_LIMITS["gauss_m_cap"], FULL_LIMITS["mult_pairs"]) == (None, 10_000)
+    _run_check(4, 30.0, verify._check_characters, FULL_LIMITS, random.Random(0))
 
 
 def test_criterion_5_convolution_identities():
-    t0 = time.perf_counter()
-    details = []
-    for d in (-4, 5, -8, 12, 13):
-        t = sieve_tables(10**5, make_character(d))
-        rep = verify_table_identities(t)  # raises on any exact mismatch
-        details.append(f"D={d} ok")
-        assert bool(np.all(t.lam_prime >= -1e-9))
-    _report(5, True,
-            "lambda, nu, rho, lambda', Lambda identities and the lambda' "
-            "inequality exact at the log-coefficient level for n <= 1e5: "
-            + ", ".join(details),
-            time.perf_counter() - t0, 60.0)
+    # every identity, the lambda' inequality and the table's own lambda' >= 0
+    assert QUICK_LIMITS["table_limit"] == 10**5
+    assert QUICK_LIMITS["table_discs"] == (-4, 5, -8, 12, 13)
+    _run_check(5, 60.0, verify._check_tables, QUICK_LIMITS)
 
 
 def test_criterion_6_delta_oracle_equivalence():
-    t0 = time.perf_counter()
-    N = 10**4
-    discs = (1, -4, 5)
-    chis = {d: make_character(d) for d in discs}
-    rng = random.Random(1)
-    spots = sorted(set(range(1, 31)) | {53, 97, 100, 541, 999, 1000, 5000, N}
-                   | {rng.randrange(1, N + 1) for _ in range(20)})
-    for d1 in discs:
-        for d2 in discs:
-            for d3 in discs:
-                c1, c2, c3 = chis[d1], chis[d2], chis[d3]
-                naive = naive_triple_raw_prefix(c1, c2, c3, N)
-                hyper = hyperbola_raw_prefix(c1, c2, c3, N)
-                assert np.array_equal(naive, hyper), f"triple ({d1},{d2},{d3})"
-                for x in spots:
-                    assert triple_raw_sum(c1, c2, c3, x) == int(naive[x]), \
-                        f"hyperbola path at ({d1},{d2},{d3}), x={x}"
-    assert triple_raw_sum(chis[1], chis[1], chis[1], 10) == 53
-    _report(6, True,
-            "27 triples: naive == hyperbola for every integer x <= 1e4 "
-            f"(exact int64); x^(2/3) hyperbola production path equal at {len(spots)} "
-            "spot values per triple; sum d3(n<=10) = 53",
-            time.perf_counter() - t0, 60.0)
+    # naive == hyperbola at every x <= 1e4; production path at 58 spot points
+    assert QUICK_LIMITS["delta_limit"] == 10**4
+    _run_check(6, 60.0, verify._check_delta, QUICK_LIMITS, random.Random(1))
 
 
 XS_CRIT7 = (10**4, 10**5, 10**6, 10**7)
@@ -244,46 +189,30 @@ def test_criterion_7_lambda_trend_as_specified(residuals_1e7):
 
 
 def test_criterion_8_feasibility_regression():
-    t0 = time.perf_counter()
-    ok = feas_check(F(4923, 10**4), 433433) is True
-    ok = ok and feas_check(F(4923, 10**4), 429672) is False
-    ok = ok and minimal_r(F(4923, 10**4)) == 429673
-    rng = random.Random(2)
-    for _ in range(1000):
-        theta = F(rng.randrange(492294, 550000), 10**6)
-        r = rng.randrange(1, 10**7)
-        if feas_check(theta, r):
-            ok = ok and feas_check(theta + F(1, 10**6), r) and feas_check(theta, r + 1)
-    _report(8, ok,
-            "check(0.4923, 433433) true; check(0.4923, 429672) false; "
-            "minimal_r = 429673 = ceil(3007707/7); monotone on a 1000-point grid",
-            time.perf_counter() - t0, 1.0)
+    assert PAPER_THETA == F(4923, 10**4) and PAPER_R == 433433
+    _run_check(8, 1.0, verify._check_feasibility, random.Random(2))
 
 
 def test_criterion_9_psi_split_identity():
-    t0 = time.perf_counter()
-    chi = make_character(-4)
-    ok = True
-    for x in (10**5, 10**6):
-        rep = psi_counts(x, chi, x, x // 10)
-        ok = ok and rep.psi == rep.psi_star + rep.psi_substar
-    rep97 = psi_counts(100, chi, 100, 10)
-    dev = abs(rep97.psi - math.log(97))
-    ok = ok and dev < 1e-12
-    _report(9, ok,
-            f"psi = psi* + psi_* exactly at x = 1e5, 1e6 (cutoff D^2); "
-            f"psi(100)-psi(90) = log 97 to {dev:.2e}",
-            time.perf_counter() - t0, 60.0)
+    # psi = psi* + psi_* (cutoff D^2); psi(100)-psi(90) = log 97
+    assert FULL_LIMITS["psi_xs"] == (10**5, 10**6)
+    _run_check(9, 60.0, verify._check_psi, FULL_LIMITS)
 
 
 def test_criterion_10_determinism():
+    """verify-all --quick --seed 0 in a child interpreter and in this one,
+    run side by side: both exit 0 and print byte-identical reports."""
     t0 = time.perf_counter()
-    cmd = [sys.executable, "-m", "deltalab.cli", "verify-all", "--quick", "--seed", "0"]
-    first = subprocess.run(cmd, capture_output=True, timeout=280)
-    second = subprocess.run(cmd, capture_output=True, timeout=280)
-    ok = first.returncode == 0 and second.returncode == 0
-    ok = ok and first.stdout == second.stdout and len(first.stdout) > 0
+    argv = ["verify-all", "--quick", "--seed", "0"]
+    with subprocess.Popen([sys.executable, "-m", "deltalab.cli", *argv],
+                          stdout=subprocess.PIPE) as child:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = run(argv)
+        child_out, _ = child.communicate(timeout=280)
+    here = buf.getvalue().encode()
+    ok = child.returncode == 0 and code == 0 and child_out == here and len(here) > 0
     _report(10, ok,
-            "verify-all --quick twice with seed 0: exit 0 and byte-identical "
-            f"reports ({len(first.stdout)} bytes)",
+            "verify-all --quick with seed 0, in a subprocess and in-process: "
+            f"exit 0 and byte-identical reports ({len(here)} bytes)",
             time.perf_counter() - t0, 300.0)

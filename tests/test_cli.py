@@ -396,3 +396,63 @@ def test_cutoff_below_one_rejected(capsys):
     assert "cutoff must be >= 1" in capsys.readouterr().err
     assert run(["psi-short", "--x", "100", "--y", "10", "--disc", "-4", "--cutoff", "0"]) == 1
     assert "cutoff must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--disc", "-4", "--limit", "1e9"],
+    ["divisor-sum", "--f", "rho", "--x", "1e9", "--disc", "-4"],
+    ["delta-sweep", "--d1", "1", "--d2", "1", "--d3", "-4", "--x-grid", "0:10:geometric:3"],
+])
+def test_failing_run_exits_1_with_message(argv, tmp_path, monkeypatch, capsys):
+    """Over the memory budget, and a geometric grid from 0."""
+    monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# (command, base argv, the one key given, its value, the flag the error names)
+_HALF_PAIRS = [
+    ("tuple", ["--order", "5"], "eval_M", "2", "--eval-T"),
+    ("tuple", ["--order", "5"], "eval_T", "2", "--eval-M"),
+    ("feasibility", ["--theta", "0.4923", "--r", "433433"], "claim_x", "1e9", "--claim-D"),
+    ("feasibility", ["--theta", "0.4923", "--r", "433433"], "claim_D", "10", "--claim-x"),
+    ("tables", ["--disc", "-4", "--limit", "100"], "out", "x.csv", "--dump csv"),
+    ("compare", [], "ours", "1/2", "--theirs"),
+    ("compare", [], "theirs", "1/2", "--ours"),
+    ("psi-short", ["--x", "100", "--y", "10", "--disc", "-4"], "alpha", "0.5", "--y"),
+]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command,base,key,value,partner", _HALF_PAIRS)
+def test_half_of_flag_pair_rejected(command, base, key, value, partner, form,
+                                    tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
+    if form == "flag":
+        extra = ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        extra = ["--config", str(cfg)]
+    assert run([command, *base, *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and partner in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("key", ["table_limit", "delta_limit"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_all_limit_below_one_rejected(value, key, form, tmp_path, capsys):
+    argv = ["verify-all", "--quick", "--table-limit", "2000", "--delta-limit", "500"]
+    if form == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 1
+    assert f"error: {key} must be >= 1, got {value}" in capsys.readouterr().err
