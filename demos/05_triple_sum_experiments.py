@@ -17,12 +17,12 @@ print("=" * 72)
 print("Triple-sum experiments")
 print("=" * 72)
 
-print("\nOracle spot check: hyperbola vs literal triple loop at x = 2000")
+print("\nOracle spot check: hyperbola vs the convolution chi1*chi2*chi3 at x = 2000")
 for trip in ((triv, triv, triv), (triv, triv, chi4), (chi4, chi5, chi5)):
     s = triple_delta(*trip, 2000)
-    brute = naive_triple_raw(*trip, 2000)
+    oracle = naive_triple_raw(*trip, 2000)
     discs = tuple(c.discriminant for c in trip)
-    print(f"   {str(discs):>12}: raw = {s.raw_sum:>8} brute = {brute:>8} equal = {s.raw_sum == brute}")
+    print(f"   {str(discs):>12}: raw = {s.raw_sum:>8} oracle = {oracle:>8} equal = {s.raw_sum == oracle}")
 
 print("\nSweep (1, 1, -4): two zeta factors against one character")
 samples = [triple_delta(triv, triv, chi4, x) for x in

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation/usage error, 2 internal regression
 mismatch (the derivation pipeline, an exact identity check, or the raw
-triple sum against its triple-loop oracle).
+triple sum against its convolution oracle).
 
 Every run echoes its fully resolved configuration first.  A config file of
 key=value lines (--config) overrides flags; each value is typed and checked
@@ -12,8 +12,9 @@ elsewhere), and --json only on the commands that have a JSON form.
 Count flags (--limit, --cap, --table-limit, --delta-limit) read 1e6 but
 reject 2.7, inf and nan.  Flags that act only together (--eval-M with
 --eval-T, --claim-x with --claim-D, --ours with --theirs, --out with
---dump csv) exit 1 when given alone, and psi-short takes exactly one of --y
-and --alpha.
+--dump csv) exit 1 when given alone, as do tuple's --eps without --eval-M
+and --eval-T, and feasibility's --minimal with --r, --claim-x or --claim-D;
+psi-short takes exactly one of --y and --alpha.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -224,6 +225,10 @@ def _require_pair(args, first: str, second: str) -> None:
 
 def _cmd_tuple(args, config):
     _require_pair(args, "eval_M", "eval_T")
+    if args.eps is None:
+        args.eps = config.params["eps"] = 0.0
+    elif args.eval_M is None:
+        raise ValueError("--eps needs --eval-M and --eval-T: it only enters their bound line")
     t = derive_tuple(args.order)
     if args.json:
         print(json.dumps(t.as_dict(), indent=2))
@@ -386,7 +391,7 @@ def _cmd_delta(args, config):
     s = triple_delta(c1, c2, c3, args.x, cap=args.cap, naive_check=args.naive_check)
     payload = _delta_payload(s)
     if args.naive_check:
-        # triple_delta raised unless the triple-loop oracle equals raw_sum
+        # triple_delta raised unless the convolution oracle equals raw_sum
         payload["naive_check"] = "passed"
         payload["naive_raw"] = s.raw_sum
     _emit(payload, args.json, config)
@@ -441,6 +446,12 @@ def _cmd_expsum(args, config):
 
 
 def _cmd_feasibility(args, config):
+    if args.minimal:
+        given = [f"--{dest}".replace("_", "-") for dest in ("r", "claim_x", "claim_D")
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"--minimal conflicts with {', '.join(given)}: "
+                             "it prints only the minimal r")
     _require_pair(args, "claim_x", "claim_D")
     theta = as_fraction(args.theta)
     print(config.echo())
@@ -498,7 +509,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--eval-M", type=float, default=None)
     sp.add_argument("--eval-T", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=0.0)
+    sp.add_argument("--eps", type=float, default=None)
 
     add("derive", _cmd_derive, "run the full symbolic bound derivation")
 

@@ -8,10 +8,11 @@ The raw triple sum
 is computed in exact integer arithmetic (character values lie in -1,0,1):
 the production path is the three-variable Dirichlet hyperbola with
 y = icbrt(x): about 7 x^(2/3) quotient entries, in int64 numpy passes over
-tiles of fixed size (about 100 tiles at x = 1e8, 470 at 1e9).  A literal
-triple-loop enumeration and a two-factor table serve as oracles at desk
-scale.  Only the residue of the L-product is floating point, so
-delta = raw - residue carries a single rounding.
+tiles of fixed size (about 100 tiles at x = 1e8, 470 at 1e9).  Its oracle
+is the coefficient convolution chi1 * chi2 * chi3 summed to every x <= N
+(naive_triple_raw_prefix), which shares no code with it.  Only the residue
+of the L-product is floating point, so delta = raw - residue carries a
+single rounding.
 
 Empirical comparisons against the symbolic bounds are report-only: the
 suite asserts oracle equality and hard invariants, never that an asymptotic
@@ -30,6 +31,8 @@ import numpy as np
 
 from .characters import RealCharacter, ResiduePattern, _period_prefix, residue_main_term
 from .monomials import evaluate, main_theorem_terms
+from .sieves import convolve
+from .tables import DEFAULT_MEMORY_BUDGET, MemoryBudgetError
 
 __all__ = [
     "DeltaSample",
@@ -56,6 +59,10 @@ DEFAULT_RAW_CAP = 10**9
 #: Largest temporary of the raw-sum kernel, in elements: the quotient tiles
 #: stay this size whatever x is, so peak memory does not grow with x.
 _BLOCK_ELEMENTS = 1 << 14
+
+#: Bytes per entry of naive_triple_raw_prefix: its tracemalloc peak is 25.1
+#: at N = 1e6, 25.7 at 1e5, 31.9 at 1e4 and 34.0 at 2000; rounded up.
+_ORACLE_BYTES_PER_ENTRY = 34
 
 
 def _icbrt(n: int) -> int:
@@ -162,30 +169,30 @@ def triple_raw_sum(c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, x: f
 def naive_triple_raw_prefix(
     c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, N: int
 ) -> np.ndarray:
-    """Oracle: enumerate every triple (n1, n2, n3) with product <= N and
-    accumulate the character weight into its product bucket; prefix sums
-    give the raw sum at every integer x <= N.  Exact int64."""
+    """Oracle: the raw sums at every integer x <= N.  The raw sum's
+    Dirichlet series is L(s,chi1) L(s,chi2) L(s,chi3), so its coefficients
+    are the convolution chi1 * chi2 * chi3 (Tenenbaum, I.3): two
+    sieves.convolve calls, then a prefix sum.  Exact int64, O(N log N), and
+    no code shared with the production hyperbola (_pair_sums, _prefix).
+
+    Holds about _ORACLE_BYTES_PER_ENTRY bytes per entry at its peak; raises
+    MemoryBudgetError when N of them exceed DEFAULT_MEMORY_BUDGET."""
     N = int(N)
-    t1 = c1.value_table(N).astype(np.int64)
-    t2 = c2.value_table(N).astype(np.int64)
-    t3 = c3.value_table(N).astype(np.int64)
-    bucket = np.zeros(N + 1, dtype=np.int64)
-    for n1 in range(1, N + 1):
-        w1 = int(t1[n1])
-        if not w1:
-            continue
-        top = N // n1
-        for n2 in range(1, top + 1):
-            w2 = int(t2[n2])
-            if not w2:
-                continue
-            m = n1 * n2
-            bucket[m::m] += (w1 * w2) * t3[1 : N // m + 1]
-    return np.cumsum(bucket)
+    need = N * _ORACLE_BYTES_PER_ENTRY
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"convolution oracle at N = {N} needs ~{need >> 20} MiB > budget "
+            f"{DEFAULT_MEMORY_BUDGET >> 20} MiB; use N <= "
+            f"{DEFAULT_MEMORY_BUDGET // _ORACLE_BYTES_PER_ENTRY}"
+        )
+    # One int64 factor makes every product int64; |coefficients| <= d_3(n).
+    pair = convolve(c1.value_table(N), c2.value_table(N).astype(np.int64), N)
+    coeff = convolve(pair, c3.value_table(N), N)
+    return np.cumsum(coeff, out=coeff)
 
 
 def naive_triple_raw(c1, c2, c3, x: float) -> int:
-    """Single-value form of the triple-loop oracle."""
+    """Single-value form of the convolution oracle."""
     N = math.floor(x)
     if N < 1:
         return 0
@@ -216,7 +223,12 @@ def hyperbola_raw_prefix(
 ) -> np.ndarray:
     """Raw sums at every integer x <= N through the two-factor summatory
     table (vectorized hyperbola) and one block pass per k.  Exact int64;
-    an independent implementation from the triple-loop oracle."""
+    an independent implementation from the convolution oracle.
+
+    Nothing in the package calls it: it is kept only as the benchmark's
+    second pin of its reference triple sum (bench/tests).  It goes, together
+    with _isqrt_vector and _partial_sum_vector, when the benchmark drops
+    that pin."""
     N = int(N)
     s1 = _partial_sum_vector(c1, N)
     s2 = _partial_sum_vector(c2, N)
@@ -253,7 +265,7 @@ def theorem_bound_value(D: float, Dmax: float, x: float) -> float:
 
 
 class OracleMismatchError(AssertionError):
-    """The production raw sum differs from the triple-loop oracle."""
+    """The production raw sum differs from the convolution oracle."""
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ the divisor pairs at sqrt(N): about 2 sqrt(N) numpy passes per table.
 lam' and Lambda are integer combinations of logarithms of primes.  The
 float arrays evaluate those combinations against the shared correctly
 rounded math.log values; the identity checks in verify_table_identities
-compare the integer coefficient vectors themselves, prime by prime, so
-they are exact and immune to float accumulation.
+compare the integer coefficient vectors themselves (prime by prime up to
+sqrt(N), and once for all larger primes, whose vectors depend on p only
+through N // p), so they are exact and immune to float accumulation.
 """
 
 from __future__ import annotations
@@ -458,12 +459,57 @@ def _reference_multiplicative(t: FunctionTable):
     return lam_ref, nu_ref, rho_ref
 
 
+def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int):
+    """The exact log p coefficient vectors of lam', Lambda* and Lambda_* on
+    the multiples n = j*p <= N, indexed by j; raises IdentityCheckError
+    unless the definition and convolution routes of lam' agree and
+    lam' * nu is the indicator of the powers of p."""
+    N = t.limit
+    top = N // p
+    b_c = np.zeros(top + 1, dtype=np.int64)  # b_c[j] = coeff at n = j*p
+    stride = 1  # p^(k-1) in compressed coordinates
+    while stride <= top:
+        b_c[stride::stride] += t.lam[1 : top // stride + 1]
+        stride *= p
+    w = np.ones(top + 1, dtype=np.int64)  # w[j] = v_p(j*p): l = j*p
+    stride = p
+    while stride <= top:
+        w[stride::stride] += 1
+        stride *= p
+    a_c = convolve(w, chi_np, top)
+    if not np.array_equal(a_c, b_c):
+        bad = int(np.flatnonzero(a_c != b_c)[0]) * p
+        raise IdentityCheckError(
+            f"lam' = lam*Lambda fails at n={bad}, prime {p}: "
+            f"definition {a_c[bad // p]}, convolution {b_c[bad // p]}"
+        )
+    conv_c = convolve(a_c, t.nu, top)
+    direct_c = np.zeros(top + 1, dtype=np.int64)
+    stride = 1
+    while stride <= top:
+        direct_c[stride] = 1
+        stride *= p
+    if not np.array_equal(conv_c, direct_c):
+        bad = int(np.flatnonzero(conv_c != direct_c)[0]) * p
+        raise IdentityCheckError(
+            f"Lambda = lam'*nu fails at n={bad}, prime {p}: "
+            f"convolution {conv_c[bad // p]}, direct {direct_c[bad // p]}"
+        )
+    star_c = np.zeros(top + 1, dtype=np.int64)
+    for m in range(1, min(t.cutoff, top) + 1):
+        c = int(t.nu[m])
+        if c:
+            star_c[m::m] += c * a_c[1 : top // m + 1]
+    sub_c = direct_c - star_c  # exact integer complement (m > C part)
+    return a_c, star_c, sub_c
+
+
 def verify_table_identities(t: FunctionTable) -> TableCheckReport:
     """Exact verification of every convolution identity.
 
     Integer functions are compared against independent multiplicative
     recomputations; lam' and Lambda are checked prime by prime on their
-    integer log-coefficient vectors:
+    integer log-coefficient vectors (the primes above isqrt(N) all at once):
 
         definition route   a_p(d) = sum_{kl=d} chi(k) v_p(l)
         convolution route  b_p(d) = sum_k lam(d / p^k)
@@ -502,48 +548,33 @@ def verify_table_identities(t: FunctionTable) -> TableCheckReport:
     star_float = np.zeros(N + 1, dtype=np.float64)
     sub_float = np.zeros(N + 1, dtype=np.float64)
     primes = primes_up_to(N)
-    for p in primes:
-        p = int(p)
-        top = N // p
-        b_c = np.zeros(top + 1, dtype=np.int64)  # b_c[j] = coeff at n = j*p
-        stride = 1  # p^(k-1) in compressed coordinates
-        while stride <= top:
-            b_c[stride::stride] += t.lam[1 : top // stride + 1]
-            stride *= p
-        w = np.ones(top + 1, dtype=np.int64)  # w[j] = v_p(j*p): l = j*p
-        stride = p
-        while stride <= top:
-            w[stride::stride] += 1
-            stride *= p
-        a_c = convolve(w, chi_np, top)
-        if not np.array_equal(a_c, b_c):
-            bad = int(np.flatnonzero(a_c != b_c)[0]) * p
-            raise IdentityCheckError(
-                f"lam' = lam*Lambda fails at n={bad}, prime {p}: "
-                f"definition {a_c[bad // p]}, convolution {b_c[bad // p]}"
-            )
-        conv_c = convolve(a_c, t.nu, top)
-        direct_c = np.zeros(top + 1, dtype=np.int64)
-        stride = 1
-        while stride <= top:
-            direct_c[stride] = 1
-            stride *= p
-        if not np.array_equal(conv_c, direct_c):
-            bad = int(np.flatnonzero(conv_c != direct_c)[0]) * p
-            raise IdentityCheckError(
-                f"Lambda = lam'*nu fails at n={bad}, prime {p}: "
-                f"convolution {conv_c[bad // p]}, direct {direct_c[bad // p]}"
-            )
-        star_c = np.zeros(top + 1, dtype=np.int64)
-        for m in range(1, min(small, top) + 1):
-            c = int(t.nu[m])
-            if c:
-                star_c[m::m] += c * a_c[1 : top // m + 1]
-        sub_c = direct_c - star_c  # exact integer complement (m > C part)
+    n_small = int(np.searchsorted(primes, math.isqrt(N), side="right"))
+    for p in primes[:n_small].tolist():
+        a_c, star_c, sub_c = _prime_coefficients(t, chi_np, p)
         lp = math.log(p)
         lamp_float[p :: p] += lp * a_c[1:]
         star_float[p :: p] += lp * star_c[1:]
         sub_float[p :: p] += lp * sub_c[1:]
+
+    # A prime p > isqrt(N) has top = N // p < p, so no p^2 enters its
+    # vectors: they depend on p only through top, and each is a prefix of
+    # those of the smallest such prime, so one check covers them all.  The
+    # float build goes once per class of equal top, as one fancy-indexed
+    # add over all its primes: the indices p*j are distinct, since n has at
+    # most one prime factor above isqrt(N).  That factor is n's largest, so
+    # this add comes last for n, as in a build by increasing p, and the
+    # float arrays are the same bit for bit.
+    large = primes[n_small:]
+    if len(large):
+        a_c, star_c, sub_c = _prime_coefficients(t, chi_np, int(large[0]))
+        logs = np.array([math.log(p) for p in large.tolist()])[:, None]
+        tops, firsts, counts = np.unique(N // large, return_index=True, return_counts=True)
+        for top, lo, k in zip(tops.tolist(), firsts.tolist(), counts.tolist()):
+            idx = large[lo : lo + k, None] * np.arange(1, top + 1)
+            lp = logs[lo : lo + k]
+            lamp_float[idx] += lp * a_c[1 : top + 1]
+            star_float[idx] += lp * star_c[1 : top + 1]
+            sub_float[idx] += lp * sub_c[1 : top + 1]
 
     # lam'(1) = 0 and the inequality 0 <= lam' <= tau log with slack.
     tau = tau_array(N)

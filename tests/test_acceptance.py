@@ -123,7 +123,8 @@ def test_criterion_5_convolution_identities():
 
 
 def test_criterion_6_delta_oracle_equivalence():
-    # naive == hyperbola at every x <= 1e4; production path at 58 spot points
+    # production path == convolution oracle at 110 spot points up to 1e4,
+    # every cube boundary among them
     assert QUICK_LIMITS["delta_limit"] == 10**4
     _run_check(6, 60.0, verify._check_delta, QUICK_LIMITS, random.Random(1))
 

@@ -402,9 +402,11 @@ def test_cutoff_below_one_rejected(capsys):
     ["tables", "--disc", "-4", "--limit", "1e9"],
     ["divisor-sum", "--f", "rho", "--x", "1e9", "--disc", "-4"],
     ["delta-sweep", "--d1", "1", "--d2", "1", "--d3", "-4", "--x-grid", "0:10:geometric:3"],
+    ["delta", "--d1", "1", "--d2", "1", "--d3", "-4", "--x", "1e9", "--naive-check"],
 ])
 def test_failing_run_exits_1_with_message(argv, tmp_path, monkeypatch, capsys):
-    """Over the memory budget, and a geometric grid from 0."""
+    """Over the memory budget (tables, and the --naive-check oracle), and a
+    geometric grid from 0."""
     monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -441,6 +443,56 @@ def test_half_of_flag_pair_rejected(command, base, key, value, partner, form,
     assert out == ""
     assert err.startswith("error: ") and partner in err
     assert not (tmp_path / "x.csv").exists()
+
+
+# (command, base argv, the keys given and their values (None: a switch),
+# the flags the error names)
+_CONFLICTS = [
+    ("tuple", ["--order", "5"], {"eps": "0.5"}, ["--eps", "--eval-M"]),
+    ("tuple", ["--order", "5"], {"eps": "0"}, ["--eps", "--eval-M"]),
+    ("feasibility", ["--theta", "0.4923", "--minimal"], {"r": "5"}, ["--minimal", "--r"]),
+    ("feasibility", ["--theta", "0.4923", "--minimal"], {"claim_x": "1e9"},
+     ["--minimal", "--claim-x"]),
+    ("feasibility", ["--theta", "0.4923", "--minimal"], {"claim_D": "10"},
+     ["--minimal", "--claim-D"]),
+    ("feasibility", ["--theta", "0.4923", "--minimal"],
+     {"r": "5", "claim_x": "1e9", "claim_D": "10"},
+     ["--minimal", "--r", "--claim-x", "--claim-D"]),
+    ("feasibility", ["--theta", "0.4923", "--r", "433433"], {"minimal": None},
+     ["--minimal", "--r"]),
+]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command,base,given,named", _CONFLICTS)
+def test_flag_without_effect_rejected(command, base, given, named, form, tmp_path, capsys):
+    """A flag the run would ignore: --eps outside the bound line, and
+    anything but --theta next to --minimal."""
+    if form == "flag":
+        extra = []
+        for key, value in given.items():
+            extra += ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={'yes' if v is None else v}\n" for k, v in given.items()))
+        extra = ["--config", str(cfg)]
+    assert run([command, *base, *extra]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and all(flag in err for flag in named), err
+
+
+def test_tuple_eps_enters_the_bound_line(tmp_path, capsys):
+    argv = ["tuple", "--order", "5", "--eval-M", "2", "--eval-T", "3"]
+    assert run(argv) == 0
+    plain = out_of(capsys)
+    assert "eps=0 " in plain and "bound(2.0, 3.0) = 6.93727918901" in plain
+    assert run([*argv, "--eps", "0.1"]) == 0
+    assert "bound(2.0, 3.0) = 7.32786085256" in out_of(capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps=0.1\n")
+    assert run([*argv, "--config", str(cfg)]) == 0
+    assert "bound(2.0, 3.0) = 7.32786085256" in out_of(capsys)
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])

@@ -1,15 +1,19 @@
-"""Empirical-lab tests: triple-loop vs hyperbola equality, exponential-sum
+"""Empirical-lab tests: the production triple sum against the convolution
+oracle, which is pinned to the literal triple loop; exponential-sum
 invariants, least-squares fitting, and the bound-ratio report."""
 
 import cmath
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltalab import delta
 from deltalab.characters import make_character
 from deltalab.delta import (
     BoundCheckReport,
@@ -27,6 +31,7 @@ from deltalab.delta import (
     triple_raw_sum,
 )
 from deltalab.exponents import bound_eval, derive_tuple
+from deltalab.tables import DEFAULT_MEMORY_BUDGET, MemoryBudgetError
 
 TRIV = make_character(1)
 CHI4 = make_character(-4)
@@ -43,6 +48,56 @@ def test_pair_summatory_against_double_loop():
                 for b in range(1, t // a + 1)
             )
             assert pair_summatory(c1, c2, t) == brute, (c1.discriminant, c2.discriminant, t)
+
+
+def _triple_loop_prefix(c1, c2, c3, N):
+    """The definition, literally: put the character weight of every triple
+    (n1, n2, n3) with n1 n2 n3 <= N into its product's bucket, then sum the
+    buckets, giving the raw sum at every integer x <= N."""
+    t1, t2, t3 = (c.value_table(N).astype(np.int64) for c in (c1, c2, c3))
+    bucket = np.zeros(N + 1, dtype=np.int64)
+    for n1 in range(1, N + 1):
+        w1 = int(t1[n1])
+        if not w1:
+            continue
+        for n2 in range(1, N // n1 + 1):
+            w2 = int(t2[n2])
+            if not w2:
+                continue
+            m = n1 * n2
+            bucket[m::m] += (w1 * w2) * t3[1 : N // m + 1]
+    return np.cumsum(bucket)
+
+
+def test_convolution_oracle_matches_triple_loop():
+    N = 2000
+    chis = {d: make_character(d) for d in (1, -4, 5)}
+    for discs in itertools.product(chis, repeat=3):
+        triple = [chis[d] for d in discs]
+        got = naive_triple_raw_prefix(*triple, N)
+        assert np.array_equal(got, _triple_loop_prefix(*triple, N)), discs
+
+
+def test_convolution_oracle_memory_budget():
+    over = DEFAULT_MEMORY_BUDGET // delta._ORACLE_BYTES_PER_ENTRY + 1
+    with pytest.raises(MemoryBudgetError, match="budget"):
+        naive_triple_raw_prefix(TRIV, TRIV, TRIV, over)  # raises before allocating
+    with pytest.raises(MemoryBudgetError):
+        triple_delta(TRIV, TRIV, CHI4, over, cap=over, naive_check=True)
+
+
+def test_convolution_oracle_peak_within_bytes_per_entry():
+    N = 10**4
+    chis = [make_character(d) for d in (-163, 5, 1)]
+    for c in chis:
+        c.value_table(1)  # the period array is cached; build it outside the trace
+    tracemalloc.start()
+    try:
+        naive_triple_raw_prefix(*chis, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= N * delta._ORACLE_BYTES_PER_ENTRY
 
 
 def test_d3_spot_value():
@@ -71,7 +126,7 @@ ORACLE_DISCS = (1, -3, -4, 5, -8, 8, 12, -163)
 
 @given(
     st.tuples(*(st.sampled_from(ORACLE_DISCS) for _ in range(3))),
-    st.integers(1, 30000),
+    st.integers(1, 10**6),
 )
 @settings(max_examples=25, deadline=None)
 def test_triple_raw_sum_matches_naive_oracle(discs, x):
@@ -81,11 +136,11 @@ def test_triple_raw_sum_matches_naive_oracle(discs, x):
 
 
 def test_triple_raw_sum_at_cube_boundaries():
-    N = 31**3 + 1
+    N = 100**3 + 1
     for discs in ((1, 1, 1), (-3, 8, 1), (-163, 12, -4), (5, -8, 5)):
         chis = [make_character(d) for d in discs]
         naive = naive_triple_raw_prefix(*chis, N)
-        for y in (1, 2, 3, 7, 10, 21, 31):
+        for y in range(1, 101):
             for x in (y**3 - 1, y**3, y**3 + 1):
                 if x >= 1:
                     assert triple_raw_sum(*chis, x) == int(naive[x]), (discs, x)

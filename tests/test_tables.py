@@ -2,6 +2,7 @@
 log-coefficient identity checker, split spot-checks, asymptotics against
 the residue formulas, and short-interval counts."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from deltalab.tables import (
 )
 
 CHI4 = make_character(-4)
+CHI13 = make_character(13)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +182,22 @@ def test_identity_checker_catches_corruption():
     )
     with pytest.raises(IdentityCheckError, match="n=1234"):
         verify_table_identities(broken)
+
+
+@pytest.mark.parametrize("field", ["lam_prime", "Lam_star", "Lam_substar"])
+@pytest.mark.parametrize("n", [47, 3 * 47, 41 * 47, 1999, 2 * 997])
+def test_identity_checker_catches_float_corruption_above_sqrt(field, n):
+    """n = p*j with p > isqrt(2000) = 44: the primes checked by class."""
+    t = sieve_tables(2000, CHI13)
+    arr = getattr(t, field).copy()
+    arr[n] += 1e-6
+    with pytest.raises(IdentityCheckError, match="deviate"):
+        verify_table_identities(dataclasses.replace(t, **{field: arr}))
+
+
+def test_identity_checker_counts_every_prime():
+    for N, pi in ((1, 0), (2, 1), (3, 2), (10, 4), (2000, 303), (10**4, 1229)):
+        assert verify_table_identities(sieve_tables(N, CHI13)).primes_checked == pi
 
 
 def test_divisor_sum_basics(table4):
