@@ -9,12 +9,12 @@ key=value lines (--config) overrides flags; each value is typed and checked
 as its flag would be, and unknown keys are rejected.  Every flag is read by
 its command: --seed exists on verify-all only (the echo prints seed=0
 elsewhere), and --json only on the commands that have a JSON form.
-Count flags (--limit, --cap, --table-limit, --delta-limit) read 1e6 but
-reject 2.7, inf and nan.  Flags that act only together (--eval-M with
---eval-T, --claim-x with --claim-D, --ours with --theirs, --out with
---dump csv) exit 1 when given alone, as do tuple's --eps without --eval-M
-and --eval-T, and feasibility's --minimal with --r, --claim-x or --claim-D;
-psi-short takes exactly one of --y and --alpha.
+Count flags (--limit, --cap, --table-limit, --delta-limit) read 1e6 but reject
+2.7, inf and nan; float flags and --x-grid bounds must be finite.  Flags that
+act only together (--eval-M with --eval-T, --claim-x with --claim-D, --ours
+with --theirs, --out with --dump csv) exit 1 when given alone, as do tuple's
+--eps without --eval-M and --eval-T, and feasibility's --minimal with --r,
+--claim-x or --claim-D; psi-short takes exactly one of --y and --alpha.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -106,6 +106,14 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
+def finite(raw: str) -> float:
+    """A float flag value; nan, inf and -inf are invalid."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def count(raw: str) -> int:
     """An integer flag value that may be written as 1e6; fractions, inf and
     nan are invalid rather than truncated."""
@@ -194,7 +202,7 @@ def _parse_grid(spec: str) -> List[float]:
     parts = spec.split(":")
     if len(parts) != 4:
         raise ValueError(f"grid spec must be lo:hi:kind:n, got {spec!r}")
-    lo, hi, kind, n = float(parts[0]), float(parts[1]), parts[2], int(parts[3])
+    lo, hi, kind, n = finite(parts[0]), finite(parts[1]), parts[2], int(parts[3])
     if n < 1 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
     if kind == "geometric" and lo <= 0:
@@ -507,9 +515,9 @@ def build_parser() -> _Parser:
 
     sp = add("tuple", _cmd_tuple, "derivative-test exponents at a given order")
     sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--eval-M", type=float, default=None)
-    sp.add_argument("--eval-T", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--eval-M", type=finite, default=None)
+    sp.add_argument("--eval-T", type=finite, default=None)
+    sp.add_argument("--eps", type=finite, default=None)
 
     add("derive", _cmd_derive, "run the full symbolic bound derivation")
 
@@ -538,15 +546,15 @@ def build_parser() -> _Parser:
 
     sp = add("divisor-sum", _cmd_divisor_sum, "exact partial sum of a table function")
     sp.add_argument("--f", required=True)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=finite, required=True)
     sp.add_argument("--disc", type=int, required=True)
     sp.add_argument("--residual", action="store_true",
                     help="also report the main term and normalized residual")
 
     sp = add("psi-short", _cmd_psi_short, "short-interval psi/pi counts")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--y", type=float, default=None)
+    sp.add_argument("--x", type=finite, required=True)
+    sp.add_argument("--alpha", type=finite, default=None)
+    sp.add_argument("--y", type=finite, default=None)
     sp.add_argument("--disc", type=int, required=True)
     sp.add_argument("--cutoff", type=int, default=None)
 
@@ -554,7 +562,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--d1", type=int, required=True)
     sp.add_argument("--d2", type=int, required=True)
     sp.add_argument("--d3", type=int, required=True)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=finite, required=True)
     sp.add_argument("--cap", type=count, default=10**9)
     sp.add_argument("--naive-check", action="store_true")
 
@@ -576,8 +584,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--n1", type=int, required=True)
     sp.add_argument("--n2", type=int, required=True)
     sp.add_argument("--d3", type=int, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--D", type=float, default=None,
+    sp.add_argument("--x", type=finite, required=True)
+    sp.add_argument("--D", type=finite, default=None,
                     help="modulus product in the phase; defaults to the d3 conductor")
     sp.add_argument("--range", required=True, help="lo:hi inclusive")
     sp.add_argument("--m", type=int, required=True)
@@ -587,12 +595,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--theta", required=True)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--minimal", action="store_true")
-    sp.add_argument("--claim-x", type=float, default=None)
-    sp.add_argument("--claim-D", type=float, default=None)
+    sp.add_argument("--claim-x", type=finite, default=None)
+    sp.add_argument("--claim-D", type=finite, default=None)
 
     sp = add("tau-moment", _cmd_tau_moment, "divisor-moment sum vs its log power")
     sp.add_argument("--cap", type=count, required=True)
-    sp.add_argument("--A", type=float, required=True)
+    sp.add_argument("--A", type=finite, required=True)
 
     sp = add("verify-all", _cmd_verify_all, "run the whole invariant suite", json_output=False)
     sp.add_argument("--seed", type=int, default=0, help="seed for the sampled checks")

@@ -30,7 +30,8 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def smallest_prime_factor(n: int) -> np.ndarray:
-    """spf[k] = smallest prime factor of k (spf[1] = 1, spf[0] = 0)."""
+    """spf[k] = smallest prime factor of k (spf[1] = 1, spf[0] = 0).  No
+    caller in the package: kept only because bench/tracing.py names it."""
     spf = np.arange(n + 1, dtype=np.int64)
     for p in range(2, math.isqrt(n) + 1):
         if spf[p] == p:
@@ -40,7 +41,7 @@ def smallest_prime_factor(n: int) -> np.ndarray:
 
 
 def mobius_array(n: int) -> np.ndarray:
-    """mu[k] for k <= n via factorization along smallest prime factors."""
+    """mu[k] for k <= n by one strided pass per prime <= n."""
     mu = np.ones(n + 1, dtype=np.int64)
     mu[0] = 0
     mask = prime_mask(n)

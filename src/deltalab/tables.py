@@ -11,8 +11,12 @@ The functions, all attached to a real character chi of conductor D:
 
 plus the splits at the cutoff C (default D^2): rho = rho* + rho_*,
 Lambda = Lambda* + Lambda_* according to m <= C versus m > C.
-lam, nu, rho, rho*, lam' and Lambda* are sieves.convolve calls, which split
-the divisor pairs at sqrt(N): about 2 sqrt(N) numpy passes per table.
+lam, nu and rho are multiplicative, so they are built from their values at
+prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2), with
+strided passes per prime p <= sqrt(N); verify_table_identities checks them
+against the convolutions that define them.  rho*, lam' and Lambda* are
+sieves.convolve calls, which split the divisor pairs at sqrt(N): about
+2 sqrt(N) numpy passes per table.
 
 lam' and Lambda are integer combinations of logarithms of primes.  The
 float arrays evaluate those combinations against the shared correctly
@@ -25,7 +29,7 @@ through N // p), so they are exact and immune to float accumulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Optional
 
@@ -33,7 +37,7 @@ import numpy as np
 
 from .characters import RealCharacter, ResiduePattern, l_one, l_one_derivative, residue_main_term
 from .monomials import Monomial, evaluate, mono
-from .sieves import convolve, mobius_array, primes_up_to, smallest_prime_factor
+from .sieves import convolve, mobius_array, primes_up_to
 from .sieves import tau_array, von_mangoldt_window
 
 __all__ = [
@@ -95,24 +99,17 @@ class FunctionTable:
     Lam_substar: np.ndarray
 
     def array(self, f: str) -> np.ndarray:
-        key = _canonical_name(f)
-        return getattr(self, key)
+        return getattr(self, _canonical_name(f))
 
 
 _NAME_ALIASES = {
+    **{f.name: f.name for f in fields(FunctionTable) if f.name not in ("limit", "chi", "cutoff")},
     "lambda": "lam",
-    "lam": "lam",
-    "nu": "nu",
-    "rho": "rho",
-    "rho_star": "rho_star",
     "rho*": "rho_star",
-    "rho_substar": "rho_substar",
     "rho_*": "rho_substar",
     "lambda_prime": "lam_prime",
-    "lam_prime": "lam_prime",
     "lambda'": "lam_prime",
     "Lambda": "Lam",
-    "Lam": "Lam",
     "Lambda_star": "Lam_star",
     "Lambda*": "Lam_star",
     "Lambda_substar": "Lam_substar",
@@ -139,9 +136,23 @@ def _cutoff(chi: RealCharacter, cutoff: Optional[int]) -> int:
     return C
 
 
+def _lam_at_prime_power(c: int, e: int) -> int:
+    """lam(p^e) = sum_{k <= e} chi(p^k), where c = chi(p)."""
+    return sum(c**k for k in range(e + 1))
+
+
+def _nu_at_prime_power(c: int, e: int) -> int:
+    """nu(p^e) = sum_{i+k=e} mu(p^i) mu(p^k) c^k: 1, -1 - c, c, then 0."""
+    return (1, -1 - c, c)[e] if e < 3 else 0
+
+
+def _rho_at_prime_power(c: int, e: int) -> int:
+    """rho(p^e) = sum_{k <= e} lam(p^k)."""
+    return sum(_lam_at_prime_power(c, k) for k in range(e + 1))
+
+
 def nu_value(chi: RealCharacter, m: int) -> int:
-    """nu(m) via multiplicativity: nu(p) = -1 - chi(p), nu(p^2) = chi(p),
-    nu(p^k) = 0 for k >= 3."""
+    """nu(m) by trial division, from nu's values at prime powers."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     out = 1
@@ -152,18 +163,39 @@ def nu_value(chi: RealCharacter, m: int) -> int:
             while m % p == 0:
                 m //= p
                 k += 1
-            if k == 1:
-                out *= -1 - chi(p)
-            elif k == 2:
-                out *= chi(p)
-            else:
-                return 0
+            out *= _nu_at_prime_power(chi(p), k)
             if out == 0:
                 return 0
         p += 1 if p == 2 else 2
     if m > 1:
-        out *= -1 - chi(m)
+        out *= _nu_at_prime_power(chi(m), 1)
     return out
+
+
+def _multiplicative_tables(N: int, chi_tab: np.ndarray):
+    """lam, nu and rho on [0, N] (entry 0 is 0): strided passes over the
+    multiples of each prime p <= isqrt(N), then one gather for what is left
+    of n, which is 1 or a prime above isqrt(N)."""
+    rules = (_lam_at_prime_power, _nu_at_prime_power, _rho_at_prime_power)
+    # values[chi(p) + 1, e] for every e with 2^e <= N
+    values = [np.array([[rule(c, e) for e in range(N.bit_length())] for c in (-1, 0, 1)])
+              for rule in rules]
+    lam, nu, rho = tabs = [np.ones(N + 1, dtype=np.int64) for _ in rules]
+    lam[0] = nu[0] = rho[0] = 0
+    rest = np.arange(N + 1, dtype=np.int64)  # n with its primes <= isqrt(N) divided out
+    for p in primes_up_to(math.isqrt(N)).tolist():
+        e = np.ones(N // p, dtype=np.int64)  # e[j - 1] = v_p(j p)
+        pk = p
+        while pk <= N // p:
+            e[pk - 1 :: pk] += 1
+            pk *= p
+        for f, v in zip(tabs, values):
+            f[p::p] *= v[chi_tab[p] + 1, e]
+        rest[p::p] //= p**e
+    c, e = chi_tab[rest] + 1, (rest > 1).view(np.int8)  # rest = q^e, e = 0 or 1
+    for f, v in zip(tabs, values):
+        f *= v[c, e]
+    return tabs
 
 
 def sieve_tables(
@@ -172,7 +204,8 @@ def sieve_tables(
     cutoff: Optional[int] = None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> FunctionTable:
-    """Build all nine arrays on [1, N] by square-root-split convolutions.
+    """Build all nine arrays on [1, N]: lam, nu and rho from their values
+    at prime powers, the others by square-root-split convolutions.
 
     cutoff defaults to D^2 and must be >= 1.  Raises MemoryBudgetError with
     a suggested smaller limit when the arrays would not fit the budget.
@@ -188,14 +221,8 @@ def sieve_tables(
             "which streams segmented sieves"
         )
     C = _cutoff(chi, cutoff)
-    chi_tab = chi.value_table(N)
+    lam, nu, rho = _multiplicative_tables(N, chi.value_table(N))
     one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
-
-    lam = convolve(chi_tab, one, N)
-    mu = mobius_array(N)
-    nu = convolve(mu * chi_tab, mu, N)
-    del mu, chi_tab
-    rho = convolve(lam, one, N)
     rho_star = convolve(lam, one, N, fmax=C)
     rho_substar = rho - rho_star  # exact integer complement of the m <= C part
 
@@ -420,45 +447,6 @@ class TableCheckReport:
     max_float_deviation: float
 
 
-def _reference_multiplicative(t: FunctionTable):
-    """lam, nu, rho recomputed per n from multiplicativity (independent of
-    sieves.convolve); exact integer arrays."""
-    N = t.limit
-    chi = t.chi
-    spf = smallest_prime_factor(N)
-    lam_ref = np.zeros(N + 1, dtype=np.int64)
-    nu_ref = np.zeros(N + 1, dtype=np.int64)
-    rho_ref = np.zeros(N + 1, dtype=np.int64)
-    lam_ref[1] = nu_ref[1] = rho_ref[1] = 1
-    chi_p_cache: Dict[int, int] = {}
-    for n in range(2, N + 1):
-        m = n
-        lam_v = nu_v = rho_v = 1
-        while m > 1:
-            p = int(spf[m])
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            try:
-                cp = chi_p_cache[p]
-            except KeyError:
-                cp = chi_p_cache[p] = chi(p)
-            if cp == 1:
-                lam_pk, rho_pk = k + 1, (k + 1) * (k + 2) // 2
-            elif cp == 0:
-                lam_pk, rho_pk = 1, k + 1
-            else:
-                lam_pk = 1 - (k % 2)
-                rho_pk = (k + 2) // 2
-            nu_pk = (-1 - cp) if k == 1 else (cp if k == 2 else 0)
-            lam_v *= lam_pk
-            nu_v *= nu_pk
-            rho_v *= rho_pk
-        lam_ref[n], nu_ref[n], rho_ref[n] = lam_v, nu_v, rho_v
-    return lam_ref, nu_ref, rho_ref
-
-
 def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int):
     """The exact log p coefficient vectors of lam', Lambda* and Lambda_* on
     the multiples n = j*p <= N, indexed by j; raises IdentityCheckError
@@ -507,9 +495,9 @@ def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int):
 def verify_table_identities(t: FunctionTable) -> TableCheckReport:
     """Exact verification of every convolution identity.
 
-    Integer functions are compared against independent multiplicative
-    recomputations; lam' and Lambda are checked prime by prime on their
-    integer log-coefficient vectors (the primes above isqrt(N) all at once):
+    lam, nu and rho are compared with their defining convolutions 1*chi,
+    mu*(mu chi) and 1*lam; lam' and Lambda are checked prime by prime on
+    their integer log-coefficient vectors (the primes above isqrt(N) at once):
 
         definition route   a_p(d) = sum_{kl=d} chi(k) v_p(l)
         convolution route  b_p(d) = sum_k lam(d / p^k)
@@ -524,11 +512,13 @@ def verify_table_identities(t: FunctionTable) -> TableCheckReport:
     chi = t.chi
     chi_np = chi.value_table(N).astype(np.int64)
 
-    lam_ref, nu_ref, rho_ref = _reference_multiplicative(t)
+    one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
+    mu = mobius_array(N)
+    lam_ref = convolve(chi_np, one, N)
     for name, got, ref in (
         ("lambda = 1*chi", t.lam, lam_ref),
-        ("nu = mu*(mu chi)", t.nu, nu_ref),
-        ("rho = 1*lambda", t.rho, rho_ref),
+        ("nu = mu*(mu chi)", t.nu, convolve(mu * chi_np, mu, N)),
+        ("rho = 1*lambda", t.rho, convolve(lam_ref, one, N)),
     ):
         if not np.array_equal(got[1:], ref[1:]):
             bad = int(np.flatnonzero(got[1:] != ref[1:])[0]) + 1

@@ -51,7 +51,7 @@ QUICK_LIMITS = {
 }
 
 FULL_LIMITS = {
-    "table_limit": 100_000,
+    "table_limit": 1_000_000,
     "delta_limit": 1_000_000,
     "gauss_m_cap": None,  # every coprime m in [1, q]
     "mult_pairs": 10_000,

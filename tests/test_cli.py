@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltalab.cli import build_parser, run
+from deltalab.cli import build_parser, finite, run
 
 
 def out_of(capsys):
@@ -380,6 +380,40 @@ def test_fractional_limit_rejected(tmp_path, capsys):
     assert "error: not an integer: '1.5'" in capsys.readouterr().err
     assert run([*expsum, "--range", "1e1:50"]) == 0
     assert "length = 41" in out_of(capsys)
+
+
+# (command, key, value template): every float-typed key, and both bounds of
+# the delta-sweep grid
+_FLOAT_KEYS = [
+    (command, a.dest, "{}")
+    for command, sub in build_parser().commands.items()
+    for a in sub._actions
+    if a.type is finite
+] + [("delta-sweep", "x_grid", "{}:1e6:linear:3"), ("delta-sweep", "x_grid", "1:{}:linear:3")]
+
+
+def test_every_float_flag_is_finite():
+    types = [a.type for sub in build_parser().commands.values() for a in sub._actions]
+    assert float not in types and types.count(finite) == 13
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,key,template", _FLOAT_KEYS)
+def test_non_finite_float_rejected(command, key, template, value, form, tmp_path, monkeypatch,
+                                   capsys):
+    monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
+    argv = [command, *_BASE_ARGV[command]]  # a later flag replaces a base one
+    if form == "flag":
+        argv.append(f"--{key.replace('_', '-')}={template.format(value)}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={template.format(value)}\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: " in err and "Traceback" not in err
 
 
 def test_count_flag_reads_exponent_form(capsys):

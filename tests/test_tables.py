@@ -4,6 +4,7 @@ the residue formulas, and short-interval counts."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,36 @@ def test_lam_by_divisor_enumeration(table4):
     for n in list(range(1, 200)) + [1024, 2999, 3000]:
         assert table4.lam[n] == sum(CHI4(d) for d in divisors(n)), n
         assert table4.rho[n] == sum(table4.lam[m] for m in divisors(n)), n
+
+
+def _brute_multiplicative(chi, N):
+    """lam, nu and rho at every n <= N by divisor enumeration.  nu is the
+    Dirichlet inverse of lam (mu and mu chi invert 1 and chi), so
+    nu(n) = -sum_{d | n, d < n} nu(d) lam(n/d) for n > 1."""
+    divs = [[] for _ in range(N + 1)]
+    for d in range(1, N + 1):
+        for m in range(d, N + 1, d):
+            divs[m].append(d)
+    lam = [0] + [sum(chi(d) for d in divs[n]) for n in range(1, N + 1)]
+    rho = [0] + [sum(lam[d] for d in divs[n]) for n in range(1, N + 1)]
+    nu = [0, 1]
+    for n in range(2, N + 1):
+        nu.append(-sum(nu[d] * lam[n // d] for d in divs[n][:-1]))
+    return {"lam": lam, "nu": nu, "rho": rho}
+
+
+@pytest.mark.parametrize("d", [1, -4, 5, -8, 12, -163])
+def test_prime_power_pass_matches_brute_force(d):
+    """Every n <= N, for N = 1..4, 53^2 (its largest sieving prime is
+    isqrt(N) itself) and 53 * 59 (n = p*q with p = 53 just below
+    isqrt(N) = 55 and q = 59 above it)."""
+    chi = make_character(d)
+    want = _brute_multiplicative(chi, 53 * 59)
+    assert [nu_value(chi, n) for n in range(1, 53 * 59 + 1)] == want["nu"][1:]
+    for N in (1, 2, 3, 4, 53**2, 53 * 59):
+        t = sieve_tables(N, chi)
+        for name, values in want.items():
+            assert getattr(t, name).tolist() == values[: N + 1], (d, N, name)
 
 
 def test_lam_prime_by_definition_enumeration(table4):
@@ -184,6 +215,17 @@ def test_identity_checker_catches_corruption():
         verify_table_identities(broken)
 
 
+@pytest.mark.parametrize("field,identity", [("nu", "nu = mu*(mu chi)"), ("rho", "rho = 1*lambda")])
+def test_identity_checker_catches_integer_corruption_above_sqrt(field, identity):
+    """n = 2*47 with 47 > isqrt(2000) = 44: the factor the table pass leaves
+    to its final gather."""
+    t = sieve_tables(2000, CHI13)
+    arr = getattr(t, field).copy()
+    arr[94] += 1
+    with pytest.raises(IdentityCheckError, match=re.escape(f"{identity} fails first at n=94")):
+        verify_table_identities(dataclasses.replace(t, **{field: arr}))
+
+
 @pytest.mark.parametrize("field", ["lam_prime", "Lam_star", "Lam_substar"])
 @pytest.mark.parametrize("n", [47, 3 * 47, 41 * 47, 1999, 2 * 997])
 def test_identity_checker_catches_float_corruption_above_sqrt(field, n):
@@ -198,6 +240,16 @@ def test_identity_checker_catches_float_corruption_above_sqrt(field, n):
 def test_identity_checker_counts_every_prime():
     for N, pi in ((1, 0), (2, 1), (3, 2), (10, 4), (2000, 303), (10**4, 1229)):
         assert verify_table_identities(sieve_tables(N, CHI13)).primes_checked == pi
+
+
+def test_every_array_field_is_a_function_name(table4):
+    names = [f.name for f in dataclasses.fields(table4)
+             if isinstance(getattr(table4, f.name), np.ndarray)]
+    assert len(names) == 9
+    for name in names:
+        arr = getattr(table4, name)
+        assert table4.array(name) is arr
+        assert divisor_sum(table4, name, 100) == arr[1:101].sum(), name
 
 
 def test_divisor_sum_basics(table4):
