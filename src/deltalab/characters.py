@@ -84,27 +84,37 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _squarefree_or_reason(n: int):
-    """(True, None) if n is squarefree, else (False, offending prime)."""
+def _square_prime(n: int):
+    """The least prime p with p^2 | n, or None if n is squarefree."""
     p = 2
     while p * p <= n:
         if n % p == 0:
             n //= p
             if n % p == 0:
-                return False, p
+                return p
         p += 1 if p == 2 else 2
-    return True, None
+    return None
+
+
+def _discriminant_failure(d: int):
+    """Why d is not a fundamental discriminant, or None if it is."""
+    not_fd = f"{d} is not a fundamental discriminant"
+    if d == 0:
+        return not_fd
+    if d % 4 == 1:
+        p = _square_prime(abs(d))
+        return None if p is None else f"{not_fd}: = 1 mod 4 but divisible by {p}^2"
+    if d % 4 == 0:
+        m = d // 4
+        if m % 4 not in (2, 3):
+            return f"{not_fd}: {d} = 4*{m} with {m} = {m % 4} mod 4 (need 2 or 3)"
+        p = _square_prime(abs(m))
+        return None if p is None else f"{not_fd}: {d} = 4*{m} with {m} divisible by {p}^2"
+    return f"{not_fd}: = {d % 4} mod 4 (need 1, or 0 with d/4 = 2,3 mod 4)"
 
 
 def is_fundamental_discriminant(d: int) -> bool:
-    if d == 0:
-        return False
-    if d % 4 == 1:
-        return _squarefree_or_reason(abs(d))[0]
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and _squarefree_or_reason(abs(m))[0]
-    return False
+    return _discriminant_failure(d) is None
 
 
 def fundamental_discriminants(bound: int):
@@ -146,16 +156,20 @@ class RealCharacter:
         reps = n_max // q + 1
         return np.tile(per, reps)[: n_max + 1]
 
-    def partial_sum(self, t: int) -> int:
-        """Exact sum of chi(n) for 1 <= n <= t (0 for t <= 0)."""
-        t = int(t)
-        if t <= 0:
-            return 0
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """chi(n) for every entry of the int64 array n >= 0, as int64."""
+        return self.period_array()[n % self.conductor].astype(np.int64)
+
+    def partial_sum(self, t):
+        """S(t) = sum of chi(n) for 1 <= n <= t, exact, for an int t >= 0 or
+        elementwise for an int64 array t >= 0 (same shape, int64).
+
+        The trivial character gives t itself.  Otherwise S(t) is a lookup in
+        the cached period prefix, since a nonprincipal character sums to 0
+        over each full period."""
         if self.is_trivial:
             return t
-        pre = _period_prefix(self.discriminant)
-        # Full periods contribute 0 (nonprincipal character).
-        return int(pre[t % self.conductor])
+        return _period_prefix(self.discriminant)[t % self.conductor]
 
     def __str__(self) -> str:
         return f"chi_{self.discriminant} (conductor {self.conductor}, {self.parity})"
@@ -180,33 +194,9 @@ def make_character(d_signed: int) -> RealCharacter:
     """Character of a fundamental discriminant; rejects anything else with
     the failed condition named."""
     d = int(d_signed)
-    if d == 0:
-        raise ValueError("0 is not a fundamental discriminant")
-    if d % 4 == 1:
-        ok, p = _squarefree_or_reason(abs(d))
-        if not ok:
-            raise ValueError(
-                f"{d} is not a fundamental discriminant: = 1 mod 4 but "
-                f"divisible by {p}^2"
-            )
-    elif d % 4 == 0:
-        m = d // 4
-        if m % 4 not in (2, 3):
-            raise ValueError(
-                f"{d} is not a fundamental discriminant: {d} = 4*{m} with "
-                f"{m} = {m % 4} mod 4 (need 2 or 3)"
-            )
-        ok, p = _squarefree_or_reason(abs(m))
-        if not ok:
-            raise ValueError(
-                f"{d} is not a fundamental discriminant: {d} = 4*{m} with "
-                f"{m} divisible by {p}^2"
-            )
-    else:
-        raise ValueError(
-            f"{d} is not a fundamental discriminant: = {d % 4} mod 4 "
-            "(need 1, or 0 with d/4 = 2,3 mod 4)"
-        )
+    reason = _discriminant_failure(d)
+    if reason is not None:
+        raise ValueError(reason)
     return RealCharacter(
         discriminant=d, conductor=abs(d), parity="even" if d > 0 else "odd"
     )

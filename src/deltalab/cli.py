@@ -414,11 +414,10 @@ def _cmd_delta_sweep(args, config):
     path = _out_path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        fh.write("x,d1,d2,d3,raw_sum,residue,delta,bound_value,ratio\n")
-        for s in samples:
-            fh.write(f"{s.x:.12g},{s.d1},{s.d2},{s.d3},{s.raw_sum},{s.residue:.12g},"
-                     f"{s.delta:.12g},{s.bound_value:.12g},"
-                     f"{abs(s.delta) / s.bound_value:.12g}\n")
+        rows = [_delta_payload(s) for s in samples]
+        fh.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
     print(config.echo())
     print(f"wrote {path} ({len(samples)} samples)")
     rep = bound_check(samples)

@@ -8,11 +8,13 @@ The raw triple sum
 is computed in exact integer arithmetic (character values lie in -1,0,1):
 the production path is the three-variable Dirichlet hyperbola with
 y = icbrt(x): about 7 x^(2/3) quotient entries, in int64 numpy passes over
-tiles of fixed size (about 100 tiles at x = 1e8, 470 at 1e9).  Its oracle
-is the coefficient convolution chi1 * chi2 * chi3 summed to every x <= N
-(naive_triple_raw_prefix), which shares no code with it.  Only the residue
-of the L-product is floating point, so delta = raw - residue carries a
-single rounding.
+tiles of fixed size (about 100 tiles at x = 1e8, 470 at 1e9).  Its
+character sums S(v) = sum_{k<=v} chi(k) and values chi(n) come from
+RealCharacter.partial_sum and RealCharacter.values, one array call per
+tile.  Its oracle is the coefficient convolution chi1 * chi2 * chi3 summed
+to every x <= N (naive_triple_raw_prefix), which shares no code with it.
+Only the residue of the L-product is floating point, so delta = raw -
+residue carries a single rounding.
 
 Empirical comparisons against the symbolic bounds are report-only: the
 suite asserts oracle equality and hard invariants, never that an asymptotic
@@ -29,10 +31,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characters import RealCharacter, ResiduePattern, _period_prefix, residue_main_term
-from .monomials import evaluate, main_theorem_terms
+from .characters import RealCharacter, ResiduePattern, residue_main_term
+from .monomials import main_theorem_terms
 from .sieves import convolve
-from .tables import DEFAULT_MEMORY_BUDGET, MemoryBudgetError
+from .tables import check_memory_budget
 
 __all__ = [
     "DeltaSample",
@@ -83,20 +85,6 @@ def _isqrt(t: np.ndarray) -> np.ndarray:
     return s
 
 
-def _values(chi: RealCharacter, n: np.ndarray) -> np.ndarray:
-    """chi(n) for every entry of the int64 array n, as int64."""
-    return chi.period_array()[n % chi.conductor].astype(np.int64)
-
-
-def _prefix(chi: RealCharacter, v):
-    """S(v) = sum_{1<=k<=v} chi(k) for every entry of the int64 array v >= 0:
-    v itself for the trivial character, else a lookup in the cached period
-    prefix (a nonprincipal character sums to 0 over each full period)."""
-    if chi.is_trivial:
-        return v
-    return _period_prefix(chi.discriminant)[v % chi.conductor]
-
-
 def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarray:
     """P(t) = sum_{ab <= t} chi1(a) chi2(b) for every entry of the
     non-increasing int64 array t >= 0, by the two-factor hyperbola with
@@ -107,7 +95,7 @@ def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarra
     Vectorized over a in (rows x a) tiles of at most _BLOCK_ELEMENTS
     entries; a tile's rows are as wide as its first, the widest."""
     s = _isqrt(t)
-    out = -(_prefix(c1, s) * _prefix(c2, s))
+    out = -(c1.partial_sum(s) * c2.partial_sum(s))
     lo = 0
     while lo < len(t):
         width = int(s[lo])
@@ -116,7 +104,7 @@ def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarra
         for a0 in range(1, width + 1, _BLOCK_ELEMENTS):
             a = np.arange(a0, min(a0 + _BLOCK_ELEMENTS, width + 1), dtype=np.int64)
             q = (tt // a) * (a <= ss)  # S(0) = 0 drops the entries with a > s
-            out[lo:hi] += _prefix(c2, q) @ _values(c1, a) + _prefix(c1, q) @ _values(c2, a)
+            out[lo:hi] += c2.partial_sum(q) @ c1.values(a) + c1.partial_sum(q) @ c2.values(a)
         lo = hi
     return out
 
@@ -153,8 +141,8 @@ def triple_raw_sum(c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, x: f
     chis = (c1, c2, c3)
     y = _icbrt(N)
     n = np.arange(1, y + 1, dtype=np.int64)
-    vals = [_values(c, n) for c in chis]
-    total = int(_prefix(c1, y)) * int(_prefix(c2, y)) * int(_prefix(c3, y))
+    vals = [c.values(n) for c in chis]
+    total = int(c1.partial_sum(y)) * int(c2.partial_sum(y)) * int(c3.partial_sum(y))
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         live = vals[i] != 0
         total += int(vals[i][live] @ _pair_sums(chis[j], chis[k], N // n[live]))
@@ -162,7 +150,7 @@ def triple_raw_sum(c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, x: f
     for lo in range(0, y, rows):
         q = N // (n[lo : lo + rows, None] * n)
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            total -= int(vals[i][lo : lo + rows] @ _prefix(chis[k], q) @ vals[j])
+            total -= int(vals[i][lo : lo + rows] @ chis[k].partial_sum(q) @ vals[j])
     return total
 
 
@@ -173,18 +161,12 @@ def naive_triple_raw_prefix(
     Dirichlet series is L(s,chi1) L(s,chi2) L(s,chi3), so its coefficients
     are the convolution chi1 * chi2 * chi3 (Tenenbaum, I.3): two
     sieves.convolve calls, then a prefix sum.  Exact int64, O(N log N), and
-    no code shared with the production hyperbola (_pair_sums, _prefix).
+    no code shared with the production hyperbola (_pair_sums, partial_sum).
 
     Holds about _ORACLE_BYTES_PER_ENTRY bytes per entry at its peak; raises
     MemoryBudgetError when N of them exceed DEFAULT_MEMORY_BUDGET."""
     N = int(N)
-    need = N * _ORACLE_BYTES_PER_ENTRY
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"convolution oracle at N = {N} needs ~{need >> 20} MiB > budget "
-            f"{DEFAULT_MEMORY_BUDGET >> 20} MiB; use N <= "
-            f"{DEFAULT_MEMORY_BUDGET // _ORACLE_BYTES_PER_ENTRY}"
-        )
+    check_memory_budget(f"convolution oracle at N = {N}", N, _ORACLE_BYTES_PER_ENTRY, "N")
     # One int64 factor makes every product int64; |coefficients| <= d_3(n).
     pair = convolve(c1.value_table(N), c2.value_table(N).astype(np.int64), N)
     coeff = convolve(pair, c3.value_table(N), N)
@@ -199,41 +181,21 @@ def naive_triple_raw(c1, c2, c3, x: float) -> int:
     return int(naive_triple_raw_prefix(c1, c2, c3, N)[N])
 
 
-def _isqrt_vector(n: int) -> np.ndarray:
-    t = np.arange(n + 1, dtype=np.int64)
-    s = np.sqrt(t.astype(np.float64)).astype(np.int64)
-    s -= (s * s > t).astype(np.int64)
-    s += ((s + 1) * (s + 1) <= t).astype(np.int64)
-    return s
-
-
-def _partial_sum_vector(chi: RealCharacter, n: int) -> np.ndarray:
-    """S(v) = sum_{k<=v} chi(k) for v = 0..n as int64."""
-    v = np.arange(n + 1, dtype=np.int64)
-    if chi.is_trivial:
-        return v
-    q = chi.conductor
-    per = chi.period_array().astype(np.int64)
-    cum = np.cumsum(per)  # cum[r] = sum_{k=0..r} chi(k); full periods cancel
-    return cum[v % q]
-
-
 def hyperbola_raw_prefix(
     c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, N: int
 ) -> np.ndarray:
     """Raw sums at every integer x <= N through the two-factor summatory
-    table (vectorized hyperbola) and one block pass per k.  Exact int64;
+    table (vectorized hyperbola, with the prefix sums S1, S2 at every t <= N
+    from one partial_sum call each) and one block pass per k.  Exact int64;
     an independent implementation from the convolution oracle.
 
     Nothing in the package calls it: it is kept only as the benchmark's
-    second pin of its reference triple sum (bench/tests).  It goes, together
-    with _isqrt_vector and _partial_sum_vector, when the benchmark drops
-    that pin."""
+    second pin of its reference triple sum (bench/tests), and goes when the
+    benchmark drops that pin."""
     N = int(N)
-    s1 = _partial_sum_vector(c1, N)
-    s2 = _partial_sum_vector(c2, N)
     tarr = np.arange(N + 1, dtype=np.int64)
-    sq = _isqrt_vector(N)
+    s1, s2 = c1.partial_sum(tarr), c2.partial_sum(tarr)
+    sq = _isqrt(tarr)
     tab = np.zeros(N + 1, dtype=np.int64)
     p1 = c1.value_table(math.isqrt(N)).astype(np.int64)
     p2 = c2.value_table(math.isqrt(N)).astype(np.int64)
@@ -260,8 +222,7 @@ def hyperbola_raw_prefix(
 
 def theorem_bound_value(D: float, Dmax: float, x: float) -> float:
     """Max of the four final bound monomials at (D, Dmax, x), eps = 0."""
-    assignment = {"D": float(D), "Dmax": float(Dmax), "x": float(x)}
-    return max(evaluate(t, assignment, eps=0.0) for t in main_theorem_terms())
+    return main_theorem_terms().evaluate({"D": float(D), "Dmax": float(Dmax), "x": float(x)})
 
 
 class OracleMismatchError(AssertionError):

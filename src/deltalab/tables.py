@@ -28,7 +28,10 @@ through N // p), so they are exact and immune to float accumulation.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Optional
@@ -69,6 +72,10 @@ class IdentityCheckError(AssertionError):
 #: (the nine output arrays), 72.2 at 1e4 and 73.4 at 2000; rounded up.
 _BYTES_PER_ENTRY = 74
 DEFAULT_MEMORY_BUDGET = 2 << 30
+
+#: Block ends per tile of lam_prime_summatory: its temporaries stay this
+#: size whatever z is.
+_QUOTIENT_TILE = 1 << 12
 
 #: Absolute tolerance of the float checks in verify_table_identities.
 _FLOAT_SLACK = 1e-9
@@ -172,6 +179,17 @@ def nu_value(chi: RealCharacter, m: int) -> int:
     return out
 
 
+def check_memory_budget(what: str, N: int, bytes_per_entry: int, name: str, hint: str = "") -> None:
+    """Raise MemoryBudgetError, with the largest N that fits, when N entries
+    of bytes_per_entry bytes each exceed DEFAULT_MEMORY_BUDGET."""
+    need = N * bytes_per_entry
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"{what} needs ~{need >> 20} MiB > budget {DEFAULT_MEMORY_BUDGET >> 20} MiB; "
+            f"use {name} <= {DEFAULT_MEMORY_BUDGET // bytes_per_entry}{hint}"
+        )
+
+
 def _multiplicative_tables(N: int, chi_tab: np.ndarray):
     """lam, nu and rho on [0, N] (entry 0 is 0): strided passes over the
     multiples of each prime p <= isqrt(N), then one gather for what is left
@@ -198,28 +216,19 @@ def _multiplicative_tables(N: int, chi_tab: np.ndarray):
     return tabs
 
 
-def sieve_tables(
-    N: int,
-    chi: RealCharacter,
-    cutoff: Optional[int] = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> FunctionTable:
+def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> FunctionTable:
     """Build all nine arrays on [1, N]: lam, nu and rho from their values
     at prime powers, the others by square-root-split convolutions.
 
     cutoff defaults to D^2 and must be >= 1.  Raises MemoryBudgetError with
-    a suggested smaller limit when the arrays would not fit the budget.
+    a suggested smaller limit when the arrays would not fit
+    DEFAULT_MEMORY_BUDGET.
     """
     N = int(N)
     if N < 1:
         raise ValueError(f"limit must be >= 1, got {N}")
-    need = N * _BYTES_PER_ENTRY
-    if need > memory_budget:
-        raise MemoryBudgetError(
-            f"limit {N} needs ~{need >> 20} MiB > budget {memory_budget >> 20} MiB; "
-            f"use limit <= {memory_budget // _BYTES_PER_ENTRY} or psi_counts, "
-            "which streams segmented sieves"
-        )
+    check_memory_budget(f"limit {N}", N, _BYTES_PER_ENTRY, "limit",
+                        " or psi_counts, which streams segmented sieves")
     C = _cutoff(chi, cutoff)
     lam, nu, rho = _multiplicative_tables(N, chi.value_table(N))
     one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
@@ -311,21 +320,32 @@ def asymptotic_residual(t: FunctionTable, f: str, x: float) -> AsymptoticReport:
 
 
 def lam_prime_summatory(chi: RealCharacter, z: int) -> float:
-    """sum_{d <= z} lam'(d) = sum_{k <= z} chi(k) log(floor(z/k)!), blocked
-    over constant floor(z/k) with exact character prefix sums; O(sqrt z)."""
+    """sum_{d <= z} lam'(d) = sum_{k <= z} chi(k) log(floor(z/k)!), O(sqrt z).
+
+    The k with equal quotient v = z // k form a block that ends at k = z // v.
+    The block ends are k = 1..isqrt(z), then z // v for every
+    v < z // isqrt(z), downwards (a v that no k attains repeats the previous
+    end).  With S = chi.partial_sum and k' the previous end (0 at first),
+    each block adds [S(k) - S(k')] lgamma(z // k + 1).  The ends go in tiles
+    of _QUOTIENT_TILE, with one partial_sum call per tile, so memory does
+    not grow with z; the nonzero parts of every tile feed one math.fsum, so
+    the result is their correctly rounded sum.
+    """
     z = int(z)
     if z < 1:
         return 0.0
-    parts = []
-    k = 1
-    while k <= z:
-        v = z // k
-        k2 = z // v
-        s = chi.partial_sum(k2) - chi.partial_sum(k - 1)
-        if s:
-            parts.append(s * math.lgamma(v + 1))
-        k = k2 + 1
-    return math.fsum(parts)
+    r = math.isqrt(z)
+    n = r + z // r - 1  # number of block ends
+
+    def tile_parts(lo: int):
+        i = np.arange(lo - 1, min(lo + _QUOTIENT_TILE, n), dtype=np.int64)
+        k = np.where(i < r, i + 1, z // (n - i))  # i = lo - 1: the end before the tile
+        w = np.diff(chi.partial_sum(k))
+        live = w != 0
+        lg = map(math.lgamma, (z // k[1:][live] + 1).tolist())
+        return map(operator.mul, w[live].tolist(), lg)
+
+    return math.fsum(itertools.chain.from_iterable(map(tile_parts, range(0, n, _QUOTIENT_TILE))))
 
 
 @dataclass(frozen=True)
@@ -376,7 +396,8 @@ def psi_counts(
     """psi, psi*, psi_* over (x-y, x], plus prime count and Li window.
 
     psi comes from a segmented prime-power sieve; psi* from the m <= C
-    convolution via O(sqrt z) partial sums of lam'; psi_* is the exact
+    convolution via lam_prime_summatory, once per distinct quotient z =
+    x // m or (x - y) // m; psi_* is the exact
     complement (Lambda_* = Lambda - Lambda*), and psi is reassembled as
     psi_star + psi_substar (equal to the sieve value up to one rounding).
     cutoff C defaults to D^2 and must be >= 1.
@@ -390,13 +411,13 @@ def psi_counts(
 
     psi_sieve, pi_cnt = von_mangoldt_window(xmy, xi)
 
+    # F(z) = lam_prime_summatory(chi, z), once per distinct quotient z
+    F = functools.lru_cache(maxsize=None)(functools.partial(lam_prime_summatory, chi))
     star_parts = []
     for m in range(1, min(C, xi) + 1):  # both partial sums vanish for m > x
         v = nu_value(chi, m)
         if v:
-            star_parts.append(
-                v * (lam_prime_summatory(chi, xi // m) - lam_prime_summatory(chi, xmy // m))
-            )
+            star_parts.append(v * (F(xi // m) - F(xmy // m)))
     psi_star = math.fsum(star_parts)
     psi_substar = psi_sieve - psi_star
     psi = psi_star + psi_substar

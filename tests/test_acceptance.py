@@ -195,7 +195,8 @@ def test_criterion_8_feasibility_regression():
 
 
 def test_criterion_9_psi_split_identity():
-    # psi = psi* + psi_* (cutoff D^2); psi(100)-psi(90) = log 97
+    # psi* (cutoff D^2) equals the window sum of the sieved Lambda*;
+    # psi(100)-psi(90) = log 97
     assert FULL_LIMITS["psi_xs"] == (10**5, 10**6)
     _run_check(9, 60.0, verify._check_psi, FULL_LIMITS)
 

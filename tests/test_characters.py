@@ -7,6 +7,7 @@ import random
 from math import gcd
 
 import mpmath as mp
+import numpy as np
 import pytest
 import sympy
 
@@ -151,12 +152,44 @@ def test_orthogonality_full_period():
 
 
 def test_partial_sum_matches_direct():
-    for d in (-4, 5, 12, -23):
+    for d in (1, -4, 5, 12, -23):
         chi = make_character(d)
-        acc = 0
+        direct = [0]
         for t in range(1, 4 * chi.conductor + 3):
-            acc += chi(t)
-            assert chi.partial_sum(t) == acc
+            direct.append(direct[-1] + chi(t))
+            assert chi.partial_sum(t) == direct[t]
+        assert chi.partial_sum(0) == 0
+        # the array form: one call, elementwise, same shape
+        t = np.arange(4 * chi.conductor + 3, dtype=np.int64)
+        got = chi.partial_sum(t)
+        assert got.dtype == np.int64 and got.tolist() == direct
+        assert chi.partial_sum(t.reshape(1, -1)).tolist() == [direct]
+        # near 1e12 the full periods cancel (or count 1 each, for d = 1)
+        big = 10**12 + np.arange(-3, 4, dtype=np.int64)
+        q = chi.conductor
+        want = [int(v) if q == 1 else direct[int(v) % q] for v in big]
+        assert chi.partial_sum(big).tolist() == want
+        assert [chi.partial_sum(int(v)) for v in big] == want
+
+
+def test_values_match_kronecker():
+    for d in (1, -4, 5, 12, -23):
+        chi = make_character(d)
+        n = np.arange(3 * chi.conductor + 2, dtype=np.int64)
+        got = chi.values(n)
+        assert got.dtype == np.int64
+        assert got[1:].tolist() == [chi(int(k)) for k in n[1:]]
+
+
+def test_fundamental_test_agrees_with_make_character():
+    for d in range(-300, 301):
+        try:
+            make_character(d)
+            built = True
+        except ValueError as e:
+            built = False
+            assert str(e).startswith(f"{d} is not a fundamental discriminant")
+        assert is_fundamental_discriminant(d) == built, d
 
 
 def test_gauss_sum_at_zero_and_small_values():

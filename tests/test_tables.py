@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltalab import tables
+from deltalab import tables, verify
 from deltalab.characters import l_one, l_one_derivative, make_character
 from deltalab.sieves import convolve, tau_array, von_mangoldt_window
 from deltalab.tables import (
@@ -267,11 +267,36 @@ def test_divisor_sum_basics(table4):
         divisor_sum(table4, "sigma", 10)
 
 
-def test_lam_prime_summatory_matches_table(table4):
-    for z in (1, 2, 10, 97, 1000, 3000):
-        assert lam_prime_summatory(CHI4, z) == pytest.approx(
-            divisor_sum(table4, "lambda_prime", z), abs=1e-8
-        )
+def test_lam_prime_summatory_matches_table():
+    N = 3000
+    for d in (1, -4, 13, -163):
+        chi = make_character(d)
+        sums = np.cumsum(sieve_tables(N, chi).lam_prime)
+        for z in range(N + 1):
+            assert lam_prime_summatory(chi, z) == pytest.approx(sums[z], abs=1e-8), (d, z)
+
+
+def _blocked_lam_prime_summatory(chi, z):
+    """The summatory as one Python step per block of constant z // k."""
+    parts = []
+    k = 1
+    while k <= z:
+        v = z // k
+        k2 = z // v
+        s = int(chi.partial_sum(k2)) - int(chi.partial_sum(k - 1))
+        if s:
+            parts.append(s * math.lgamma(v + 1))
+        k = k2 + 1
+    return math.fsum(parts)
+
+
+def test_lam_prime_summatory_pinned_across_tiles():
+    # about 2 sqrt(z) block ends: 6,300 (two tiles) and 141,000 (35 tiles)
+    for z in (10**7 + 3, 5 * 10**9 + 17):
+        assert 2 * math.isqrt(z) > tables._QUOTIENT_TILE
+        for d in (-4, 13):
+            chi = make_character(d)
+            assert lam_prime_summatory(chi, z) == _blocked_lam_prime_summatory(chi, z)
 
 
 def test_nu_value_matches_table(table4):
@@ -339,6 +364,17 @@ def test_psi_full_interval_equals_sieve():
 def test_psi_split_exact_at_1e5():
     rep = psi_counts(10**5, CHI4, 10**5, 10**4)
     assert rep.psi == rep.psi_star + rep.psi_substar
+
+
+def test_psi_star_oracle_catches_summatory_off_by_1e_6(monkeypatch):
+    x = 10**4
+    assert all(r.ok for r in verify._check_psi({"psi_xs": (x,)}))
+    orig = tables.lam_prime_summatory
+    # off at z = x only: an offset at every z would cancel in F(x/m) - F((x-y)/m)
+    monkeypatch.setattr(tables, "lam_prime_summatory",
+                        lambda chi, z: orig(chi, z) + (1e-6 if z == x else 0.0))
+    [oracle] = [r for r in verify._check_psi({"psi_xs": (x,)}) if r.name == "psi-star-oracle"]
+    assert not oracle.ok and oracle.gating
 
 
 def test_count_report_rejects_broken_split():
@@ -418,9 +454,11 @@ def test_sieve_tables_peak_within_bytes_per_entry():
     assert peak <= N * tables._BYTES_PER_ENTRY
 
 
-def test_memory_budget_error_just_below_need():
+def test_memory_budget_error_just_below_need(monkeypatch):
     N = 10**4
     need = N * tables._BYTES_PER_ENTRY
+    monkeypatch.setattr(tables, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(MemoryBudgetError):
-        sieve_tables(N, CHI4, memory_budget=need - 1)
-    assert sieve_tables(N, CHI4, memory_budget=need).limit == N
+        sieve_tables(N, CHI4)
+    monkeypatch.setattr(tables, "DEFAULT_MEMORY_BUDGET", need)
+    assert sieve_tables(N, CHI4).limit == N
