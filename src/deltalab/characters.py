@@ -7,6 +7,13 @@ d > 0 and odd for d < 0.  d = 1 is admitted as the trivial character so
 that zeta factors can appear in residue patterns and triple products; it is
 rejected by the L-value routines (pole at s = 1).
 
+The Kronecker symbol comes in two forms.  The scalar `kronecker` takes any
+Python ints and is what chi(n) calls.  `kronecker_array` is the same symbol
+elementwise on int64 arrays, for any int64 a and 0 <= n < 2^63 (n < 0 is
+refused); it multiplies nothing, so that input bound is its only one.  It
+builds every period table and runs the verify-all character checks, and
+the tests pin it to the scalar form.
+
 Floating-point contract: Gauss sums use compensated summation with an
 absolute error budget of about D * 2^-50; L(1, chi) comes from the finite
 classical formulas (good to ~1e-12) and is cross-checkable against an
@@ -27,6 +34,7 @@ from scipy.special import zeta as _hurwitz_zeta
 
 __all__ = [
     "kronecker",
+    "kronecker_array",
     "RealCharacter",
     "make_character",
     "is_fundamental_discriminant",
@@ -82,6 +90,55 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a, n = n % a, a
     return result if n == 1 else 0
+
+
+#: Bits 1, 3, ..., 61: a power of two 2^v < 2^63 meets this mask iff v is odd.
+_ODD_POWERS_OF_TWO = sum(1 << b for b in range(1, 63, 2))
+
+
+def _two_flips(low: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """True where (2|r)^v = -1, for low = 2^v: v odd and r = 3, 5 mod 8."""
+    r8 = r & 7
+    return ((low & _ODD_POWERS_OF_TWO) != 0) & ((r8 == 3) | (r8 == 5))
+
+
+def kronecker_array(a, n) -> np.ndarray:
+    """Kronecker symbol (a|n) elementwise, a and n broadcast, as int64.
+
+    Domain: int64 a of any sign and 0 <= n < 2^63 (n = 0 gives 1 at
+    a = +-1, else 0, as `kronecker` does); any n < 0 raises ValueError.
+    The binary Jacobi loop (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 1.4.10) with each pass over the entries still
+    active only, so the number of passes grows like log n.  It forms no
+    products, so nothing overflows inside the int64 domain.
+    """
+    a, n = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(n, dtype=np.int64))
+    if np.any(n < 0):
+        raise ValueError("kronecker_array needs n >= 0; use kronecker for n < 0")
+    out = np.array((n == 0) & (np.abs(a) == 1), dtype=np.int64)
+    live = (n > 0) & (((a | n) & 1) == 1)  # n = 0 and both even are settled
+    a, n = a[live], n[live]
+    low = n & -n
+    n = n // low
+    sign = np.where(_two_flips(low, a), -1, 1)
+    a = a % n  # n is now odd and positive
+    pos = np.arange(len(a))
+    res = np.empty(len(a), dtype=np.int64)
+    while len(a):
+        done = a == 0
+        if done.any():
+            res[pos[done]] = np.where(n[done] == 1, sign[done], 0)
+            keep = ~done
+            a, n, sign, pos = a[keep], n[keep], sign[keep], pos[keep]
+            if not len(a):
+                break
+        low = a & -a
+        a = a // low
+        flip = _two_flips(low, n) ^ (((a & 3) == 3) & ((n & 3) == 3))
+        sign = np.where(flip, -sign, sign)
+        a, n = n % a, a
+    out[live] = res
+    return out
 
 
 def _square_prime(n: int):
@@ -178,7 +235,7 @@ class RealCharacter:
 @lru_cache(maxsize=256)
 def _period_array(disc: int) -> np.ndarray:
     q = abs(disc) if abs(disc) > 1 else 1
-    arr = np.array([kronecker(disc, n) for n in range(q)], dtype=np.int8)
+    arr = kronecker_array(disc, np.arange(q)).astype(np.int8)
     arr.setflags(write=False)
     return arr
 
@@ -206,19 +263,25 @@ def gauss_sum(m: int, chi: RealCharacter) -> complex:
     """G(m, chi) = sum_{k=1..D} chi(k) e(km/D), compensated summation.
 
     Absolute error budget about D * 2^-50.  For gcd(m, D) = 1 the modulus
-    is sqrt(D) and G(m, chi) = chi(m) G(1, chi).
+    is sqrt(D) and G(m, chi) = chi(m) G(1, chi).  One gather from the
+    cached roots of unity; fsum is correctly rounded, so the result does
+    not depend on the order of the terms.
     """
     q = chi.conductor
-    per = chi.period_array()
-    re, im = [], []
-    for k in range(1, q + 1):
-        c = int(per[k % q])
-        if c == 0:
-            continue
-        z = cmath.exp(2j * math.pi * ((k * m) % q) / q)
-        re.append(c * z.real)
-        im.append(c * z.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    k = np.arange(1, q + 1)
+    c = chi.period_array()[k % q]
+    live = c != 0
+    z = _unit_roots(q)[(k[live] * (m % q)) % q]
+    c = c[live]
+    return complex(math.fsum((c * z.real).tolist()), math.fsum((c * z.imag).tolist()))
+
+
+@lru_cache(maxsize=256)
+def _unit_roots(q: int) -> np.ndarray:
+    """e(r/q) for 0 <= r < q as complex128 (read-only, cached per q)."""
+    arr = np.array([cmath.exp(2j * math.pi * r / q) for r in range(q)])
+    arr.setflags(write=False)
+    return arr
 
 
 def l_one(chi: RealCharacter) -> float:
@@ -264,7 +327,8 @@ def l_one_series(chi: RealCharacter, periods: int = 64, k_max: int = 14) -> floa
     q = chi.conductor
     K = periods
     tab = chi.value_table(K * q)
-    partial = math.fsum(int(tab[n]) / n for n in range(1, K * q + 1) if tab[n])
+    n = np.flatnonzero(tab[1:]) + 1
+    partial = math.fsum((tab[n] / n).tolist())
     moments = _power_moments(chi, k_max - 1)
     tail = math.fsum(
         (-1) ** (k - 1) * (moments[k - 1] / q**k) * float(_hurwitz_zeta(k, K))
@@ -282,26 +346,35 @@ def l_one_derivative(chi: RealCharacter, periods: int = 64, j_max: int = 16) -> 
     """
     if chi.is_trivial:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
-    import mpmath as mp
-
     q = chi.conductor
     K = periods
     tab = chi.value_table(K * q)
-    partial = math.fsum(
-        int(tab[n]) * math.log(n) / n for n in range(2, K * q + 1) if tab[n]
-    )
+    n = np.flatnonzero(tab[2:]) + 2
+    logs = np.fromiter(map(math.log, n.tolist()), dtype=np.float64, count=len(n))
+    partial = math.fsum((tab[n] * logs / n).tolist())
     moments = _power_moments(chi, j_max)
     logq = math.log(q)
     tail_terms = []
     harmonic = 0.0
     for j in range(1, j_max + 1):
         harmonic += 1.0 / j
-        z = float(_hurwitz_zeta(j + 1, K))
-        zp = float(mp.zeta(j + 1, K, 1))  # d/ds Hurwitz zeta
+        z, zp = _hurwitz_zeta_pair(j + 1, K)
         tail_terms.append(
             (-1) ** j * (moments[j] / q ** (j + 1)) * ((logq - harmonic) * z - zp)
         )
     return -(partial + math.fsum(tail_terms))
+
+
+@lru_cache(maxsize=1024)
+def _hurwitz_zeta_pair(s: int, K: int) -> Tuple[float, float]:
+    """(zeta(s, K), d/ds zeta(s, K)), the character-free part of the L'(1)
+    tail, computed once per process.  The derivative is mpmath's at 53-bit
+    working precision whatever the caller's mpmath context, so the cached
+    value does not depend on who asked first."""
+    import mpmath as mp
+
+    with mp.workprec(53):
+        return float(_hurwitz_zeta(s, K)), float(mp.zeta(s, K, 1))
 
 
 @dataclass(frozen=True)

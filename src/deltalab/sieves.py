@@ -41,17 +41,24 @@ def smallest_prime_factor(n: int) -> np.ndarray:
 
 
 def mobius_array(n: int) -> np.ndarray:
-    """mu[k] for k <= n by one strided pass per prime <= n."""
-    mu = np.ones(n + 1, dtype=np.int64)
+    """mu[k] for k <= n by strided passes over the primes p <= isqrt(n) only.
+
+    Each pass flips the sign on the multiples of p, zeroes those of p^2 and
+    divides rest[k] = k by p, so rest[k] ends as k over its distinct primes
+    <= isqrt(n).  A squarefree k then has exactly one prime factor above
+    isqrt(n) (two would exceed n) where rest[k] > 1, and one last sign flip
+    there finishes mu.
+    """
+    mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
-    mask = prime_mask(n)
-    for p in np.flatnonzero(mask):
-        p = int(p)
+    rest = np.arange(n + 1)
+    for p in primes_up_to(math.isqrt(n)).tolist():
         mu[p::p] *= -1
-        sq = p * p
-        if sq <= n:
-            mu[sq::sq] = 0
-    return mu
+        mu[p * p :: p * p] = 0
+        rest[p::p] //= p
+    mu[rest > 1] *= -1
+    del rest  # freed before the int64 copy: at most 10 bytes per k alive at once
+    return mu.astype(np.int64)
 
 
 def convolve(f: np.ndarray, g: np.ndarray, n: int, fmax: Optional[int] = None) -> np.ndarray:

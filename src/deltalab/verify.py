@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from . import characters as ch
 from . import delta as dl
 from . import exponents as ex
@@ -149,12 +151,14 @@ def _check_comparisons() -> List[CheckResult]:
 
 
 def _check_characters(limits: dict, rng: random.Random) -> List[CheckResult]:
-    discs = ch.fundamental_discriminants(200)
+    lbound = limits["lone_disc_bound"]
+    chis = {d: ch.make_character(d) for d in ch.fundamental_discriminants(max(200, lbound))}
+    discs = [d for d in chis if abs(d) <= 200]
     m_cap = limits["gauss_m_cap"]
     worst_mag = 0.0
     worst_twist = 0.0
     for d in discs:
-        chi = ch.make_character(d)
+        chi = chis[d]
         q = chi.conductor
         g1 = ch.gauss_sum(1, chi)
         ms = [m for m in range(1, q + 1) if math.gcd(m, q) == 1]
@@ -170,16 +174,15 @@ def _check_characters(limits: dict, rng: random.Random) -> List[CheckResult]:
         f"|D|<=200: max ||G|-sqrt D| = {_fmt(worst_mag)}, max twist dev = {_fmt(worst_twist)}",
     )
 
-    bad_orth = [d for d in discs if sum(ch.make_character(d)(a) for a in range(1, abs(d) + 1)) != 0]
+    bad_orth = [d for d in discs if ch.kronecker_array(d, np.arange(1, abs(d) + 1)).sum() != 0]
     pairs = limits["mult_pairs"]
     bad_mult = 0
     for d in discs:
-        chi = ch.make_character(d)
-        for _ in range(pairs):
-            m = rng.randrange(1, 10**6)
-            n = rng.randrange(1, 10**6)
-            if chi(m * n) != chi(m) * chi(n):
-                bad_mult += 1
+        # drawn m, n, m, n, ... as the checks after this one expect of rng
+        mn = np.array([rng.randrange(1, 10**6) for _ in range(2 * pairs)], dtype=np.int64)
+        m, n = mn[0::2], mn[1::2]
+        prod = ch.kronecker_array(d, m) * ch.kronecker_array(d, n)
+        bad_mult += int(np.count_nonzero(ch.kronecker_array(d, m * n) != prod))
     r2 = CheckResult(
         "character-orthogonality-multiplicativity",
         not bad_orth and bad_mult == 0, True,
@@ -187,12 +190,8 @@ def _check_characters(limits: dict, rng: random.Random) -> List[CheckResult]:
         f"{pairs} random multiplicativity pairs per discriminant, {bad_mult} failures",
     )
 
-    lbound = limits["lone_disc_bound"]
-    lvals = [ch.l_one(ch.make_character(d)) for d in ch.fundamental_discriminants(lbound)]
-    series_dev = max(
-        abs(ch.l_one(ch.make_character(d)) - ch.l_one_series(ch.make_character(d)))
-        for d in ch.fundamental_discriminants(200)
-    )
+    lvals = [ch.l_one(chi) for d, chi in chis.items() if abs(d) <= lbound]
+    series_dev = max(abs(ch.l_one(chis[d]) - ch.l_one_series(chis[d])) for d in discs)
     r3 = CheckResult(
         "l-values", min(lvals) > 0 and series_dev < 1e-9, True,
         f"L(1,chi) > 0 for |D| <= {lbound} (min {_fmt(min(lvals))}); "
@@ -280,10 +279,17 @@ def _check_exp_sum() -> CheckResult:
     )
 
 
-def _check_residuals(limits: dict) -> CheckResult:
-    chi = ch.make_character(-4)
+def _minus4_table(n: int, table: Optional[tb.FunctionTable]) -> tb.FunctionTable:
+    """sieve_tables(n, chi_-4): `table`, a prebuilt chi_-4 table, when its
+    limit is n, else a new build."""
+    if table is not None and table.limit == n:
+        return table
+    return tb.sieve_tables(n, ch.make_character(-4))
+
+
+def _check_residuals(limits: dict, table: Optional[tb.FunctionTable] = None) -> CheckResult:
     xs = limits["residual_xs"]
-    t = tb.sieve_tables(max(xs), chi)
+    t = _minus4_table(max(xs), table)
     worst = 0.0
     rows = []
     for f in ("lambda", "lambda_prime", "rho"):
@@ -299,7 +305,7 @@ def _check_residuals(limits: dict) -> CheckResult:
     )
 
 
-def _check_psi(limits: dict) -> List[CheckResult]:
+def _check_psi(limits: dict, table: Optional[tb.FunctionTable] = None) -> List[CheckResult]:
     chi = ch.make_character(-4)
     out = []
     rep = tb.psi_counts(100, chi, 100, 10)
@@ -313,7 +319,7 @@ def _check_psi(limits: dict) -> List[CheckResult]:
     for x in limits["psi_xs"]:
         y = x // 10
         r = tb.psi_counts(x, chi, x, y)
-        window = math.fsum(tb.sieve_tables(x, chi).Lam_star[x - y + 1 :].tolist())
+        window = math.fsum(_minus4_table(x, table).Lam_star[x - y + 1 :].tolist())
         dev = abs(r.psi_star - window)
         oracle_ok = oracle_ok and dev <= _PSI_STAR_RTOL * abs(window) + _PSI_STAR_ATOL
         details.append(f"x={x}: psi*={_fmt(r.psi_star)}, dev {_fmt(dev)}")
@@ -366,8 +372,11 @@ def run_suite(quick: bool = True, seed: int = 0, overrides: Optional[dict] = Non
     results.append(_check_tables(limits))
     results.extend(_check_delta(limits, rng))
     results.append(_check_exp_sum())
-    results.append(_check_residuals(limits))
-    results.extend(_check_psi(limits))
+    # lemma41-consistency and psi-star-oracle share sieve_tables(N, chi_-4)
+    # at N = max residual x, built after the delta oracles have been freed.
+    table = tb.sieve_tables(max(limits["residual_xs"]), ch.make_character(-4))
+    results.append(_check_residuals(limits, table))
+    results.extend(_check_psi(limits, table))
     results.append(_check_feasibility(rng))
     return results
 

@@ -2,15 +2,20 @@
 oracle, sympy cross-checks, classical L-value identities, and residue
 patterns against their Laurent-expansion formulas."""
 
+import cmath
 import math
 import random
+import re
+from collections import Counter
 from math import gcd
 
 import mpmath as mp
 import numpy as np
 import pytest
 import sympy
+from scipy.special import zeta as hurwitz_zeta
 
+from deltalab import characters, verify
 from deltalab.characters import (
     EULER_GAMMA,
     STIELTJES_GAMMA1,
@@ -20,6 +25,7 @@ from deltalab.characters import (
     gauss_sum,
     is_fundamental_discriminant,
     kronecker,
+    kronecker_array,
     l_one,
     l_one_derivative,
     l_one_series,
@@ -29,9 +35,10 @@ from deltalab.characters import (
 )
 
 
-def kronecker_oracle(a: int, n: int) -> int:
+def kronecker_oracle(a: int, n: int, factors=None) -> int:
     """Independent route: factor n and multiply Legendre symbols with the
-    standard supplements for 2 and the sign."""
+    standard supplements for 2 and the sign.  `factors` is |n|'s
+    factorization when the caller already has it (default sympy's)."""
     if n == 0:
         return 1 if a in (1, -1) else 0
     out = 1
@@ -39,7 +46,7 @@ def kronecker_oracle(a: int, n: int) -> int:
         n = -n
         if a < 0:
             out = -out
-    for p, e in sympy.factorint(n).items():
+    for p, e in (sympy.factorint(n) if factors is None else factors).items():
         if p == 2:
             if a % 2 == 0:
                 return 0
@@ -93,6 +100,67 @@ def test_kronecker_bottom_multiplicativity():
         m = rng.randrange(1, 300)
         n = rng.randrange(1, 300)
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+def test_kronecker_array_on_a_full_grid():
+    a = np.arange(-60, 61)
+    n = np.arange(0, 401)
+    got = kronecker_array(a[:, None], n[None, :])
+    assert got.dtype == np.int64 and got.shape == (121, 401)
+    for i, ai in enumerate(a.tolist()):
+        for j, nj in enumerate(n.tolist()):
+            assert got[i, j] == kronecker(ai, nj) == kronecker_oracle(ai, nj), (ai, nj)
+
+
+def test_kronecker_array_on_random_products_below_1e12():
+    rng = random.Random(5)
+    discs = fundamental_discriminants(500)
+    d = np.array([rng.choice(discs) for _ in range(20_000)], dtype=np.int64)
+    m = np.array([rng.randrange(1, 10**6) for _ in range(20_000)], dtype=np.int64)
+    k = np.array([rng.randrange(1, 10**6) for _ in range(20_000)], dtype=np.int64)
+    got = kronecker_array(d, m * k).tolist()
+    for di, mi, ki, g in zip(d.tolist(), m.tolist(), k.tolist(), got):
+        # n = m k is factored through its two factors, each below 1e6
+        factors = Counter(sympy.factorint(mi)) + Counter(sympy.factorint(ki))
+        assert g == kronecker(di, mi * ki) == kronecker_oracle(di, mi * ki, factors), (di, mi, ki)
+
+
+def test_kronecker_array_scalar_shape_and_negative_bottom():
+    assert kronecker_array(5, 2).shape == ()
+    assert int(kronecker_array(5, 2)) == -1
+    assert kronecker_array(-1, np.arange(4)).tolist() == [1, 1, 1, -1]
+    big = 2**63 - 1  # the top of the domain: nothing overflows
+    assert int(kronecker_array(-(2**63), big)) == kronecker(-(2**63), big)
+    for n in (-1, np.array([3, -5, 7])):
+        with pytest.raises(ValueError, match="n >= 0"):
+            kronecker_array(3, n)
+
+
+@pytest.fixture
+def fresh_period_tables():
+    """Period tables are cached from kronecker_array; keep a patched one
+    from leaking into later tests."""
+    caches = (characters._period_array, characters._period_prefix)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+def test_multiplicativity_check_catches_one_flipped_class(monkeypatch, fresh_period_tables):
+    orig = characters.kronecker_array
+
+    def flipped(a, n):
+        out = orig(a, n)
+        return np.where(np.asarray(n) % 7 == 3, -out, out)
+
+    monkeypatch.setattr(characters, "kronecker_array", flipped)
+    limits = dict(verify.QUICK_LIMITS, mult_pairs=200)
+    [r2] = [r for r in verify._check_characters(limits, random.Random(0))
+            if r.name == "character-orthogonality-multiplicativity"]
+    assert not r2.ok and r2.gating
+    assert int(re.search(r"(\d+) failures", r2.detail).group(1)) > 0
 
 
 KNOWN_FUNDAMENTAL = {
@@ -215,6 +283,72 @@ def test_gauss_magnitude_and_twist_sample():
             g = gauss_sum(m, chi)
             assert abs(abs(g) - math.sqrt(q)) < 1e-9
             assert abs(g - chi(m) * g1) < 1e-9
+
+
+def _gauss_sum_loop(m, chi):
+    """The per-k loop gauss_sum replaced, kept as its bit-for-bit pin."""
+    q = chi.conductor
+    per = chi.period_array()
+    re_, im = [], []
+    for k in range(1, q + 1):
+        c = int(per[k % q])
+        if c == 0:
+            continue
+        z = cmath.exp(2j * math.pi * ((k * m) % q) / q)
+        re_.append(c * z.real)
+        im.append(c * z.imag)
+    return complex(math.fsum(re_), math.fsum(im))
+
+
+def _moments(chi, j_max):
+    q = chi.conductor
+    per = chi.period_array()
+    return [sum(int(per[a]) * a**j for a in range(1, q)) for j in range(j_max + 1)]
+
+
+def _l_one_series_loop(chi, K=64, k_max=14):
+    q = chi.conductor
+    tab = chi.value_table(K * q)
+    partial = math.fsum(int(tab[n]) / n for n in range(1, K * q + 1) if tab[n])
+    moments = _moments(chi, k_max - 1)
+    tail = math.fsum(
+        (-1) ** (k - 1) * (moments[k - 1] / q**k) * float(hurwitz_zeta(k, K))
+        for k in range(2, k_max + 1)
+    )
+    return partial + tail
+
+
+def _l_one_derivative_loop(chi, K=64, j_max=16):
+    q = chi.conductor
+    tab = chi.value_table(K * q)
+    partial = math.fsum(int(tab[n]) * math.log(n) / n for n in range(2, K * q + 1) if tab[n])
+    moments = _moments(chi, j_max)
+    logq = math.log(q)
+    tail_terms = []
+    harmonic = 0.0
+    for j in range(1, j_max + 1):
+        harmonic += 1.0 / j
+        z = float(hurwitz_zeta(j + 1, K))
+        zp = float(mp.zeta(j + 1, K, 1))
+        tail_terms.append(
+            (-1) ** j * (moments[j] / q ** (j + 1)) * ((logq - harmonic) * z - zp)
+        )
+    return -(partial + math.fsum(tail_terms))
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def test_array_passes_bit_identical_to_the_loops():
+    for d in fundamental_discriminants(200):
+        chi = make_character(d)
+        q = chi.conductor
+        for m in (0, 1, 2, -5, q - 1, q, 3 * q + 2, 10**6 + 3):
+            assert _bits(gauss_sum(m, chi)) == _bits(_gauss_sum_loop(m, chi)), (d, m)
+        assert _bits(l_one_series(chi)) == _bits(_l_one_series_loop(chi)), d
+        assert _bits(l_one_derivative(chi)) == _bits(_l_one_derivative_loop(chi)), d
 
 
 def test_l_one_pi_over_four_via_leibniz_oracle():

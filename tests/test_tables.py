@@ -9,12 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltalab import tables, verify
 from deltalab.characters import l_one, l_one_derivative, make_character
-from deltalab.sieves import convolve, tau_array, von_mangoldt_window
+from deltalab.sieves import convolve, mobius_array, prime_mask, tau_array, von_mangoldt_window
 from deltalab.tables import (
     CountReport,
     IdentityCheckError,
@@ -192,6 +193,22 @@ def test_tau_array_by_divisor_enumeration():
     tau = tau_array(500)
     assert tau[0] == 0
     assert tau[1:].tolist() == [len(divisors(n)) for n in range(1, 501)]
+
+
+def test_mobius_array_matches_sympy():
+    for n in (0, 1, 2, 3, 4, 8, 9, 3000):
+        assert mobius_array(n).tolist() == [0] + [int(sympy.mobius(k)) for k in range(1, n + 1)]
+
+
+def test_mobius_array_matches_the_per_prime_loop():
+    n = 10**5
+    loop = np.ones(n + 1, dtype=np.int64)
+    loop[0] = 0
+    for p in np.flatnonzero(prime_mask(n)).tolist():
+        loop[p::p] *= -1
+        loop[p * p :: p * p] = 0
+    got = mobius_array(n)
+    assert got.dtype == np.int64 and np.array_equal(got, loop)
 
 
 def test_identity_checker_all_test_discriminants():
@@ -375,6 +392,14 @@ def test_psi_star_oracle_catches_summatory_off_by_1e_6(monkeypatch):
                         lambda chi, z: orig(chi, z) + (1e-6 if z == x else 0.0))
     [oracle] = [r for r in verify._check_psi({"psi_xs": (x,)}) if r.name == "psi-star-oracle"]
     assert not oracle.ok and oracle.gating
+
+
+def test_residual_and_psi_checks_share_one_table(monkeypatch):
+    limits = {"residual_xs": (10**3, 10**4), "psi_xs": (10**4,)}
+    alone = [verify._check_residuals(limits), *verify._check_psi(limits)]
+    table = sieve_tables(10**4, CHI4)
+    monkeypatch.setattr(tables, "sieve_tables", lambda *a, **k: pytest.fail("table rebuilt"))
+    assert [verify._check_residuals(limits, table), *verify._check_psi(limits, table)] == alone
 
 
 def test_count_report_rejects_broken_split():
