@@ -211,6 +211,18 @@ def test_mobius_array_matches_the_per_prime_loop():
     assert got.dtype == np.int64 and np.array_equal(got, loop)
 
 
+def test_lam_fill_matches_the_per_prime_loop():
+    for N in (1, 2, 4, 97, 10**5):
+        loop = np.zeros(N + 1, dtype=np.float64)
+        for p in np.flatnonzero(prime_mask(N)).tolist():
+            lp = math.log(p)
+            pk = p
+            while pk <= N:
+                loop[pk] = lp
+                pk *= p
+        assert sieve_tables(N, CHI13).Lam.tobytes() == loop.tobytes(), N
+
+
 def test_identity_checker_all_test_discriminants():
     for d in (-4, 5, -8, 12, 13):
         t = sieve_tables(10**4, make_character(d))
@@ -314,6 +326,37 @@ def test_lam_prime_summatory_pinned_across_tiles():
         for d in (-4, 13):
             chi = make_character(d)
             assert lam_prime_summatory(chi, z) == _blocked_lam_prime_summatory(chi, z)
+
+
+def test_log_factorial_table():
+    table = tables._log_factorials()
+    size = tables._LOG_FACTORIAL_TABLE
+    assert table.shape == (size,) and not table.flags.writeable
+    for q in (0, 1, size - 1):
+        assert table[q] == math.lgamma(q + 1), q
+
+
+def test_lam_prime_summatory_pinned_at_the_log_factorial_table_edge():
+    edge = tables._LOG_FACTORIAL_TABLE
+    X = 10**8 + 7
+    # k = 1 is a live block end with quotient z, so the first three z put
+    # the quotients edge - 1, edge and edge + 1 through the gather and the
+    # math.lgamma fallback; 2^32 + 5 has quotients on both sides of the edge.
+    zs = [edge - 1, edge, edge + 1, 2**32 + 5] + [X // m for m in range(1, 50)]
+    for d in (1, -4, 13, -163):
+        chi = make_character(d)
+        for z in zs:
+            assert lam_prime_summatory(chi, z) == _blocked_lam_prime_summatory(chi, z), (d, z)
+
+
+@pytest.mark.parametrize("d, x, y, psi_star_hex", [
+    (-4, 10**8, (10**8) ** 0.55, "0x1.14c0a5c205000p+15"),
+    (-163, 10**7, (10**7) ** 0.6, "0x1.e58a53f2af17cp+13"),
+    (-47, 1000, 100, "0x1.8dcc7c8ce45fcp+6"),  # C > x, repeated quotients
+], ids=["D=-4", "D=-163", "D=-47"])
+def test_psi_star_pinned_bits(d, x, y, psi_star_hex):
+    # psi* of the scalar math.lgamma summatory, bit for bit
+    assert psi_counts(x, make_character(d), x, y).psi_star.hex() == psi_star_hex
 
 
 def test_nu_value_matches_table(table4):
