@@ -7,7 +7,7 @@ fitted growth exponent are reported (report-only by design: constants and
 the x^eps factor make pass/fail assertions meaningless at desk scale)."""
 
 from deltalab import bound_check, make_character, triple_delta
-from deltalab.delta import exponent_fit, naive_triple_raw
+from deltalab.delta import exponent_fit, naive_triple_raw, triple_deltas
 
 triv = make_character(1)
 chi4 = make_character(-4)
@@ -25,8 +25,8 @@ for trip in ((triv, triv, triv), (triv, triv, chi4), (chi4, chi5, chi5)):
     print(f"   {str(discs):>12}: raw = {s.raw_sum:>8} oracle = {oracle:>8} equal = {s.raw_sum == oracle}")
 
 print("\nSweep (1, 1, -4): two zeta factors against one character")
-samples = [triple_delta(triv, triv, chi4, x) for x in
-           (10**3, 3 * 10**3, 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6)]
+samples = triple_deltas(triv, triv, chi4,
+                        (10**3, 3 * 10**3, 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6))
 print(f"{'x':>9} {'raw':>10} {'residue':>14} {'delta':>10} {'bound':>10} {'ratio':>8}")
 for s in samples:
     print(f"{s.x:>9.3g} {s.raw_sum:>10} {s.residue:>14.2f} {s.delta:>10.2f} "

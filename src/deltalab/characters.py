@@ -226,7 +226,10 @@ class RealCharacter:
         over each full period."""
         if self.is_trivial:
             return t
-        return _period_prefix(self.discriminant)[t % self.conductor]
+        q = self.conductor
+        # t - t // q * q is t % q; numpy divides an int64 array by a scalar
+        # through a fast path that its remainder lacks
+        return _period_prefix(self.discriminant)[t - t // q * q]
 
     def __str__(self) -> str:
         return f"chi_{self.discriminant} (conductor {self.conductor}, {self.parity})"

@@ -40,6 +40,7 @@ from .delta import (
     exp_sum_max_sign,
     exponent_fit,
     triple_delta,
+    triple_deltas,
 )
 from .exponents import as_fraction, bound_eval, derive_tuple
 from .feasibility import check as feas_check
@@ -409,7 +410,7 @@ def _cmd_delta(args, config):
 def _cmd_delta_sweep(args, config):
     c1, c2, c3 = (make_character(d) for d in (args.d1, args.d2, args.d3))
     xs = _parse_grid(args.x_grid)
-    samples = [triple_delta(c1, c2, c3, x, cap=args.cap) for x in xs]
+    samples = triple_deltas(c1, c2, c3, xs, cap=args.cap)
 
     path = _out_path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)

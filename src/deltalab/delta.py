@@ -6,15 +6,18 @@ The raw triple sum
     sum_{n1 n2 n3 <= x} chi1(n1) chi2(n2) chi3(n3)
 
 is computed in exact integer arithmetic (character values lie in -1,0,1):
-the production path is the three-variable Dirichlet hyperbola with
-y = icbrt(x): about 7 x^(2/3) quotient entries, in int64 numpy passes over
-tiles of fixed size (about 100 tiles at x = 1e8, 470 at 1e9).  Its
-character sums S(v) = sum_{k<=v} chi(k) and values chi(n) come from
-RealCharacter.partial_sum and RealCharacter.values, one array call per
-tile.  Its oracle is the coefficient convolution chi1 * chi2 * chi3 summed
-to every x <= N (naive_triple_raw_prefix), which shares no code with it.
-Only the residue of the L-product is floating point, so delta = raw -
-residue carries a single rounding.
+the production path is triple_raw_sums, the three-variable Dirichlet
+hyperbola with y = icbrt(x) run for many x at once: about 7 x^(2/3)
+quotient entries per x, with the rows of all x stacked into int64 numpy
+passes over tiles of fixed size (about 100 tiles at x = 1e8, 470 at 1e9),
+exact for x < 5e15 and within the tile size for x < 4.4e12.
+triple_raw_sum is its one-element case, and triple_deltas / triple_delta
+sit on top of it.  Its character sums S(v) = sum_{k<=v} chi(k) and values
+chi(n) come from RealCharacter.partial_sum and RealCharacter.values, one
+array call per tile.  Its oracle is the coefficient convolution
+chi1 * chi2 * chi3 summed to every x <= N (naive_triple_raw_prefix), which
+shares no code with it.  Only the residue of the L-product is floating
+point, so delta = raw - residue carries a single rounding.
 
 Empirical comparisons against the symbolic bounds are report-only: the
 suite asserts oracle equality and hard invariants, never that an asymptotic
@@ -24,7 +27,6 @@ meaningless at desk scale).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -42,7 +44,9 @@ __all__ = [
     "FitResult",
     "BoundCheckReport",
     "triple_delta",
+    "triple_deltas",
     "triple_raw_sum",
+    "triple_raw_sums",
     "naive_triple_raw",
     "naive_triple_raw_prefix",
     "hyperbola_raw_prefix",
@@ -67,13 +71,11 @@ _BLOCK_ELEMENTS = 1 << 14
 _ORACLE_BYTES_PER_ENTRY = 34
 
 
-def _icbrt(n: int) -> int:
-    """Largest y with y**3 <= n, for n >= 0."""
-    y = int(round(n ** (1.0 / 3.0)))
-    while y**3 > n:
-        y -= 1
-    while (y + 1) ** 3 <= n:
-        y += 1
+def _icbrt(n: np.ndarray) -> np.ndarray:
+    """floor(n^(1/3)) for every entry of the int64 array n >= 0."""
+    y = np.cbrt(n.astype(np.float64)).astype(np.int64)
+    y -= y**3 > n
+    y += (y + 1) ** 3 <= n
     return y
 
 
@@ -85,6 +87,15 @@ def _isqrt(t: np.ndarray) -> np.ndarray:
     return s
 
 
+def _floor_div(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """t // d for float64 arrays holding integers t >= 0 and d >= 1
+    (broadcast), as int64, by one float division.  Exact while t + d < 2^53:
+    a non-integral t/d lies at least 1/d below the next integer k + 1, and
+    rounding moves it by at most (k + 1) 2^-53 < 1/d.  int64 division has
+    no SIMD path and costs about twice as much."""
+    return (t / d).astype(np.int64)
+
+
 def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarray:
     """P(t) = sum_{ab <= t} chi1(a) chi2(b) for every entry of the
     non-increasing int64 array t >= 0, by the two-factor hyperbola with
@@ -93,18 +104,24 @@ def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarra
         P(t) = sum_{a <= s} [chi1(a) S2(t // a) + chi2(a) S1(t // a)] - S1(s) S2(s).
 
     Vectorized over a in (rows x a) tiles of at most _BLOCK_ELEMENTS
-    entries; a tile's rows are as wide as its first, the widest."""
+    entries; a tile's rows are as wide as its first, the widest, and only
+    the columns past its last, the narrowest, need the mask a <= s."""
     s = _isqrt(t)
+    tf = t.astype(np.float64)
     out = -(c1.partial_sum(s) * c2.partial_sum(s))
     lo = 0
     while lo < len(t):
         width = int(s[lo])
-        hi = lo + max(1, _BLOCK_ELEMENTS // max(width, 1))
-        tt, ss = t[lo:hi, None], s[lo:hi, None]
+        hi = min(lo + max(1, _BLOCK_ELEMENTS // max(width, 1)), len(t))
+        narrow = int(s[hi - 1])
         for a0 in range(1, width + 1, _BLOCK_ELEMENTS):
             a = np.arange(a0, min(a0 + _BLOCK_ELEMENTS, width + 1), dtype=np.int64)
-            q = (tt // a) * (a <= ss)  # S(0) = 0 drops the entries with a > s
-            out[lo:hi] += c2.partial_sum(q) @ c1.values(a) + c1.partial_sum(q) @ c2.values(a)
+            q = _floor_div(tf[lo:hi, None], a.astype(np.float64))
+            m = max(narrow + 1 - a0, 0)
+            q[:, m:] *= a[m:] <= s[lo:hi, None]  # S(0) = 0 drops the entries with a > s
+            s1 = c1.partial_sum(q)
+            s2 = s1 if c2 == c1 else c2.partial_sum(q)
+            out[lo:hi] += s2 @ c1.values(a) + s1 @ c2.values(a)
         lo = hi
     return out
 
@@ -114,44 +131,94 @@ def pair_summatory(c1: RealCharacter, c2: RealCharacter, t: int) -> int:
     return int(_pair_sums(c1, c2, np.array([max(int(t), 0)], dtype=np.int64))[0])
 
 
-def triple_raw_sum(c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, x: float) -> int:
-    """Exact raw triple sum by the three-variable hyperbola (Dirichlet's
-    method; Tenenbaum, Introduction to Analytic and Probabilistic Number
-    Theory, I.3.2).  With y = icbrt(x) every triple n1 n2 n3 <= x has some
-    n_i <= y, so inclusion-exclusion over the events A_i = {n_i <= y} gives
+def triple_raw_sums(
+    c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, xs: Sequence[float]
+) -> np.ndarray:
+    """Exact raw triple sums at every x of xs (any order, repeats allowed;
+    0 for x < 1), as an int64 array, by the three-variable hyperbola
+    (Dirichlet's method; Tenenbaum, Introduction to Analytic and
+    Probabilistic Number Theory, I.3.2).  With N = floor(x) and
+    y = icbrt(N) every triple n1 n2 n3 <= N has some n_i <= y, so
+    inclusion-exclusion over the events A_i = {n_i <= y} gives
 
-        sum_i sum_{n<=y} chi_i(n) P_jk(x // n)
-      - sum_{i<j} sum_{a,b<=y} chi_i(a) chi_j(b) S_k(x // ab)
+        sum_i sum_{n<=y} chi_i(n) P_jk(N // n)
+      - sum_{i<j} sum_{a,b<=y} chi_i(a) chi_j(b) S_k(N // ab)
       + S_1(y) S_2(y) S_3(y),
 
-    where the last term needs no product condition because y^3 <= x.  Each
-    of the three pair sums touches about 2 x^(2/3) entries and the middle
-    term y^2, in numpy passes over tiles of at most _BLOCK_ELEMENTS
-    entries (the middle term's tiles hold whole rows of y entries, so the
-    cap holds while y <= _BLOCK_ELEMENTS, i.e. x < 4.4e12).
+    where the last term needs no product condition because y^3 <= N.
+
+    The N are taken in decreasing order and in groups whose y sum to at
+    most _BLOCK_ELEMENTS, so one group's rows (N, n <= y) fit in one tile.
+    Each pair-sum term stacks the group's rows into one t = N // n array
+    and hands its distinct values, non-increasing, to one _pair_sums call
+    (nearby N share most of them); a term whose character repeats an
+    earlier one equals that term and is counted, not recomputed.  The
+    middle term stacks its (N, a) rows, each y wide and masked to b <= y,
+    in tiles of whole rows.  Row results are reduced per N with
+    np.add.reduceat over each N's contiguous run.  Each of the three pair
+    sums touches about 2 x^(2/3) entries per x and the middle term y^2, and
+    every temporary holds at most _BLOCK_ELEMENTS entries while
+    y <= _BLOCK_ELEMENTS, i.e. x < 4.4e12.
 
     Exact int64: every partial sum, and every product of character sums,
     is at most the number of lattice points (n1, n2, n3) under the
     hyperbola n1 n2 n3 <= x, below x (log x)^2, which is under 2^63 for
     x < 5e15.
     """
-    N = math.floor(x)
-    if N < 1:
-        return 0
-    chis = (c1, c2, c3)
+    Ns = np.array([math.floor(x) for x in xs], dtype=np.int64)
+    out = np.zeros(len(Ns), dtype=np.int64)
+    order = np.flatnonzero(Ns >= 1)
+    order = order[np.argsort(-Ns[order], kind="stable")]
+    N = Ns[order]  # non-increasing, so y is too
     y = _icbrt(N)
-    n = np.arange(1, y + 1, dtype=np.int64)
+    ends = np.cumsum(y)
+    lo = 0
+    while lo < len(N):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - y[lo] + _BLOCK_ELEMENTS, "right")))
+        out[order[lo:hi]] = _hyperbola((c1, c2, c3), N[lo:hi], y[lo:hi])
+        lo = hi
+    return out
+
+
+def _hyperbola(chis, N: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The three-variable hyperbola of triple_raw_sums for a group of
+    decreasing N >= 1 with y = icbrt(N): one row per (N, n <= y)."""
+    starts = np.cumsum(y) - y
+    owner = np.repeat(np.arange(len(N)), y)
+    n = np.arange(1, len(owner) + 1, dtype=np.int64) - starts[owner]
     vals = [c.values(n) for c in chis]
-    total = int(c1.partial_sum(y)) * int(c2.partial_sum(y)) * int(c3.partial_sum(y))
+    M = N[owner] // n  # N // n; N // ab = M // b
+    Mf, nf, yrow = M.astype(np.float64), n.astype(np.float64), y[owner]
+    total = chis[0].partial_sum(y) * chis[1].partial_sum(y) * chis[2].partial_sum(y)
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        if chis[i] in chis[:i]:
+            continue  # P_jk is symmetric, so chi_i = chi_j gives term i = term j
         live = vals[i] != 0
-        total += int(vals[i][live] @ _pair_sums(chis[j], chis[k], N // n[live]))
-    rows = max(1, _BLOCK_ELEMENTS // y)
-    for lo in range(0, y, rows):
-        q = N // (n[lo : lo + rows, None] * n)
+        t, back = np.unique(M[live], return_inverse=True)  # nearby N share most t
+        p = _pair_sums(chis[j], chis[k], t[::-1])[::-1][back]
+        # chi_i(1) = 1 keeps every N's first row, so its run starts there
+        runs = np.cumsum(live)[starts] - 1
+        total += chis.count(chis[i]) * np.add.reduceat(vals[i][live] * p, runs)
+    rowsum = np.zeros(len(n), dtype=np.int64)
+    lo = 0
+    while lo < len(n):
+        width = int(yrow[lo])  # rows 0..width-1 hold n = 1..width
+        hi = min(lo + max(1, _BLOCK_ELEMENTS // width), len(n))
+        q = _floor_div(Mf[lo:hi, None], nf[:width])
+        narrow = int(yrow[hi - 1])
+        q[:, narrow:] *= n[narrow:width] <= yrow[lo:hi, None]  # S(0) = 0 drops b > y
+        sums = {c: c.partial_sum(q) for c in dict.fromkeys(chis)}  # once per character
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            total -= int(vals[i][lo : lo + rows] @ chis[k].partial_sum(q) @ vals[j])
-    return total
+            rowsum[lo:hi] += vals[i][lo:hi] * (sums[chis[k]] @ vals[j][:width])
+        lo = hi
+    return total - np.add.reduceat(rowsum, starts)
+
+
+def triple_raw_sum(c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, x: float) -> int:
+    """Exact raw triple sum at one x: the one-element case of
+    triple_raw_sums, exact in int64 for x < 5e15, with tiles of at most
+    _BLOCK_ELEMENTS entries for x < 4.4e12."""
+    return int(triple_raw_sums(c1, c2, c3, [x])[0])
 
 
 def naive_triple_raw_prefix(
@@ -249,6 +316,47 @@ class DeltaSample:
             )
 
 
+def triple_deltas(
+    chi1: RealCharacter,
+    chi2: RealCharacter,
+    chi3: RealCharacter,
+    xs: Sequence[float],
+    cap: int = DEFAULT_RAW_CAP,
+) -> List[DeltaSample]:
+    """Raw sum, residue main term, and their exact difference at every x of
+    xs, with the raw sums from one triple_raw_sums call.
+
+    x below 1 is rejected; x above the brute-force cap raises with a hint
+    to pass a larger cap explicitly.
+    """
+    for x in xs:
+        if x < 1:
+            raise ValueError(f"x must be >= 1, got {x}")
+        if x > cap:
+            raise ValueError(
+                f"x = {x} exceeds the brute-force cap {cap}; pass cap=... "
+                "(CLI: --cap) to override"
+            )
+    raws = triple_raw_sums(chi1, chi2, chi3, xs).tolist()
+    pattern = ResiduePattern.from_characters([chi1, chi2, chi3])
+    D = chi1.conductor * chi2.conductor * chi3.conductor
+    Dmax = max(chi1.conductor, chi2.conductor, chi3.conductor)
+    out = []
+    for x, raw in zip(xs, raws):
+        residue = residue_main_term(pattern, x)
+        out.append(DeltaSample(
+            x=float(x),
+            d1=chi1.discriminant,
+            d2=chi2.discriminant,
+            d3=chi3.discriminant,
+            raw_sum=raw,
+            residue=residue,
+            delta=raw - residue,
+            bound_value=theorem_bound_value(D, Dmax, x),
+        ))
+    return out
+
+
 def triple_delta(
     chi1: RealCharacter,
     chi2: RealCharacter,
@@ -257,36 +365,26 @@ def triple_delta(
     cap: int = DEFAULT_RAW_CAP,
     naive_check: bool = False,
 ) -> DeltaSample:
-    """Raw sum, residue main term, and their exact difference at x.
-
-    x below 1 is rejected; x above the brute-force cap raises with a hint
-    to pass a larger cap explicitly.
-    """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x > cap:
-        raise ValueError(
-            f"x = {x} exceeds the brute-force cap {cap}; pass cap=... "
-            "(CLI: --cap) to override"
-        )
-    raw = triple_raw_sum(chi1, chi2, chi3, x)
+    """The one-element case of triple_deltas; with naive_check, the raw sum
+    must also equal the convolution oracle's, else OracleMismatchError."""
+    [sample] = triple_deltas(chi1, chi2, chi3, [x], cap)
     if naive_check:
         ref = naive_triple_raw(chi1, chi2, chi3, x)
-        if raw != ref:
-            raise OracleMismatchError(f"production {raw} != naive {ref} at x={x}")
-    residue = residue_main_term(ResiduePattern.from_characters([chi1, chi2, chi3]), x)
-    D = chi1.conductor * chi2.conductor * chi3.conductor
-    Dmax = max(chi1.conductor, chi2.conductor, chi3.conductor)
-    return DeltaSample(
-        x=float(x),
-        d1=chi1.discriminant,
-        d2=chi2.discriminant,
-        d3=chi3.discriminant,
-        raw_sum=raw,
-        residue=residue,
-        delta=raw - residue,
-        bound_value=theorem_bound_value(D, Dmax, x),
-    )
+        if sample.raw_sum != ref:
+            raise OracleMismatchError(f"production {sample.raw_sum} != naive {ref} at x={x}")
+    return sample
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly, for float64 arrays
+    (Dekker's product with Veltkamp's split; no overflow or underflow)."""
+    p = a * b
+    c = 134217729.0 * a  # 2^27 + 1
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def exp_sum(
@@ -303,7 +401,15 @@ def exp_sum(
 
         sum_{n3 in [lo, hi]} e( sign * 3 (n1 n2 n3 x / D)^(1/3) - sign * m n3 / D3 )
 
-    with compensated summation; error budget about length * 2^-50."""
+    with compensated summation; error budget about length * 2^-50.
+
+    The phase is taken mod 1 before the exponential, since a float phase
+    near 1e5 alone is off by about 1e-11.  u = n1 n2 n3 x / D is formed in
+    double-double (exact while n1 n2 n3 < 2^53), cbrt(u) by one Newton step
+    from the float cube root, also in double-double (relative error about
+    2^-100), and m n3 mod D3 in integers.  So each reduced phase in
+    [-1/2, 1/2] is within about 2^-52 of the exact one, and each term
+    within about 2 pi 2^-52 plus the error of cos and sin."""
     lo, hi = int(n3_range[0]), int(n3_range[1])
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
@@ -312,14 +418,21 @@ def exp_sum(
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     q3 = chi3.conductor
-    re, im = [], []
-    coef = n1 * n2 * x / D
-    for n3 in range(lo, hi + 1):
-        phase = sign * (3.0 * (coef * n3) ** (1.0 / 3.0) - m * n3 / q3)
-        z = cmath.exp(2j * math.pi * phase)
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    n3 = np.arange(lo, hi + 1, dtype=np.int64)
+    D = float(D)
+    ph, pl = _two_prod(n1 * n2 * n3.astype(np.float64), float(x))
+    uh = ph / D
+    th, tl = _two_prod(uh, D)
+    ul = (((ph - th) - tl) + pl) / D  # u = uh + ul
+    v = np.cbrt(uh)
+    sh, sl = _two_prod(v, v)
+    ch, cl = _two_prod(sh, v)  # v^3 = ch + cl + sl v
+    dv = ((uh - ch) + (ul - cl - sl * v)) / (3.0 * sh)  # cbrt(u) = v + dv
+    w, we = _two_prod(np.full_like(v, 3.0), v)  # 3 v = w + we
+    f = (w - np.rint(w)) - ((m * n3) % q3) / q3
+    f = (f - np.rint(f)) + (we + 3.0 * dv)
+    arg = (2.0 * math.pi * sign) * (f - np.rint(f))
+    return complex(math.fsum(np.cos(arg).tolist()), math.fsum(np.sin(arg).tolist()))
 
 
 def exp_sum_max_sign(n1, n2, chi3, n3_range, x, D, m) -> Tuple[complex, int]:

@@ -16,13 +16,13 @@ prescribed data; the analysis lives next to each marker.
 """
 
 import io
-import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from deltalab import derive_main_theorem, make_character, sieve_tables, verify
@@ -112,7 +112,7 @@ def test_criterion_3_d_exponent_comparison_as_specified():
 def test_criterion_4_character_gauss_invariants():
     # every coprime m for |D| <= 200; 10,000 pairs from [1, 1e6) per D
     assert (FULL_LIMITS["gauss_m_cap"], FULL_LIMITS["mult_pairs"]) == (None, 10_000)
-    _run_check(4, 30.0, verify._check_characters, FULL_LIMITS, random.Random(0))
+    _run_check(4, 30.0, verify._check_characters, FULL_LIMITS, np.random.default_rng(0))
 
 
 def test_criterion_5_convolution_identities():
@@ -123,10 +123,10 @@ def test_criterion_5_convolution_identities():
 
 
 def test_criterion_6_delta_oracle_equivalence():
-    # production path == convolution oracle at 110 spot points up to 1e4,
-    # every cube boundary among them
+    # production path == convolution oracle at 90 fixed spot points up to
+    # 1e4, every cube boundary among them, and 20 drawn ones (up to 110)
     assert QUICK_LIMITS["delta_limit"] == 10**4
-    _run_check(6, 60.0, verify._check_delta, QUICK_LIMITS, random.Random(1))
+    _run_check(6, 60.0, verify._check_delta, QUICK_LIMITS, np.random.default_rng(1))
 
 
 XS_CRIT7 = (10**4, 10**5, 10**6, 10**7)
@@ -191,7 +191,7 @@ def test_criterion_7_lambda_trend_as_specified(residuals_1e7):
 
 def test_criterion_8_feasibility_regression():
     assert PAPER_THETA == F(4923, 10**4) and PAPER_R == 433433
-    _run_check(8, 1.0, verify._check_feasibility, random.Random(2))
+    _run_check(8, 1.0, verify._check_feasibility, np.random.default_rng(2))
 
 
 def test_criterion_9_psi_split_identity():

@@ -157,7 +157,7 @@ def test_multiplicativity_check_catches_one_flipped_class(monkeypatch, fresh_per
 
     monkeypatch.setattr(characters, "kronecker_array", flipped)
     limits = dict(verify.QUICK_LIMITS, mult_pairs=200)
-    [r2] = [r for r in verify._check_characters(limits, random.Random(0))
+    [r2] = [r for r in verify._check_characters(limits, np.random.default_rng(0))
             if r.name == "character-orthogonality-multiplicativity"]
     assert not r2.ok and r2.gating
     assert int(re.search(r"(\d+) failures", r2.detail).group(1)) > 0

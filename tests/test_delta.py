@@ -304,3 +304,61 @@ def test_bound_check_report():
     assert rep.max_ratio == max(abs(s.delta) / s.bound_value for s in samples)
     assert rep.trend_slope is not None
     assert isinstance(rep.flagged, bool)
+
+
+AWKWARD_XS = [10**5, 17, 3, 17, 2.5, 999.99, 0.5, 0, -3, 1, 46**3, 10**5 - 1]
+CUBE_XS = [y**3 + e for y in range(1, 47) for e in (-1, 0, 1)]  # 46^3 + 1 <= 1e5
+
+
+@pytest.mark.parametrize("discs", [(1, 1, 1), (-3, 8, 1), (-163, 12, -4), (5, -8, 5), (-4, -4, -4)])
+def test_triple_raw_sums_match_oracle_and_scalar_path(discs):
+    chis = [make_character(d) for d in discs]
+    naive = naive_triple_raw_prefix(*chis, 10**5)
+    xs = AWKWARD_XS + random.Random(12).sample(CUBE_XS, len(CUBE_XS))
+    got = delta.triple_raw_sums(*chis, xs)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(naive[math.floor(x)]) if x >= 1 else 0 for x in xs]
+    assert got.tolist() == [triple_raw_sum(*chis, x) for x in xs]
+
+
+def test_triple_raw_sums_empty():
+    got = delta.triple_raw_sums(TRIV, CHI4, CHI5, [])
+    assert got.dtype == np.int64 and got.shape == (0,)
+
+
+def test_triple_raw_sums_across_groups_and_small_tiles(monkeypatch):
+    # 300 points near 1e6 have y = icbrt(x) summing past one group's
+    # _BLOCK_ELEMENTS rows; a 64-element block makes every tile boundary and
+    # the b <= y / a <= s masks show up at small x as well.
+    chis = [make_character(d) for d in (-4, 1, 5)]
+    naive = naive_triple_raw_prefix(*chis, 10**6)
+    rng = random.Random(13)
+    xs = [rng.randrange(1, 10**6 + 1) for _ in range(300)]
+    assert delta.triple_raw_sums(*chis, xs).tolist() == [int(naive[x]) for x in xs]
+    monkeypatch.setattr(delta, "_BLOCK_ELEMENTS", 64)
+    small = xs[:40] + list(range(1, 60))
+    assert delta.triple_raw_sums(*chis, small).tolist() == [int(naive[x]) for x in small]
+
+
+def test_triple_deltas_equal_one_at_a_time():
+    xs = [10.0, 1e4, 2.5e5, 1e4]
+    batch = delta.triple_deltas(TRIV, CHI5, CHI4, xs)
+    assert batch == [triple_delta(TRIV, CHI5, CHI4, x) for x in xs]
+    with pytest.raises(ValueError, match="cap"):
+        delta.triple_deltas(TRIV, CHI5, CHI4, [10.0, 2e6], cap=10**6)
+
+
+def test_exp_sum_matches_mpmath_at_large_phases():
+    from deltalab.verify import _exp_sum_oracle
+
+    rng = random.Random(14)
+    for _ in range(12):
+        n1, n2 = rng.randrange(1, 100), rng.randrange(1, 100)
+        lo = rng.randrange(1, 10**5)
+        hi = lo + rng.randrange(0, 40)
+        x, D = 10.0 ** rng.uniform(2, 13), rng.uniform(1, 50)
+        m, sign = rng.randrange(-5, 10), rng.choice((1, -1))
+        chi3 = rng.choice((CHI4, CHI5))
+        got = exp_sum(n1, n2, chi3, (lo, hi), x, D, m, sign)
+        want = _exp_sum_oracle(n1, n2, chi3.conductor, lo, hi, x, D, m, sign)
+        assert abs(got - want) <= (hi - lo + 1) * 2.0**-50
