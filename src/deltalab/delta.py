@@ -49,6 +49,7 @@ __all__ = [
     "triple_raw_sums",
     "naive_triple_raw",
     "naive_triple_raw_prefix",
+    "naive_triple_raw_prefixes",
     "hyperbola_raw_prefix",
     "pair_summatory",
     "theorem_bound_value",
@@ -232,12 +233,24 @@ def naive_triple_raw_prefix(
 
     Holds about _ORACLE_BYTES_PER_ENTRY bytes per entry at its peak; raises
     MemoryBudgetError when N of them exceed DEFAULT_MEMORY_BUDGET."""
+    return next(naive_triple_raw_prefixes(c1, c2, (c3,), N))
+
+
+def naive_triple_raw_prefixes(c1: RealCharacter, c2: RealCharacter, thirds, N: int):
+    """naive_triple_raw_prefix(c1, c2, c3, N) for each c3 in thirds, in
+    order, from one chi1 * chi2 convolution: len(thirds) + 1
+    sieves.convolve calls instead of 2 len(thirds).  A generator that
+    builds each prefix when it is asked for, so its peak is that of one
+    prefix as long as the caller drops each before asking for the next."""
     N = int(N)
     check_memory_budget(f"convolution oracle at N = {N}", N, _ORACLE_BYTES_PER_ENTRY, "N")
     # One int64 factor makes every product int64; |coefficients| <= d_3(n).
     pair = convolve(c1.value_table(N), c2.value_table(N).astype(np.int64), N)
-    coeff = convolve(pair, c3.value_table(N), N)
-    return np.cumsum(coeff, out=coeff)
+    for c3 in thirds:
+        prefix = convolve(pair, c3.value_table(N), N)
+        np.cumsum(prefix, out=prefix)
+        yield prefix
+        del prefix  # not held while the next one is built
 
 
 def naive_triple_raw(c1, c2, c3, x: float) -> int:

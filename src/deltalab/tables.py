@@ -24,6 +24,13 @@ rounded math.log values; the identity checks in verify_table_identities
 compare the integer coefficient vectors themselves (prime by prime up to
 sqrt(N), and once for all larger primes, whose vectors depend on p only
 through N // p), so they are exact and immune to float accumulation.
+
+psi_counts needs no table: psi comes from a segmented sieve, and psi*, the
+m <= C part, is sum_m nu(m) [F(x // m) - F((x - y) // m)] with F the
+summatory of lam'.  Each bracket is one Dirichlet hyperbola pass over its
+window (_window_difference): about 2 sqrt(x / m) elements in fixed-size
+tiles, with parts of the window's size, so the stated bound psi_star_err
+on psi*'s rounding follows the window, not x.
 """
 
 from __future__ import annotations
@@ -75,6 +82,14 @@ DEFAULT_MEMORY_BUDGET = 2 << 30
 #: Block ends per tile of lam_prime_summatory: its temporaries stay this
 #: size whatever z is.
 _QUOTIENT_TILE = 1 << 12
+
+#: k or l per tile of _window_difference, the psi* kernel: its temporaries
+#: stay this size whatever x is.
+_WINDOW_TILE = 1 << 14
+
+#: log(q1!/q0!) takes the Stirling difference for q0 >= this.  Its
+#: truncation is then below 1 / (1680 * 201^7) < 4.5e-20 (A&S 6.1.42).
+_STIRLING_FROM = 200
 
 #: Quotients q < this take lgamma(q + 1) from _log_factorials (512 KB, about
 #: 14 ms to build); larger ones call math.lgamma.  On the 18 ops of two
@@ -351,6 +366,11 @@ def _lgamma_plus_one(q: np.ndarray) -> np.ndarray:
 def lam_prime_summatory(chi: RealCharacter, z: int) -> float:
     """sum_{d <= z} lam'(d) = sum_{k <= z} chi(k) log(floor(z/k)!), O(sqrt z).
 
+    psi_counts does not call it: a difference of two of these values rounds
+    at the scale of z log z, not of the window, so psi* has its own kernel,
+    _window_difference.  It is the summatory that the tables-build check of
+    the benchmark and the tests compare the sieved lam' table with.
+
     The k with equal quotient v = z // k form a block that ends at k = z // v.
     The block ends are k = 1..isqrt(z), then z // v for every
     v < z // isqrt(z), downwards (a v that no k attains repeats the previous
@@ -382,16 +402,102 @@ def lam_prime_summatory(chi: RealCharacter, z: int) -> float:
     return math.fsum(itertools.chain.from_iterable(map(tile_parts, range(0, n, _QUOTIENT_TILE))))
 
 
+def _stirling_tail(z: np.ndarray) -> np.ndarray:
+    """1/(12 z) - 1/(360 z^3) + 1/(1260 z^5), the first terms of
+    lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2 (A&S 6.1.41)."""
+    r = 1.0 / z
+    r2 = r * r
+    return r * (1 / 12 - r2 * (1 / 360 - r2 / 1260))
+
+
+def _log_factorial_ratio(q1: np.ndarray, q0: np.ndarray):
+    """log(q1!/q0!) for int64 arrays q1 > q0 >= 0, without cancellation,
+    and a magnitude M >= 0 per entry that bounds its rounding (see
+    psi_counts).  With h = q1 - q0:
+
+        h = 1              log(q1)                                 M = log q1
+        h > 1, q0 >= 200   (a - 1/2) log1p(h/a) + h log b - h      M = the three
+                           + tail(b) - tail(a), a = q0+1, b = q1+1     terms' sum
+        h > 1, q0 < 200    lgamma(q1+1) - lgamma(q0+1), tabled     M = their sum
+
+    The middle row is the difference of Stirling's series for lgamma(b)
+    and lgamma(a) (A&S 6.1.41), which are log(q1!) and log(q0!)."""
+    g = np.log(q1.astype(np.float64))
+    mag = g.copy()
+    run = np.flatnonzero(q1 - q0 > 1)
+    big = q0[run] >= _STIRLING_FROM
+    i, j = run[big], run[~big]
+    if i.size:
+        a, b = q0[i] + 1.0, q1[i] + 1.0
+        h = b - a
+        t1, t2 = (a - 0.5) * np.log1p(h / a), h * np.log(b)
+        g[i] = t1 + t2 - h + (_stirling_tail(b) - _stirling_tail(a))
+        mag[i] = t1 + t2 + h
+    if j.size:
+        f1, f0 = _lgamma_plus_one(q1[j]), _lgamma_plus_one(q0[j])
+        g[j] = f1 - f0
+        mag[j] = f1 + f0
+    return g, mag
+
+
+def _window_difference(chi: RealCharacter, z1: int, z0: int):
+    """F(z1) - F(z0) for F = lam_prime_summatory and 0 <= z0 <= z1, and the
+    magnitude W of its parts (see psi_counts), by one Dirichlet hyperbola
+    split (Tenenbaum, I.3.2) at u = isqrt(z1) for both arguments.
+
+    F(z) sums chi(k) log l over the pairs kl <= z.  Those with k <= u give
+    sum_{k <= u} chi(k) log(floor(z/k)!); those with k > u have
+    l <= z // (u + 1) and give sum_l log(l) [S(z // l) - S(u)], with
+    S = chi.partial_sum.  With q1 = z1 // k, q0 = z0 // k and
+    Li = zi // (u + 1), the difference is
+
+        sum_{k <= u} chi(k) log(q1!/q0!)
+        + sum_{l <= L0} log(l) [S(z1 // l) - S(z0 // l)]
+        + sum_{L0 < l <= L1} log(l) [S(z1 // l) - S(u)],
+
+    where z0 // l > u exactly when l <= L0, so the second S argument of
+    every l is max(z0 // l, u).  Parts with chi(k) = 0, q1 = q0 or an
+    S-difference of 0 are dropped.  Each part sums over pairs kl in
+    (z0, z1] only, so the parts are of the window's size.  k and l go in
+    tiles of _WINDOW_TILE, and all live parts feed one math.fsum."""
+    u = math.isqrt(z1)
+    L1 = z1 // (u + 1)
+    weights = []
+
+    def k_tile(lo: int):
+        k = np.arange(lo, min(lo + _WINDOW_TILE, u + 1), dtype=np.int64)
+        q1, q0 = z1 // k, z0 // k
+        c = chi.values(k)
+        live = np.flatnonzero((q1 != q0) & (c != 0))
+        g, mag = _log_factorial_ratio(q1[live], q0[live])
+        weights.append(float(mag.sum()))
+        return (c[live] * g).tolist()  # chi(k) = +-1: exact
+
+    def l_tile(lo: int):
+        l = np.arange(lo, min(lo + _WINDOW_TILE, L1 + 1), dtype=np.int64)
+        w = chi.partial_sum(z1 // l) - chi.partial_sum(np.maximum(z0 // l, u))
+        live = np.flatnonzero(w)
+        w, logs = w[live], np.log(l[live].astype(np.float64))
+        weights.append(float(np.abs(w) @ logs))
+        return (w * logs).tolist()
+
+    tiles = itertools.chain(map(k_tile, range(1, u + 1, _WINDOW_TILE)),
+                            map(l_tile, range(1, L1 + 1, _WINDOW_TILE)))
+    return math.fsum(itertools.chain.from_iterable(tiles)), math.fsum(weights)
+
+
 @dataclass(frozen=True)
 class CountReport:
     """Short-interval counts on (x-y, x].  psi is assembled as
-    psi_star + psi_substar, so the split identity holds exactly."""
+    psi_star + psi_substar, so the split identity holds exactly.
+    psi_star_err bounds |psi_star - its exact value| (see psi_counts)."""
 
     x: float
     y: float
     psi: float
     psi_star: float
     psi_substar: float
+    psi_star_err: float
     pi_count: int
     li_value: float
     main_term: float
@@ -429,14 +535,30 @@ def psi_counts(
 ) -> CountReport:
     """psi, psi*, psi_* over (x-y, x], plus prime count and Li window.
 
-    psi comes from a segmented prime-power sieve; psi* from the m <= C
-    convolution via lam_prime_summatory, once per distinct quotient z =
-    x // m or (x - y) // m.  Every such call takes its log-factorials from
-    one shared table of math.lgamma values, built on first use, so psi* is
-    bit-identical to a scalar math.lgamma loop; psi_* is the exact
-    complement (Lambda_* = Lambda - Lambda*), and psi is reassembled as
-    psi_star + psi_substar (equal to the sieve value up to one rounding).
-    cutoff C defaults to D^2 and must be >= 1.
+    psi comes from a segmented prime-power sieve.  psi* is the m <= C part,
+    sum_{m <= min(C, x)} nu(m) [F(x // m) - F((x - y) // m)] with
+    F = lam_prime_summatory; each bracket is one _window_difference call,
+    whose parts are of the window's size, not of F's (about z log z).  psi_*
+    is the exact complement (Lambda_* = Lambda - Lambda*), and psi is
+    reassembled as psi_star + psi_substar (equal to the sieve value up to
+    one rounding).  cutoff C defaults to D^2 and must be >= 1.
+
+    psi_star_err = 2^-48 W bounds the rounding error of psi_star, where
+    W = sum_m |nu(m)| W_m and W_m sums |c| M over the live parts c g of
+    bracket m (c an exact integer, g a log-value and M its magnitude, see
+    _log_factorial_ratio; M = g for a log).  With u = 2^-53 and np.log,
+    np.log1p and math.lgamma within 4 ulps (8u), each g is within 14u M
+    (Stirling row: 11u on its log1p term and three roundings of the sum;
+    table row 9u; a log 8u), and c g adds u |c g|.  The Stirling
+    truncation is below 4.5e-20 < 2^-67 M, as M >= 2 log 202 there.  Each
+    bracket's fsum rounds once, nu(m) is 0 or a power of two up to sign
+    (exact), and the outer fsum rounds once more: each of these is at most
+    u W.  So the error is below 17u W plus W's own rounding, a sum of
+    positive floats, within 2^-48 W.  Every live part comes from the pairs
+    kl in the window (z0, z1] of bracket m, so W_m is about
+    (y/m) log^2(x/m) / 2, and psi_star_err about
+    2^-49 y log^2(x) sum_{m <= C} |nu(m)| / m: a factor log x above the
+    size of psi* itself, because the parts' logs do not cancel.
     """
     if not 0 < y <= x:
         raise ValueError(f"need 0 < y <= x, got x={x}, y={y}")
@@ -447,13 +569,15 @@ def psi_counts(
 
     psi_sieve, pi_cnt = von_mangoldt_window(xmy, xi)
 
-    # F(z) = lam_prime_summatory(chi, z), once per distinct quotient z
-    F = functools.lru_cache(maxsize=None)(functools.partial(lam_prime_summatory, chi))
     star_parts = []
+    weight = 0.0
     for m in range(1, min(C, xi) + 1):  # both partial sums vanish for m > x
         v = nu_value(chi, m)
-        if v:
-            star_parts.append(v * (F(xi // m) - F(xmy // m)))
+        z1, z0 = xi // m, xmy // m
+        if v and z1 != z0:
+            diff, w = _window_difference(chi, z1, z0)
+            star_parts.append(v * diff)
+            weight += abs(v) * w
     psi_star = math.fsum(star_parts)
     psi_substar = psi_sieve - psi_star
     psi = psi_star + psi_substar
@@ -465,6 +589,7 @@ def psi_counts(
         psi=psi,
         psi_star=psi_star,
         psi_substar=psi_substar,
+        psi_star_err=2.0**-48 * weight,
         pi_count=int(pi_cnt),
         li_value=li_val,
         main_term=float(y),

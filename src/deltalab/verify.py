@@ -67,14 +67,6 @@ FULL_LIMITS = {
 
 _F = Fraction
 
-#: psi* may differ from the window sum of the sieved Lambda* by float
-#: rounding only: at most 7.1e-10 for D in {-4, 13, -47}, x <= 1e6 and the
-#: check's windows y = x / 10.  psi* is a difference of summatories near
-#: x log x, so the slack follows x, not the window: y = x^0.55 reaches
-#: 1.8e-9 at x = 1e6.
-_PSI_STAR_RTOL = 1e-12
-_PSI_STAR_ATOL = 1e-9
-
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
@@ -239,18 +231,24 @@ def _check_delta(limits: dict, rng: np.random.Generator) -> List[CheckResult]:
     spot_x = sorted(x for x in spots if 1 <= x <= N)
     out = []
     # The raw sum is symmetric in its characters, so one oracle prefix per
-    # multiset serves every ordering; production runs each ordering.
-    for triple in itertools.combinations_with_replacement(discs, 3):
-        want = dl.naive_triple_raw_prefix(*(chis[d] for d in triple), N)[spot_x].tolist()
-        for d1, d2, d3 in sorted(set(itertools.permutations(triple))):
-            got = dl.triple_raw_sums(chis[d1], chis[d2], chis[d3], spot_x).tolist()
-            for x, g, w in zip(spot_x, got, want):
-                if g != w:
-                    return [CheckResult(
-                        "delta-oracle", False, True,
-                        f"triple ({d1},{d2},{d3}) differs at x={x}: "
-                        f"production {g}, convolution oracle {w}",
-                    )]
+    # multiset serves every ordering; production runs each ordering.  The
+    # multisets come grouped by their first two characters, and each group
+    # shares one chi1 * chi2 convolution: 16 convolutions for the 10.
+    multisets = itertools.combinations_with_replacement(discs, 3)
+    for (a, b), group in itertools.groupby(multisets, key=lambda t: t[:2]):
+        thirds = [t[2] for t in group]
+        prefixes = dl.naive_triple_raw_prefixes(chis[a], chis[b], [chis[d] for d in thirds], N)
+        # map drops each prefix once its spots are read
+        for c, want in zip(thirds, map(lambda p: p[spot_x].tolist(), prefixes)):
+            for d1, d2, d3 in sorted(set(itertools.permutations((a, b, c)))):
+                got = dl.triple_raw_sums(chis[d1], chis[d2], chis[d3], spot_x).tolist()
+                for x, g, w in zip(spot_x, got, want):
+                    if g != w:
+                        return [CheckResult(
+                            "delta-oracle", False, True,
+                            f"triple ({d1},{d2},{d3}) differs at x={x}: "
+                            f"production {g}, convolution oracle {w}",
+                        )]
     out.append(CheckResult(
         "delta-oracle", True, True,
         f"27 triples over {{1,-4,5}}: x^(2/3) hyperbola production path equals "
@@ -350,18 +348,41 @@ def _check_psi(limits: dict, table: Optional[tb.FunctionTable] = None) -> List[C
     oracle_ok = True
     details = []
     for x in limits["psi_xs"]:
-        y = x // 10
-        r = tb.psi_counts(x, chi, x, y)
-        window = math.fsum(_minus4_table(x, table).Lam_star[x - y + 1 :].tolist())
-        dev = abs(r.psi_star - window)
-        oracle_ok = oracle_ok and dev <= _PSI_STAR_RTOL * abs(window) + _PSI_STAR_ATOL
-        details.append(f"x={x}: psi*={_fmt(r.psi_star)}, dev {_fmt(dev)}")
+        t = _minus4_table(x, table)
+        for y in (x // 10, x ** float(fs.PAPER_THETA)):  # y = x^0.4923
+            r = tb.psi_counts(x, chi, x, y)
+            window, window_err = _lambda_star_window(t, x, y)
+            dev = abs(r.psi_star - window)
+            tol = r.psi_star_err + window_err
+            oracle_ok = oracle_ok and dev <= tol
+            details.append(f"x={x}, y={_fmt(y)}: psi*={_fmt(r.psi_star)}, "
+                           f"dev {_fmt(dev)} <= {_fmt(tol)}")
     out.append(CheckResult(
         "psi-star-oracle", oracle_ok, True,
         "psi* against the window sum of sieve_tables' Lambda* "
-        "(tolerance 1e-12 |sum| + 1e-9); " + "; ".join(details),
+        "(tolerance psi_star_err + the sum's own rounding bound); " + "; ".join(details),
     ))
     return out
+
+
+def _lambda_star_window(t: tb.FunctionTable, x: int, y: float):
+    """The sum of t.Lam_star over (x - y, x], and a bound on its rounding.
+
+    Lambda*(n) = sum_{m | n, m <= C} nu(m) lam'(n / m), and lam'(d) sums
+    log(p) lam(d / p^k) over the prime powers p^k | d: sieves.convolve
+    accumulates at most min(C, x) and log2(x) nonzero products, all of one
+    sign for lam' (lam >= 0).  With u = 2^-53 and math.log correctly
+    rounded, each entry is within (min(C, x) + log2(x) + 3) u A(n) of
+    Lambda*(n), where A(n) = sum_{m | n, m <= C} |nu(m)| lam'(n / m), and
+    the fsum adds u |sum| <= u A.  A summed over the window is one strided
+    slice of lam' per m."""
+    lo = math.floor(x - y)
+    window = math.fsum(t.Lam_star[lo + 1 : x + 1].tolist())
+    mass = math.fsum(
+        abs(int(t.nu[m])) * float(t.lam_prime[lo // m + 1 : x // m + 1].sum())
+        for m in range(1, min(t.cutoff, x) + 1)
+    )
+    return window, (min(t.cutoff, x) + x.bit_length() + 4) * 2.0**-53 * mass
 
 
 def _check_feasibility(rng: np.random.Generator) -> CheckResult:

@@ -78,6 +78,23 @@ def test_convolution_oracle_matches_triple_loop():
         assert np.array_equal(got, _triple_loop_prefix(*triple, N)), discs
 
 
+def test_convolution_oracle_shares_the_pair_convolution(monkeypatch):
+    N = 2000
+    thirds = [make_character(d) for d in (1, -4, 5, -4)]
+    calls = []
+    orig = delta.convolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(delta, "convolve", counted)
+    got = list(delta.naive_triple_raw_prefixes(TRIV, CHI4, thirds, N))
+    assert len(calls) == len(thirds) + 1
+    for c3, prefix in zip(thirds, got):
+        assert np.array_equal(prefix, _triple_loop_prefix(TRIV, CHI4, c3, N))
+
+
 def test_convolution_oracle_memory_budget():
     over = DEFAULT_MEMORY_BUDGET // delta._ORACLE_BYTES_PER_ENTRY + 1
     with pytest.raises(MemoryBudgetError, match="budget"):

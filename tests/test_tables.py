@@ -158,7 +158,8 @@ def test_cutoff_below_one_rejected():
     t = sieve_tables(100, CHI4, cutoff=1)
     assert t.cutoff == 1 and list(t.rho_star[1:6]) == [1] * 5
     rep = psi_counts(100, CHI4, 100, 10, cutoff=1)  # only m = 1, nu(1) = 1
-    assert rep.psi_star == lam_prime_summatory(CHI4, 100) - lam_prime_summatory(CHI4, 90)
+    two_sums = lam_prime_summatory(CHI4, 100) - lam_prime_summatory(CHI4, 90)
+    assert abs(rep.psi_star - two_sums) <= rep.psi_star_err
 
 
 def brute_convolve(f, g, n, fmax):
@@ -350,13 +351,61 @@ def test_lam_prime_summatory_pinned_at_the_log_factorial_table_edge():
 
 
 @pytest.mark.parametrize("d, x, y, psi_star_hex", [
-    (-4, 10**8, (10**8) ** 0.55, "0x1.14c0a5c205000p+15"),
-    (-163, 10**7, (10**7) ** 0.6, "0x1.e58a53f2af17cp+13"),
-    (-47, 1000, 100, "0x1.8dcc7c8ce45fcp+6"),  # C > x, repeated quotients
+    (-4, 10**8, (10**8) ** 0.55, "0x1.14c0a5c1ffd13p+15"),
+    (-163, 10**7, (10**7) ** 0.6, "0x1.e58a53f2b162ap+13"),
+    (-47, 1000, 100, "0x1.8dcc7c8ce46e1p+6"),  # C > x, repeated quotients
 ], ids=["D=-4", "D=-163", "D=-47"])
 def test_psi_star_pinned_bits(d, x, y, psi_star_hex):
-    # psi* of the scalar math.lgamma summatory, bit for bit
+    # psi* of the window kernel, bit for bit.  A 40-digit sum of the exact
+    # log-prime coefficients of the window puts these 4.8e-11, 5.1e-12 and
+    # 3.7e-13 from the true value.
     assert psi_counts(x, make_character(d), x, y).psi_star.hex() == psi_star_hex
+
+
+def _brute_window_difference(chi, z1, z0):
+    """F(z1) - F(z0) as the sum over k of chi(k) log(q1!/q0!), each log of a
+    factorial ratio summed term by term."""
+    return math.fsum(
+        chi(k) * math.fsum(math.log(l) for l in range(z0 // k + 1, z1 // k + 1))
+        for k in range(1, z1 + 1)
+    )
+
+
+@pytest.mark.parametrize("d", [1, -4, 13, -163])
+def test_window_difference_matches_brute_force(d):
+    chi = make_character(d)
+    pairs = [(20_000, 19_000), (20_000, 0), (20_000, 20_000), (19_999, 19_900),
+             (12_345, 12_000), (5_000, 2_500), (1_000, 999), (3, 0), (2, 1), (1, 0), (1, 1)]
+    for z1, z0 in pairs:
+        got, weight = tables._window_difference(chi, z1, z0)
+        # 2^-48 W is the kernel's bound; the other half covers the oracle,
+        # which rounds three times per k on terms of about W's size
+        assert abs(got - _brute_window_difference(chi, z1, z0)) <= 2**-47 * weight, (z1, z0)
+        if z0 == z1:
+            assert got == weight == 0.0
+    # C > x: every m <= x enters, with z0 = 0 once m > x - y
+    x, y = 2_000, 300
+    rep = psi_counts(x, chi, x, y, cutoff=5 * x)
+    want = math.fsum(nu_value(chi, m) * _brute_window_difference(chi, x // m, (x - y) // m)
+                     for m in range(1, x + 1))
+    assert abs(rep.psi_star - want) <= 2 * rep.psi_star_err  # half for the oracle
+
+
+def test_log_factorial_ratio_matches_mpmath():
+    import mpmath as mp
+
+    edge, s = tables._LOG_FACTORIAL_TABLE, tables._STIRLING_FROM
+    q0 = [0, 1, s - 2, s - 1, s - 1, s, s, s + 1, edge - 3, edge - 2, edge - 1, edge - 1,
+          edge, edge, edge + 1, 10**6, 10**9, s - 1, s, 3, edge - 5]
+    q1 = [1, 3, s, s + 1, s + 9, s + 1, s + 2, s + 40, edge - 1, edge, edge + 1, edge + 7,
+          edge + 1, edge + 3, 2 * edge, 10**6 + 5000, 10**9 + 10**5, edge + 2, 10**8, edge, edge]
+    g, mag = tables._log_factorial_ratio(np.array(q1, dtype=np.int64), np.array(q0, dtype=np.int64))
+    with mp.workdps(30):
+        for a, b, got, m in zip(q0, q1, g.tolist(), mag.tolist()):
+            want = mp.loggamma(b + 1) - mp.loggamma(a + 1)
+            assert abs(got - want) <= 2**-49 * m, (a, b)  # 14u M in psi_counts
+            if a >= s or b == a + 1:  # no cancellation: within 16 ulps
+                assert abs(got - want) <= 2**-48 * abs(want), (a, b)
 
 
 def test_nu_value_matches_table(table4):
@@ -429,10 +478,13 @@ def test_psi_split_exact_at_1e5():
 def test_psi_star_oracle_catches_summatory_off_by_1e_6(monkeypatch):
     x = 10**4
     assert all(r.ok for r in verify._check_psi({"psi_xs": (x,)}))
-    orig = tables.lam_prime_summatory
-    # off at z = x only: an offset at every z would cancel in F(x/m) - F((x-y)/m)
-    monkeypatch.setattr(tables, "lam_prime_summatory",
-                        lambda chi, z: orig(chi, z) + (1e-6 if z == x else 0.0))
+    orig = tables._window_difference
+
+    def off(chi, z1, z0):  # F(x) - F(x - y) off by 1e-6, at m = 1 only
+        value, weight = orig(chi, z1, z0)
+        return value + (1e-6 if z1 == x else 0.0), weight
+
+    monkeypatch.setattr(tables, "_window_difference", off)
     [oracle] = [r for r in verify._check_psi({"psi_xs": (x,)}) if r.name == "psi-star-oracle"]
     assert not oracle.ok and oracle.gating
 
@@ -448,7 +500,7 @@ def test_residual_and_psi_checks_share_one_table(monkeypatch):
 def test_count_report_rejects_broken_split():
     with pytest.raises(ValueError, match="psi_star"):
         CountReport(x=100.0, y=10.0, psi=5.0, psi_star=3.0, psi_substar=1.0,
-                    pi_count=1, li_value=2.0, main_term=2.0, ratio=1.0)
+                    psi_star_err=0.0, pi_count=1, li_value=2.0, main_term=2.0, ratio=1.0)
 
 
 def test_psi_cutoff_loop_capped_at_x(monkeypatch):
@@ -467,7 +519,7 @@ def test_psi_cutoff_loop_capped_at_x(monkeypatch):
 
     monkeypatch.setattr(tables, "nu_value", counted)
     rep = psi_counts(x, chi, x, y)
-    assert rep.psi_star == uncapped
+    assert abs(rep.psi_star - uncapped) <= rep.psi_star_err
     assert calls == list(range(1, x + 1))
 
 
