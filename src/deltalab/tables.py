@@ -27,10 +27,13 @@ through N // p), so they are exact and immune to float accumulation.
 
 psi_counts needs no table: psi comes from a segmented sieve, and psi*, the
 m <= C part, is sum_m nu(m) [F(x // m) - F((x - y) // m)] with F the
-summatory of lam'.  Each bracket is one Dirichlet hyperbola pass over its
-window (_window_difference): about 2 sqrt(x / m) elements in fixed-size
-tiles, with parts of the window's size, so the stated bound psi_star_err
-on psi*'s rounding follows the window, not x.
+summatory of lam'.  Each bracket is a Dirichlet hyperbola split of its
+window, and its logs depend on the bracket only through integers: log of
+a factorial ratio at n = mk, log l at l.  So the brackets add up exact
+integer coefficients A(n) and B(l) (_psi_star), and one float pass in
+fixed-size tiles sums A(n) log(q1!/q0!) + B(l) log l, with parts of the
+window's size: the stated bound psi_star_err on psi*'s rounding follows
+the window, not x.
 """
 
 from __future__ import annotations
@@ -83,9 +86,15 @@ DEFAULT_MEMORY_BUDGET = 2 << 30
 #: size whatever z is.
 _QUOTIENT_TILE = 1 << 12
 
-#: k or l per tile of _window_difference, the psi* kernel: its temporaries
-#: stay this size whatever x is.
+#: n or l per tile of the float pass of _psi_star, the psi* kernel: its
+#: temporaries stay this size whatever x is.
 _WINDOW_TILE = 1 << 14
+
+#: n per int32 chunk of _psi_star's coefficients A(n) (1 MB): their memory
+#: stays this size whatever x and C are.  With 2^20 (4 MB) psi-windows'
+#: peak RSS rose by 2.6 MB (median of 9 runs, 91 MB in all); with 2^18 by
+#: about 0.4 MB, at the same ops/s.
+_COEFF_CHUNK = 1 << 18
 
 #: log(q1!/q0!) takes the Stirling difference for q0 >= this.  Its
 #: truncation is then below 1 / (1680 * 201^7) < 4.5e-20 (A&S 6.1.42).
@@ -368,7 +377,7 @@ def lam_prime_summatory(chi: RealCharacter, z: int) -> float:
 
     psi_counts does not call it: a difference of two of these values rounds
     at the scale of z log z, not of the window, so psi* has its own kernel,
-    _window_difference.  It is the summatory that the tables-build check of
+    _psi_star.  It is the summatory that the tables-build check of
     the benchmark and the tests compare the sieved lam' table with.
 
     The k with equal quotient v = z // k form a block that ends at k = z // v.
@@ -440,50 +449,101 @@ def _log_factorial_ratio(q1: np.ndarray, q0: np.ndarray):
     return g, mag
 
 
-def _window_difference(chi: RealCharacter, z1: int, z0: int):
-    """F(z1) - F(z0) for F = lam_prime_summatory and 0 <= z0 <= z1, and the
-    magnitude W of its parts (see psi_counts), by one Dirichlet hyperbola
-    split (Tenenbaum, I.3.2) at u = isqrt(z1) for both arguments.
+def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
+    """sum_m nu(m) [F(x1 // m) - F(x0 // m)] for F = lam_prime_summatory,
+    0 <= x0 <= x1 with x1 - x0 <= 2^32 and brackets the pairs (m, nu(m)),
+    and the magnitude W of its parts (see psi_counts).
 
-    F(z) sums chi(k) log l over the pairs kl <= z.  Those with k <= u give
-    sum_{k <= u} chi(k) log(floor(z/k)!); those with k > u have
-    l <= z // (u + 1) and give sum_l log(l) [S(z // l) - S(u)], with
-    S = chi.partial_sum.  With q1 = z1 // k, q0 = z0 // k and
-    Li = zi // (u + 1), the difference is
+    Bracket m is one Dirichlet hyperbola split (Tenenbaum, I.3.2) of both of
+    its arguments at u = isqrt(z1), z1 = x1 // m.  F(z) sums chi(k) log l
+    over the pairs kl <= z: those with k <= u give chi(k) log(floor(z/k)!),
+    those with k > u have l <= z // (u + 1) and give log(l) [S(z // l) - S(u)],
+    with S = chi.partial_sum.  As z0 // l > u exactly when l <= z0 // (u + 1),
+    and floor(floor(x/m)/k) = floor(x/(mk)), the bracket adds
 
-        sum_{k <= u} chi(k) log(q1!/q0!)
-        + sum_{l <= L0} log(l) [S(z1 // l) - S(z0 // l)]
-        + sum_{L0 < l <= L1} log(l) [S(z1 // l) - S(u)],
+        sum_{k <= u} nu(m) chi(k) log(q1!/q0!),  q1 = x1 // mk, q0 = x0 // mk,
+        sum_{l <= z1 // (u + 1)} nu(m) [S(z1 // l) - S(max(z0 // l, u))] log l.
 
-    where z0 // l > u exactly when l <= L0, so the second S argument of
-    every l is max(z0 // l, u).  Parts with chi(k) = 0, q1 = q0 or an
-    S-difference of 0 are dropped.  Each part sums over pairs kl in
-    (z0, z1] only, so the parts are of the window's size.  k and l go in
-    tiles of _WINDOW_TILE, and all live parts feed one math.fsum."""
-    u = math.isqrt(z1)
-    L1 = z1 // (u + 1)
-    weights = []
+    The first log depends on m and k only through n = mk, the second on l
+    alone.  So the loop over the brackets does integer work only: it adds
+    to the coefficients
 
-    def k_tile(lo: int):
-        k = np.arange(lo, min(lo + _WINDOW_TILE, u + 1), dtype=np.int64)
-        q1, q0 = z1 // k, z0 // k
-        c = chi.values(k)
-        live = np.flatnonzero((q1 != q0) & (c != 0))
-        g, mag = _log_factorial_ratio(q1[live], q0[live])
-        weights.append(float(mag.sum()))
-        return (c[live] * g).tolist()  # chi(k) = +-1: exact
+        A(n) = sum_{mk = n, k <= u_m} nu(m) chi(k)                  (int32)
+        B(l) = sum_m nu(m) [S(z1 // l) - S(max(z0 // l, u_m))]      (int64)
+
+    one strided slice of A and one contiguous slice of B per bracket.  The
+    float work then runs once per n and once per l,
+
+        sum_n A(n) log(q1!/q0!) + sum_l B(l) log l,
+
+    in tiles of _WINDOW_TILE, dropping the parts with q1 = q0 or a zero
+    coefficient; every part sums over pairs kl in a bracket's window, so
+    the parts are of the windows' size.  All parts feed one math.fsum, a
+    correctly rounded sum, and W is one left-to-right np.cumsum over n, then
+    l: both are bit-identical whatever the chunk and tile sizes.
+
+    The coefficient arrays do not grow with C.  A is built in int32 chunks
+    of _COEFF_CHUNK n (chunk [lo, hi) takes a slice of every m < hi with
+    m u_m >= lo), and |A(n)| <= sum_{m | n} |nu(m)| <= 4^omega(n)
+    <= 4^15 < 2^31 for n < 2^63, as nu(p) = -1 - chi(p), nu(p^2) = chi(p)
+    and nu(p^e) = 0 for e > 2.  B has isqrt(x1) + 1 entries.  Each of its
+    S-differences is at most the number of multiples of ml in (x0, x1], so
+    |B(l)| <= 4^15 ((x1 - x0) / l + 1) < 2^63."""
+    r = math.isqrt(x1)
+    S = chi.partial_sum
+    ls = np.arange(r + 1, dtype=np.int64)
+    B = np.zeros(r + 1, dtype=np.int64)
+    live = []  # (m, nu(m), u_m) of the brackets with a nonzero window
+    for m, v in brackets:
+        z1, z0 = x1 // m, x0 // m
+        if v and z1 != z0:
+            u = math.isqrt(z1)
+            L = z1 // (u + 1)
+            l = ls[1 : L + 1]
+            B[1 : L + 1] += v * (S(z1 // l) - S(np.maximum(z0 // l, u)))
+            live.append((m, v, u))
+    if not live:
+        return 0.0, 0.0
+    ms, _, us = map(np.array, zip(*live))
+    ends = ms * us  # the largest n = mk of each bracket
+    n_max = int(ends.max())
+    chi_tab = chi.value_table(r).astype(np.int32)  # nu(m) chi(k) outgrows int8
+    weight = 0.0
+
+    def tally(mags: np.ndarray) -> None:
+        nonlocal weight
+        if mags.size:
+            mags[0] += weight
+            weight = float(np.cumsum(mags)[-1])
+
+    def n_tiles(lo: int):  # the chunk [lo, hi) of A, then its float pass
+        hi = min(lo + _COEFF_CHUNK, n_max + 1)
+        A = np.zeros(hi - lo, dtype=np.int32)
+        for i in np.flatnonzero((ms < hi) & (ends >= lo)).tolist():
+            m, v, u = live[i]
+            k0, k1 = -(-lo // m), min(u, (hi - 1) // m)
+            if k0 <= k1:
+                A[k0 * m - lo : k1 * m - lo + 1 : m] += v * chi_tab[k0 : k1 + 1]
+        for j in range(0, A.size, _WINDOW_TILE):
+            i = j + np.flatnonzero(A[j : j + _WINDOW_TILE])
+            q1, q0 = x1 // (i + lo), x0 // (i + lo)
+            keep = np.flatnonzero(q1 != q0)
+            a = A[i[keep]]
+            g, mag = _log_factorial_ratio(q1[keep], q0[keep])
+            tally(np.abs(a) * mag)
+            yield (a * g).tolist()  # |A(n)| < 2^31: exact as a float
 
     def l_tile(lo: int):
-        l = np.arange(lo, min(lo + _WINDOW_TILE, L1 + 1), dtype=np.int64)
-        w = chi.partial_sum(z1 // l) - chi.partial_sum(np.maximum(z0 // l, u))
-        live = np.flatnonzero(w)
-        w, logs = w[live], np.log(l[live].astype(np.float64))
-        weights.append(float(np.abs(w) @ logs))
-        return (w * logs).tolist()
+        idx = lo + np.flatnonzero(B[lo : lo + _WINDOW_TILE])
+        b, logs = B[idx], np.log(idx.astype(np.float64))
+        tally(np.abs(b) * logs)
+        return (b * logs).tolist()
 
-    tiles = itertools.chain(map(k_tile, range(1, u + 1, _WINDOW_TILE)),
-                            map(l_tile, range(1, L1 + 1, _WINDOW_TILE)))
-    return math.fsum(itertools.chain.from_iterable(tiles)), math.fsum(weights)
+    tiles = itertools.chain(
+        itertools.chain.from_iterable(map(n_tiles, range(1, n_max + 1, _COEFF_CHUNK))),
+        map(l_tile, range(1, r + 1, _WINDOW_TILE)))
+    total = math.fsum(itertools.chain.from_iterable(tiles))  # tallies W on the way
+    return total, weight
 
 
 @dataclass(frozen=True)
@@ -537,48 +597,48 @@ def psi_counts(
 
     psi comes from a segmented prime-power sieve.  psi* is the m <= C part,
     sum_{m <= min(C, x)} nu(m) [F(x // m) - F((x - y) // m)] with
-    F = lam_prime_summatory; each bracket is one _window_difference call,
-    whose parts are of the window's size, not of F's (about z log z).  psi_*
-    is the exact complement (Lambda_* = Lambda - Lambda*), and psi is
-    reassembled as psi_star + psi_substar (equal to the sieve value up to
-    one rounding).  cutoff C defaults to D^2 and must be >= 1.
+    F = lam_prime_summatory, from _psi_star: the brackets add up exact
+    integer coefficients, then one float pass sums parts of the window's
+    size, not of F's (about z log z).  psi_* is the exact complement
+    (Lambda_* = Lambda - Lambda*), and psi is reassembled as
+    psi_star + psi_substar (equal to the sieve value up to one rounding).
+    cutoff C defaults to D^2 and must be >= 1; y must be below 2^32, which
+    keeps psi*'s coefficients within int64.
 
     psi_star_err = 2^-48 W bounds the rounding error of psi_star, where
-    W = sum_m |nu(m)| W_m and W_m sums |c| M over the live parts c g of
-    bracket m (c an exact integer, g a log-value and M its magnitude, see
-    _log_factorial_ratio; M = g for a log).  With u = 2^-53 and np.log,
-    np.log1p and math.lgamma within 4 ulps (8u), each g is within 14u M
-    (Stirling row: 11u on its log1p term and three roundings of the sum;
-    table row 9u; a log 8u), and c g adds u |c g|.  The Stirling
-    truncation is below 4.5e-20 < 2^-67 M, as M >= 2 log 202 there.  Each
-    bracket's fsum rounds once, nu(m) is 0 or a power of two up to sign
-    (exact), and the outer fsum rounds once more: each of these is at most
-    u W.  So the error is below 17u W plus W's own rounding, a sum of
-    positive floats, within 2^-48 W.  Every live part comes from the pairs
-    kl in the window (z0, z1] of bracket m, so W_m is about
-    (y/m) log^2(x/m) / 2, and psi_star_err about
-    2^-49 y log^2(x) sum_{m <= C} |nu(m)| / m: a factor log x above the
-    size of psi* itself, because the parts' logs do not cancel.
+    W = sum_n |A(n)| M(n) + sum_l |B(l)| log l over the live parts of
+    _psi_star (M(n) is the magnitude of log(q1!/q0!), see
+    _log_factorial_ratio).  With u = 2^-53 and np.log, np.log1p and
+    math.lgamma within 4 ulps (8u), each log-value g is within 14u M of
+    its exact value (Stirling row: 11u on its log1p term and three
+    roundings of the sum; table row 9u; log l 8u, with M = g).  The
+    Stirling truncation is below 4.5e-20 < 2^-67 M, as M >= 2 log 202
+    there.  A(n) is exact as a float; B(l) rounds once if |B(l)| >= 2^53,
+    a u that fits in the 6u a log l leaves of its 14u.  Each product rounds
+    once (u) and the one fsum once (u W).  So the error is below 16u W.
+    W itself is a left-to-right sum of N < 2^51 positive floats, each
+    within 2u of its term, so it is more than half the exact sum and
+    2^-48 W = 32u W covers 16u.  By the triangle
+    inequality W is at most the sum over brackets of their own parts'
+    magnitudes, about (y/m) log^2(x/m) / 2 per m, so psi_star_err is at
+    most about 2^-49 y log^2(x) sum_{m <= C} |nu(m)| / m: a factor log x
+    above the size of psi* itself, as the parts' logs do not cancel.
+    Cancellation inside the coefficients makes it smaller in practice.
     """
     if not 0 < y <= x:
         raise ValueError(f"need 0 < y <= x, got x={x}, y={y}")
     if x > N_limit:
         raise ValueError(f"x = {x} exceeds N_limit = {N_limit}")
+    if y >= 2**32:
+        raise ValueError(f"need y < 2^32, got y={y}")
     C = _cutoff(chi, cutoff)
     xi, xmy = math.floor(x), math.floor(x - y)
 
     psi_sieve, pi_cnt = von_mangoldt_window(xmy, xi)
 
-    star_parts = []
-    weight = 0.0
-    for m in range(1, min(C, xi) + 1):  # both partial sums vanish for m > x
-        v = nu_value(chi, m)
-        z1, z0 = xi // m, xmy // m
-        if v and z1 != z0:
-            diff, w = _window_difference(chi, z1, z0)
-            star_parts.append(v * diff)
-            weight += abs(v) * w
-    psi_star = math.fsum(star_parts)
+    # both partial sums vanish for m > x
+    brackets = ((m, nu_value(chi, m)) for m in range(1, min(C, xi) + 1))
+    psi_star, weight = _psi_star(chi, xi, xmy, brackets)
     psi_substar = psi_sieve - psi_star
     psi = psi_star + psi_substar
 

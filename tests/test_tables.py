@@ -351,14 +351,14 @@ def test_lam_prime_summatory_pinned_at_the_log_factorial_table_edge():
 
 
 @pytest.mark.parametrize("d, x, y, psi_star_hex", [
-    (-4, 10**8, (10**8) ** 0.55, "0x1.14c0a5c1ffd13p+15"),
-    (-163, 10**7, (10**7) ** 0.6, "0x1.e58a53f2b162ap+13"),
-    (-47, 1000, 100, "0x1.8dcc7c8ce46e1p+6"),  # C > x, repeated quotients
+    (-4, 10**8, (10**8) ** 0.55, "0x1.14c0a5c1ffd12p+15"),
+    (-163, 10**7, (10**7) ** 0.6, "0x1.e58a53f2b162cp+13"),
+    (-47, 1000, 100, "0x1.8dcc7c8ce46e0p+6"),  # C > x, repeated quotients
 ], ids=["D=-4", "D=-163", "D=-47"])
 def test_psi_star_pinned_bits(d, x, y, psi_star_hex):
-    # psi* of the window kernel, bit for bit.  A 40-digit sum of the exact
-    # log-prime coefficients of the window puts these 4.8e-11, 5.1e-12 and
-    # 3.7e-13 from the true value.
+    # psi* of the coefficient kernel, bit for bit.  A 40-digit sum of the
+    # exact log-prime coefficients of the window puts these 5.6e-11, 8.7e-12
+    # and 3.8e-13 from the true value (psi_star_err: 1.2e-8, 6.3e-9, 4.9e-11).
     assert psi_counts(x, make_character(d), x, y).psi_star.hex() == psi_star_hex
 
 
@@ -377,7 +377,7 @@ def test_window_difference_matches_brute_force(d):
     pairs = [(20_000, 19_000), (20_000, 0), (20_000, 20_000), (19_999, 19_900),
              (12_345, 12_000), (5_000, 2_500), (1_000, 999), (3, 0), (2, 1), (1, 0), (1, 1)]
     for z1, z0 in pairs:
-        got, weight = tables._window_difference(chi, z1, z0)
+        got, weight = tables._psi_star(chi, z1, z0, [(1, 1)])  # one bracket, nu(1) = 1
         # 2^-48 W is the kernel's bound; the other half covers the oracle,
         # which rounds three times per k on terms of about W's size
         assert abs(got - _brute_window_difference(chi, z1, z0)) <= 2**-47 * weight, (z1, z0)
@@ -386,6 +386,36 @@ def test_window_difference_matches_brute_force(d):
     # C > x: every m <= x enters, with z0 = 0 once m > x - y
     x, y = 2_000, 300
     rep = psi_counts(x, chi, x, y, cutoff=5 * x)
+    want = math.fsum(nu_value(chi, m) * _brute_window_difference(chi, x // m, (x - y) // m)
+                     for m in range(1, x + 1))
+    assert abs(rep.psi_star - want) <= 2 * rep.psi_star_err  # half for the oracle
+
+
+@pytest.mark.parametrize("d, x, y, cutoff", [
+    (-47, 2_000, 300, 10_000),  # C > x: every m <= x enters
+    (-7, 10**5, (10**5) ** 0.55, None),  # C = 49, so n = mk <= 2,205
+], ids=["C>x", "C<x"])
+def test_psi_star_bits_do_not_depend_on_the_chunk(monkeypatch, d, x, y, cutoff):
+    # psi* is one correctly rounded fsum and psi_star_err one left-to-right
+    # sum, so neither may move by a bit when A(n) is cut into other chunks
+    chi = make_character(d)
+    want = psi_counts(x, chi, x, y, cutoff=cutoff)
+    for chunk in (1, 7, 2**10):
+        monkeypatch.setattr(tables, "_COEFF_CHUNK", chunk)
+        got = psi_counts(x, chi, x, y, cutoff=cutoff)
+        assert (got.psi_star, got.psi_star_err) == (want.psi_star, want.psi_star_err), chunk
+
+
+def test_psi_star_with_coefficients_over_several_chunks(monkeypatch):
+    chi = make_character(-4)
+    x, y, chunk = 3_000, 500, 2**8
+    monkeypatch.setattr(tables, "_COEFF_CHUNK", chunk)
+    # A(n) reaches n = m isqrt(x // m) for the live m <= C = x: 2,993, so
+    # twelve chunks
+    n_max = max(m * math.isqrt(x // m) for m in range(1, x + 1)
+                if nu_value(chi, m) and x // m != (x - y) // m)
+    assert n_max > 11 * chunk
+    rep = psi_counts(x, chi, x, y, cutoff=x)
     want = math.fsum(nu_value(chi, m) * _brute_window_difference(chi, x // m, (x - y) // m)
                      for m in range(1, x + 1))
     assert abs(rep.psi_star - want) <= 2 * rep.psi_star_err  # half for the oracle
@@ -478,13 +508,13 @@ def test_psi_split_exact_at_1e5():
 def test_psi_star_oracle_catches_summatory_off_by_1e_6(monkeypatch):
     x = 10**4
     assert all(r.ok for r in verify._check_psi({"psi_xs": (x,)}))
-    orig = tables._window_difference
+    orig = tables._psi_star
 
-    def off(chi, z1, z0):  # F(x) - F(x - y) off by 1e-6, at m = 1 only
-        value, weight = orig(chi, z1, z0)
-        return value + (1e-6 if z1 == x else 0.0), weight
+    def off(chi, x1, x0, brackets):  # psi* off by 1e-6
+        value, weight = orig(chi, x1, x0, brackets)
+        return value + 1e-6, weight
 
-    monkeypatch.setattr(tables, "_window_difference", off)
+    monkeypatch.setattr(tables, "_psi_star", off)
     [oracle] = [r for r in verify._check_psi({"psi_xs": (x,)}) if r.name == "psi-star-oracle"]
     assert not oracle.ok and oracle.gating
 
@@ -530,6 +560,8 @@ def test_psi_validation():
         psi_counts(100, CHI4, 50, 60)
     with pytest.raises(ValueError):
         psi_counts(100, CHI4, 50, 0)
+    with pytest.raises(ValueError, match="2\\^32"):  # psi*'s int64 coefficient bound
+        psi_counts(2**33, CHI4, 2**33, 2**32)
 
 
 def test_li_window_value():
