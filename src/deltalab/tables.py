@@ -571,19 +571,16 @@ class CountReport:
 
 
 def _li_window(a: float, b: float) -> float:
-    """Integral of 1/log t over [a, b]; quadrature with 1e-9 tolerance for
-    a >= 2, else the principal-value li difference (documented offset-free
-    convention)."""
+    """Integral of 1/log t over [a, b] as li(b) - li(a) at 30 digits (the
+    principal value for a < 2).  The difference cancels log10(li(b) / window)
+    digits, so it is one final rounding from exact while that ratio stays
+    below about 10^13."""
     if b <= a:
         return 0.0
-    if a >= 2:
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda t: 1.0 / math.log(t), a, b, epsabs=1e-9, epsrel=1e-12, limit=200)
-        return float(val)
     import mpmath as mp
 
-    return float(mp.li(b) - mp.li(a))
+    with mp.workdps(30):
+        return float(mp.li(b) - mp.li(a))
 
 
 def psi_counts(

@@ -565,11 +565,23 @@ def test_psi_validation():
 
 
 def test_li_window_value():
-    rep = psi_counts(1000, CHI4, 1000, 100)
+    # scipy's quadrature is the oracle: it shares no code with the mpmath li
+    # difference, and at epsrel 1e-13 it matched 60-digit values on these
     from scipy.integrate import quad
 
-    ref, _ = quad(lambda t: 1 / math.log(t), 900, 1000)
-    assert rep.li_value == pytest.approx(ref, abs=1e-9)
+    rep = psi_counts(1000, CHI4, 1000, 100)
+    ref, _ = quad(lambda t: 1 / math.log(t), 900, 1000, epsabs=0, epsrel=1e-13)
+    assert rep.li_value == pytest.approx(ref, rel=1e-13)
+    for x in (1e3, 1e7, 1e9, 1e12):
+        a = x - x**0.4923
+        ref, _ = quad(lambda t: 1 / math.log(t), a, x, epsabs=0, epsrel=1e-13)
+        assert tables._li_window(a, x) == pytest.approx(ref, rel=1e-13), x
+    # x - y < 2: the principal value across t = 1, by a Cauchy-weight rule
+    # on (t - 1) / log t, which is smooth there
+    rep = psi_counts(10, CHI4, 2.5, 2.0)
+    ref, _ = quad(lambda t: (t - 1) / math.log(t) if t != 1 else 1.0, 0.5, 2.5,
+                  weight="cauchy", wvar=1, epsabs=0, epsrel=1e-13)
+    assert rep.li_value == pytest.approx(ref, rel=1e-13)
 
 
 def test_tau_moment_values():
