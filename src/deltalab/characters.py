@@ -61,6 +61,10 @@ EULER_GAMMA = float(np.euler_gamma)
 # with mpmath.stieltjes(1).
 STIELTJES_GAMMA1 = -0.0728158454836767
 
+#: Full periods K summed directly by l_one_series and l_one_derivative
+#: before their Hurwitz-zeta tails take over.
+_PERIODS = 64
+
 
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n) on its full domain (any integers a, n)."""
@@ -316,51 +320,52 @@ def _power_moments(chi: RealCharacter, j_max: int) -> list:
     return [sum(c * a**j for a, c in vals) for j in range(j_max + 1)]
 
 
-def l_one_series(chi: RealCharacter, periods: int = 64, k_max: int = 14) -> float:
-    """L(1, chi) from the truncated Dirichlet series over `periods` full
+def l_one_series(chi: RealCharacter) -> float:
+    """L(1, chi) from the truncated Dirichlet series over _PERIODS = K full
     periods plus the exact partial-summation tail.
 
     Tail: sum_{n > Kq} chi(n)/n = sum_{k>=2} (-1)^(k-1) A_{k-1} q^-k zeta(k, K)
     with A_j the character power moments and zeta(.,.) the Hurwitz zeta;
-    truncation error below K^-(k_max) (astronomically small for K = 64).
+    truncation error below K^-(k_max) = 2^-84 at k_max = 14.
     """
     if chi.is_trivial:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
-    K = periods
-    tab = chi.value_table(K * q)
+    tab = chi.value_table(_PERIODS * q)
     n = np.flatnonzero(tab[1:]) + 1
     partial = math.fsum((tab[n] / n).tolist())
+    k_max = 14
     moments = _power_moments(chi, k_max - 1)
     tail = math.fsum(
-        (-1) ** (k - 1) * (moments[k - 1] / q**k) * _hurwitz_zeta_pair(k, K)[0]
+        (-1) ** (k - 1) * (moments[k - 1] / q**k) * _hurwitz_zeta_pair(k)[0]
         for k in range(2, k_max + 1)
     )
     return partial + tail
 
 
-def l_one_derivative(chi: RealCharacter, periods: int = 64, j_max: int = 16) -> float:
+def l_one_derivative(chi: RealCharacter) -> float:
     """L'(1, chi) = -sum chi(n) log(n)/n via cutoff plus accelerated tail.
 
-    The tail expands log(t)/t around each period block and sums exactly in
-    Hurwitz zeta values and their s-derivatives; within 2e-15 at the
-    defaults, against the Laurent oracle in the tests.
+    The series is cut after _PERIODS full periods.  The tail expands
+    log(t)/t around each period block to order j_max = 16 and sums exactly
+    in Hurwitz zeta values and their s-derivatives; within 2e-15 against
+    the Laurent oracle in the tests.
     """
     if chi.is_trivial:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
-    K = periods
-    tab = chi.value_table(K * q)
+    tab = chi.value_table(_PERIODS * q)
     n = np.flatnonzero(tab[2:]) + 2
     logs = np.fromiter(map(math.log, n.tolist()), dtype=np.float64, count=len(n))
     partial = math.fsum((tab[n] * logs / n).tolist())
+    j_max = 16
     moments = _power_moments(chi, j_max)
     logq = math.log(q)
     tail_terms = []
     harmonic = 0.0
     for j in range(1, j_max + 1):
         harmonic += 1.0 / j
-        z, zp = _hurwitz_zeta_pair(j + 1, K)
+        z, zp = _hurwitz_zeta_pair(j + 1)
         tail_terms.append(
             (-1) ** j * (moments[j] / q ** (j + 1)) * ((logq - harmonic) * z - zp)
         )
@@ -368,15 +373,16 @@ def l_one_derivative(chi: RealCharacter, periods: int = 64, j_max: int = 16) -> 
 
 
 @lru_cache(maxsize=1024)
-def _hurwitz_zeta_pair(s: int, K: int) -> Tuple[float, float]:
-    """(zeta(s, K), d/ds zeta(s, K)) for both L-series tails, rounded once to
-    float and cached.  mpmath's error does not shrink with the pair, which is
-    about K^(1-s) (at K = 64 it stays near 10^-(dps + 9)), so the digits grow
-    with (s - 1) log10 K, whatever the caller's context.  At (17, 64), against
-    150 digits, 53 bits is off by 2.3e-8 relative, 30 digits by 7.4e-10 and
-    these 49 digits by 3e-29."""
+def _hurwitz_zeta_pair(s: int) -> Tuple[float, float]:
+    """(zeta(s, K), d/ds zeta(s, K)) at K = _PERIODS for both L-series
+    tails, rounded once to float and cached.  mpmath's error does not shrink
+    with the pair, which is about K^(1-s) (at K = 64 it stays near
+    10^-(dps + 9)), so the digits grow with (s - 1) log10 K, whatever the
+    caller's context.  At s = 17, against 150 digits, 53 bits is off by
+    2.3e-8 relative, 30 digits by 7.4e-10 and these 49 digits by 3e-29."""
     import mpmath as mp
 
+    K = _PERIODS
     with mp.workdps(20 + math.ceil((s - 1) * math.log10(K))):
         return float(mp.zeta(s, K)), float(mp.zeta(s, K, 1))
 
@@ -456,9 +462,11 @@ def residue_main_term(pattern: ResiduePattern, x: float) -> float:
     return x * prod[p - 1]
 
 
-def stieltjes_gamma1_euler_maclaurin(n: int = 20_000) -> float:
+def stieltjes_gamma1_euler_maclaurin() -> float:
     """Internal Euler-Maclaurin computation of the first Stieltjes constant,
-    used to validate the hard-coded literal at test time."""
+    used to validate the hard-coded literal at test time: the sum of
+    log(k)/k to n = 20,000 and three correction terms."""
+    n = 20_000
     s = math.fsum(math.log(k) / k for k in range(2, n + 1))
     ln = math.log(n)
     f = ln / n

@@ -15,6 +15,8 @@ act only together (--eval-M with --eval-T, --claim-x with --claim-D, --ours
 with --theirs, --out with --dump csv) exit 1 when given alone, as do tuple's
 --eps without --eval-M and --eval-T, and feasibility's --minimal with --r,
 --claim-x or --claim-D; psi-short takes exactly one of --y and --alpha.
+psi-short with an end of the window at 1, and tau-moment with a log power
+or ratio outside the float range, exit 1 rather than print inf.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -34,6 +36,7 @@ from typing import Dict, List, Optional
 from . import __version__
 from .characters import gauss_sum, l_one, l_one_derivative, make_character
 from .delta import (
+    DEFAULT_RAW_CAP,
     OracleMismatchError,
     bound_check,
     exp_sum,
@@ -482,6 +485,9 @@ def _cmd_feasibility(args, config):
 def _cmd_tau_moment(args, config):
     s = tau_moment_bound(args.cap, args.A)
     comp = math.log(args.cap) ** (2.0**args.A + 1.0)
+    if not 0 < comp < math.inf or s / comp == math.inf:
+        raise OverflowError(
+            f"(log cap)^(2^A + 1) or the ratio leaves the float range at A = {args.A}")
     _emit({"sum": s, "log_power_comparison": comp, "ratio": s / comp}, args.json, config)
     return 0
 
@@ -563,7 +569,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--d2", type=int, required=True)
     sp.add_argument("--d3", type=int, required=True)
     sp.add_argument("--x", type=finite, required=True)
-    sp.add_argument("--cap", type=count, default=10**9)
+    sp.add_argument("--cap", type=count, default=DEFAULT_RAW_CAP)
     sp.add_argument("--naive-check", action="store_true")
 
     sp = add("delta-sweep", _cmd_delta_sweep, "delta samples over an x grid, to CSV",
@@ -578,7 +584,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--d3", type=int, required=True)
     sp.add_argument("--x-grid", required=True, help="lo:hi:geometric:n or lo:hi:linear:n")
     sp.add_argument("--out", default="samples.csv")
-    sp.add_argument("--cap", type=count, default=10**9)
+    sp.add_argument("--cap", type=count, default=DEFAULT_RAW_CAP)
 
     sp = add("expsum", _cmd_expsum, "inner exponential sum over an n3 range")
     sp.add_argument("--n1", type=int, required=True)

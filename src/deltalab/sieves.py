@@ -7,7 +7,7 @@ Everything returns numpy arrays indexed by n (entry 0 unused where noted).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -86,15 +86,6 @@ def tau_array(n: int) -> np.ndarray:
     return convolve(one, one, n)
 
 
-def windows(lo: int, hi: int, width: int = SEGMENT) -> Iterator[Tuple[int, int]]:
-    """Half-open [a, b) segments covering the half-open (lo, hi]."""
-    a = lo + 1
-    while a <= hi:
-        b = min(a + width, hi + 1)
-        yield a, b
-        a = b
-
-
 def von_mangoldt_window(lo: int, hi: int) -> Tuple[float, int]:
     """(sum of Lambda(n) for lo < n <= hi, count of primes in that range).
 
@@ -106,7 +97,8 @@ def von_mangoldt_window(lo: int, hi: int) -> Tuple[float, int]:
     base = primes_up_to(math.isqrt(hi))
     log_terms = []
     prime_count = 0
-    for a, b in windows(lo, hi):
+    for a in range(lo + 1, hi + 1, SEGMENT):  # blocks [a, b) covering (lo, hi]
+        b = min(a + SEGMENT, hi + 1)
         seg = np.ones(b - a, dtype=bool)
         if a <= 1 < b:
             seg[1 - a] = False

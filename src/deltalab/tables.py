@@ -38,7 +38,6 @@ the window, not x.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -99,13 +98,6 @@ _COEFF_CHUNK = 1 << 18
 #: log(q1!/q0!) takes the Stirling difference for q0 >= this.  Its
 #: truncation is then below 1 / (1680 * 201^7) < 4.5e-20 (A&S 6.1.42).
 _STIRLING_FROM = 200
-
-#: Quotients q < this take lgamma(q + 1) from _log_factorials (512 KB, about
-#: 14 ms to build); larger ones call math.lgamma.  On the 18 ops of two
-#: psi-windows rounds (seed 1; 2-core Xeon VM, Python 3.11, best of 3), sizes
-#: 2^14 .. 2^18 took 0.97, 0.91, 0.81, 0.80 and 0.82 s while the build time
-#: doubles per step (3 to 54 ms): past 2^16 only memory grows.
-_LOG_FACTORIAL_TABLE = 1 << 16
 
 #: Absolute tolerance of the float checks in verify_table_identities.
 _FLOAT_SLACK = 1e-9
@@ -351,25 +343,9 @@ def asymptotic_residual(t: FunctionTable, f: str, x: float) -> AsymptoticReport:
     return AsymptoticReport(main=main, residual=residual, normalized=residual / scale)
 
 
-@functools.cache
-def _log_factorials() -> np.ndarray:
-    """Read-only table of lgamma(q + 1) = log(q!) for q < _LOG_FACTORIAL_TABLE,
-    built once per process from math.lgamma (streamed, never a Python list)."""
-    table = np.fromiter(map(math.lgamma, range(1, _LOG_FACTORIAL_TABLE + 1)),
-                        dtype=np.float64, count=_LOG_FACTORIAL_TABLE)
-    table.setflags(write=False)
-    return table
-
-
 def _lgamma_plus_one(q: np.ndarray) -> np.ndarray:
-    """math.lgamma(q + 1) elementwise for an int64 array q >= 0: a gather from
-    _log_factorials, with math.lgamma only for the q past its end."""
-    table = _log_factorials()
-    big = q >= len(table)
-    out = table[np.where(big, 0, q)]
-    if big.any():
-        out[big] = np.fromiter(map(math.lgamma, (q[big] + 1).tolist()), dtype=np.float64)
-    return out
+    """math.lgamma(q + 1) elementwise for an int64 array q >= 0."""
+    return np.fromiter(map(math.lgamma, (q + 1).tolist()), dtype=np.float64, count=len(q))
 
 
 def lam_prime_summatory(chi: RealCharacter, z: int) -> float:
@@ -389,11 +365,11 @@ def lam_prime_summatory(chi: RealCharacter, z: int) -> float:
     not grow with z; the nonzero parts of every tile feed one math.fsum, so
     the result is their correctly rounded sum.
 
-    lgamma(q + 1) comes from the shared table of math.lgamma values
-    (_lgamma_plus_one), and each part is one int64 x float64 array product,
-    which rounds like Python's int * float (|S(k) - S(k')| < 2^53).  So the
-    parts are the same floats as from a scalar math.lgamma loop, and fsum
-    rounds their sum correctly in any order: the result is bit-identical.
+    lgamma(q + 1) is math.lgamma per live quotient (_lgamma_plus_one), and
+    each part is one int64 x float64 array product, which rounds like
+    Python's int * float (|S(k) - S(k')| < 2^53).  So the parts are the same
+    floats as from a scalar math.lgamma loop, and fsum rounds their sum
+    correctly in any order: the result is bit-identical.
     """
     z = int(z)
     if z < 1:
@@ -427,7 +403,7 @@ def _log_factorial_ratio(q1: np.ndarray, q0: np.ndarray):
         h = 1              log(q1)                                 M = log q1
         h > 1, q0 >= 200   (a - 1/2) log1p(h/a) + h log b - h      M = the three
                            + tail(b) - tail(a), a = q0+1, b = q1+1     terms' sum
-        h > 1, q0 < 200    lgamma(q1+1) - lgamma(q0+1), tabled     M = their sum
+        h > 1, q0 < 200    lgamma(q1+1) - lgamma(q0+1)             M = their sum
 
     The middle row is the difference of Stirling's series for lgamma(b)
     and lgamma(a) (A&S 6.1.41), which are log(q1!) and log(q0!)."""
@@ -600,7 +576,9 @@ def psi_counts(
     (Lambda_* = Lambda - Lambda*), and psi is reassembled as
     psi_star + psi_substar (equal to the sieve value up to one rounding).
     cutoff C defaults to D^2 and must be >= 1; y must be below 2^32, which
-    keeps psi*'s coefficients within int64.
+    keeps psi*'s coefficients within int64.  Neither end of the window may
+    be 1: the Li window diverges there (its principal value exists only
+    when 1 is strictly inside).
 
     psi_star_err = 2^-48 W bounds the rounding error of psi_star, where
     W = sum_n |A(n)| M(n) + sum_l |B(l)| log l over the live parts of
@@ -608,7 +586,7 @@ def psi_counts(
     _log_factorial_ratio).  With u = 2^-53 and np.log, np.log1p and
     math.lgamma within 4 ulps (8u), each log-value g is within 14u M of
     its exact value (Stirling row: 11u on its log1p term and three
-    roundings of the sum; table row 9u; log l 8u, with M = g).  The
+    roundings of the sum; lgamma row 9u; log l 8u, with M = g).  The
     Stirling truncation is below 4.5e-20 < 2^-67 M, as M >= 2 log 202
     there.  A(n) is exact as a float; B(l) rounds once if |B(l)| >= 2^53,
     a u that fits in the 6u a log l leaves of its 14u.  Each product rounds
@@ -628,6 +606,8 @@ def psi_counts(
         raise ValueError(f"x = {x} exceeds N_limit = {N_limit}")
     if y >= 2**32:
         raise ValueError(f"need y < 2^32, got y={y}")
+    if x == 1 or x - y == 1:
+        raise ValueError(f"the Li window diverges at an endpoint t = 1, got x={x}, y={y}")
     C = _cutoff(chi, cutoff)
     xi, xmy = math.floor(x), math.floor(x - y)
 

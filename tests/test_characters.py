@@ -437,15 +437,6 @@ def test_l_values_against_the_hurwitz_laurent_oracle(d):
     assert abs(l_one_derivative(chi) - Ld) <= 2e-15, d
 
 
-def test_l_one_derivative_cutoff_self_consistency():
-    for d in (-4, 5, 12):
-        chi = make_character(d)
-        a = l_one_derivative(chi, periods=64)
-        b = l_one_derivative(chi, periods=256)
-        assert abs(a - b) < 1e-5  # documented budget; in practice ~1e-13
-        assert abs(a - b) < 1e-10
-
-
 def test_l_one_derivative_sign_against_finite_difference():
     # coarse symmetric difference of the truncated Dirichlet series at
     # s = 1 +- 1e-4: the sign (and rough size) must match

@@ -223,6 +223,10 @@ def test_config_echoed(capsys):
 def test_tau_moment(capsys):
     assert run(["tau-moment", "--cap", "10", "--A", "1"]) == 0
     assert "sum = 6.00238095238" in out_of(capsys)
+    # (log 2)^(2^10 + 1) is still a normal float; at A = 11 .. 996 it is 0.0
+    assert run(["tau-moment", "--cap", "2", "--A", "10"]) == 0
+    assert out_of(capsys).splitlines()[1:] == [
+        "sum = 513", "log_power_comparison = 7.01612909382e-164", "ratio = 7.31172407378e+165"]
 
 
 def test_verify_all_reduced(capsys):
@@ -437,15 +441,30 @@ def test_cutoff_below_one_rejected(capsys):
     ["divisor-sum", "--f", "rho", "--x", "1e9", "--disc", "-4"],
     ["delta-sweep", "--d1", "1", "--d2", "1", "--d3", "-4", "--x-grid", "0:10:geometric:3"],
     ["delta", "--d1", "1", "--d2", "1", "--d3", "-4", "--x", "1e9", "--naive-check"],
+    ["psi-short", "--x", "10", "--y", "9", "--disc", "-4", "--json"],
+    ["psi-short", "--x", "1", "--y", "0.5", "--disc", "-4", "--json"],
+    ["tau-moment", "--cap", "2", "--A", "11"],
+    ["tau-moment", "--cap", "2", "--A", "996"],
 ])
 def test_failing_run_exits_1_with_message(argv, tmp_path, monkeypatch, capsys):
-    """Over the memory budget (tables, and the --naive-check oracle), and a
-    geometric grid from 0."""
+    """Over the memory budget (tables, and the --naive-check oracle), a
+    geometric grid from 0, a Li window with an end at t = 1 (it diverges),
+    and a log power (log 2)^(2^A + 1) that underflows to 0."""
     monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
     assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_raw_sum_cap_defaults_come_from_delta():
+    from deltalab.delta import DEFAULT_RAW_CAP
+
+    commands = build_parser().commands
+    for command in ("delta", "delta-sweep"):
+        (cap,) = [a for a in commands[command]._actions if a.dest == "cap"]
+        assert cap.default == DEFAULT_RAW_CAP, command
 
 
 # (command, base argv, the one key given, its value, the flag the error names)

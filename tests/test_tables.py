@@ -329,20 +329,12 @@ def test_lam_prime_summatory_pinned_across_tiles():
             assert lam_prime_summatory(chi, z) == _blocked_lam_prime_summatory(chi, z)
 
 
-def test_log_factorial_table():
-    table = tables._log_factorials()
-    size = tables._LOG_FACTORIAL_TABLE
-    assert table.shape == (size,) and not table.flags.writeable
-    for q in (0, 1, size - 1):
-        assert table[q] == math.lgamma(q + 1), q
-
-
 def test_lam_prime_summatory_pinned_at_the_log_factorial_table_edge():
-    edge = tables._LOG_FACTORIAL_TABLE
+    edge = 1 << 16
     X = 10**8 + 7
     # k = 1 is a live block end with quotient z, so the first three z put
-    # the quotients edge - 1, edge and edge + 1 through the gather and the
-    # math.lgamma fallback; 2^32 + 5 has quotients on both sides of the edge.
+    # the quotients edge - 1, edge and edge + 1 through _lgamma_plus_one;
+    # 2^32 + 5 has quotients on both sides of the edge.
     zs = [edge - 1, edge, edge + 1, 2**32 + 5] + [X // m for m in range(1, 50)]
     for d in (1, -4, 13, -163):
         chi = make_character(d)
@@ -424,7 +416,7 @@ def test_psi_star_with_coefficients_over_several_chunks(monkeypatch):
 def test_log_factorial_ratio_matches_mpmath():
     import mpmath as mp
 
-    edge, s = tables._LOG_FACTORIAL_TABLE, tables._STIRLING_FROM
+    edge, s = 1 << 16, tables._STIRLING_FROM
     q0 = [0, 1, s - 2, s - 1, s - 1, s, s, s + 1, edge - 3, edge - 2, edge - 1, edge - 1,
           edge, edge, edge + 1, 10**6, 10**9, s - 1, s, 3, edge - 5]
     q1 = [1, 3, s, s + 1, s + 9, s + 1, s + 2, s + 40, edge - 1, edge, edge + 1, edge + 7,
@@ -562,6 +554,11 @@ def test_psi_validation():
         psi_counts(100, CHI4, 50, 0)
     with pytest.raises(ValueError, match="2\\^32"):  # psi*'s int64 coefficient bound
         psi_counts(2**33, CHI4, 2**33, 2**32)
+    # the Li window diverges at an endpoint t = 1: its principal value
+    # exists only when 1 is strictly inside
+    for x, y in ((10, 9), (1, 0.5)):
+        with pytest.raises(ValueError, match="t = 1"):
+            psi_counts(10, CHI4, x, y)
 
 
 def test_li_window_value():
