@@ -384,7 +384,8 @@ def _cmd_psi_short(args, config):
     rep = psi_counts(int(math.ceil(args.x)), chi, args.x, y, cutoff=args.cutoff)
     _emit({
         "x": rep.x, "y": rep.y, "psi": rep.psi, "psi_star": rep.psi_star,
-        "psi_substar": rep.psi_substar, "pi_count": rep.pi_count,
+        "psi_star_err": rep.psi_star_err, "psi_substar": rep.psi_substar,
+        "pi_count": rep.pi_count,
         "li_window": rep.li_value, "main_term": rep.main_term, "ratio": rep.ratio,
     }, args.json, config)
     return 0

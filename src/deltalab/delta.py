@@ -35,7 +35,7 @@ import numpy as np
 
 from .characters import RealCharacter, ResiduePattern, residue_main_term
 from .monomials import main_theorem_terms
-from .sieves import convolve
+from .sieves import convolve, floor_div
 from .tables import check_memory_budget
 
 __all__ = [
@@ -88,15 +88,6 @@ def _isqrt(t: np.ndarray) -> np.ndarray:
     return s
 
 
-def _floor_div(t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """t // d for float64 arrays holding integers t >= 0 and d >= 1
-    (broadcast), as int64, by one float division.  Exact while t + d < 2^53:
-    a non-integral t/d lies at least 1/d below the next integer k + 1, and
-    rounding moves it by at most (k + 1) 2^-53 < 1/d.  int64 division has
-    no SIMD path and costs about twice as much."""
-    return (t / d).astype(np.int64)
-
-
 def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarray:
     """P(t) = sum_{ab <= t} chi1(a) chi2(b) for every entry of the
     non-increasing int64 array t >= 0, by the two-factor hyperbola with
@@ -117,7 +108,7 @@ def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarra
         narrow = int(s[hi - 1])
         for a0 in range(1, width + 1, _BLOCK_ELEMENTS):
             a = np.arange(a0, min(a0 + _BLOCK_ELEMENTS, width + 1), dtype=np.int64)
-            q = _floor_div(tf[lo:hi, None], a.astype(np.float64))
+            q = floor_div(tf[lo:hi, None], a.astype(np.float64))
             m = max(narrow + 1 - a0, 0)
             q[:, m:] *= a[m:] <= s[lo:hi, None]  # S(0) = 0 drops the entries with a > s
             s1 = c1.partial_sum(q)
@@ -205,7 +196,7 @@ def _hyperbola(chis, N: np.ndarray, y: np.ndarray) -> np.ndarray:
     while lo < len(n):
         width = int(yrow[lo])  # rows 0..width-1 hold n = 1..width
         hi = min(lo + max(1, _BLOCK_ELEMENTS // width), len(n))
-        q = _floor_div(Mf[lo:hi, None], nf[:width])
+        q = floor_div(Mf[lo:hi, None], nf[:width])
         narrow = int(yrow[hi - 1])
         q[:, narrow:] *= n[narrow:width] <= yrow[lo:hi, None]  # S(0) = 0 drops b > y
         sums = {c: c.partial_sum(q) for c in dict.fromkeys(chis)}  # once per character

@@ -1,5 +1,6 @@
 """Shared sieve utilities: primes, smallest prime factors, Mobius, tau,
-Dirichlet convolution, and a segmented von Mangoldt window sum for large x.
+Dirichlet convolution, a segmented von Mangoldt window sum for large x, and
+the float floor division that the hyperbola kernels share.
 
 Everything returns numpy arrays indexed by n (entry 0 unused where noted).
 """
@@ -13,6 +14,20 @@ import numpy as np
 
 #: Segment length for windowed sieves (2^22 entries per block).
 SEGMENT = 1 << 22
+
+#: A base prime with at least this many multiples in a block clears them by
+#: a strided slice of its own; the others share one fancy-indexed store per
+#: multiple rank, so the Python loop runs over the small primes only.
+_STRIDED_FROM = 16
+
+
+def floor_div(t, d) -> np.ndarray:
+    """t // d for float64 arrays (or ints) holding integers t >= 0 and
+    d >= 1 (broadcast), as int64, by one float division.  Exact while
+    t + d < 2^53: a non-integral t/d lies at least 1/d below the next
+    integer k + 1, and rounding moves it by at most (k + 1) 2^-53 < 1/d.
+    int64 division has no SIMD path and costs about twice as much."""
+    return (t / d).astype(np.int64)
 
 
 def prime_mask(n: int) -> np.ndarray:
@@ -89,8 +104,12 @@ def tau_array(n: int) -> np.ndarray:
 def von_mangoldt_window(lo: int, hi: int) -> Tuple[float, int]:
     """(sum of Lambda(n) for lo < n <= hi, count of primes in that range).
 
-    Segmented: prime marks per 2^22-entry block; higher prime powers are
-    enumerated directly (there are only O(sqrt(hi)) of them).
+    Segmented: prime marks per 2^22-entry block.  A base prime p clears its
+    multiples from max(p^2, the block's start) on: by a strided slice when
+    it has at least _STRIDED_FROM of them in the block, else together with
+    every other such prime, one store per multiple rank.  Higher prime
+    powers p^k take one pass over the base primes per k (there are only
+    O(sqrt(hi)) of them), each adding math.log(p) once.
     """
     if hi <= lo:
         return 0.0, 0
@@ -104,21 +123,26 @@ def von_mangoldt_window(lo: int, hi: int) -> Tuple[float, int]:
             seg[1 - a] = False
         if a <= 0 < b:
             seg[0 - a] = False
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((a + p - 1) // p) * p)
-            if start < b:
-                seg[start - a :: p] = False
+        off = np.maximum(base * base, -(-a // base) * base) - a  # first multiple, in the block
+        count = (b - a - 1 - off) // base + 1  # <= 0 past the block's end
+        strided = count >= _STRIDED_FROM
+        for o, p in zip(off[strided].tolist(), base[strided].tolist()):
+            seg[o::p] = False
+        few = (count > 0) & ~strided
+        off, p = off[few], base[few]
+        while off.size:  # fewer than _STRIDED_FROM rounds
+            seg[off] = False
+            off += p
+            inside = off < b - a
+            off, p = off[inside], p[inside]
         idx = np.flatnonzero(seg) + a
         prime_count += len(idx)
         if len(idx):
             log_terms.append(float(np.log(idx.astype(np.float64)).sum()))
-    # Higher prime powers p^k with lo < p^k <= hi.
-    for p in base:
-        p = int(p)
-        pk = p * p
-        while pk <= hi:
-            if pk > lo:
-                log_terms.append(math.log(p))
-            pk *= p
+    # Higher prime powers pk = p^k, k >= 2, with lo < pk <= hi.
+    p, pk = base, base * base
+    while p.size:
+        log_terms.extend(map(math.log, p[pk > lo].tolist()))
+        more = pk <= hi // p
+        p, pk = p[more], pk[more] * p[more]
     return math.fsum(log_terms), prime_count

@@ -33,7 +33,10 @@ a factorial ratio at n = mk, log l at l.  So the brackets add up exact
 integer coefficients A(n) and B(l) (_psi_star), and one float pass in
 fixed-size tiles sums A(n) log(q1!/q0!) + B(l) log l, with parts of the
 window's size: the stated bound psi_star_err on psi*'s rounding follows
-the window, not x.
+the window, not x.  The parts' sum is exact up to one final rounding
+(_exact_sum: integer limbs per exponent, binned by numpy), and the
+quotients x // n and z // l are float divisions, exact for x < 2^52
+(sieves.floor_div).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 
 from .characters import RealCharacter, ResiduePattern, l_one, l_one_derivative, residue_main_term
 from .monomials import Monomial, evaluate, mono
-from .sieves import convolve, mobius_array, primes_up_to
+from .sieves import convolve, floor_div, mobius_array, primes_up_to
 from .sieves import tau_array, von_mangoldt_window
 
 __all__ = [
@@ -94,6 +97,18 @@ _WINDOW_TILE = 1 << 14
 #: peak RSS rose by 2.6 MB (median of 9 runs, 91 MB in all); with 2^18 by
 #: about 0.4 MB, at the same ops/s.
 _COEFF_CHUNK = 1 << 18
+
+#: Bytes per entry of psi_counts' arrays of isqrt(x) + 1 entries: B and the
+#: float l (8 each), the int32 chi table and its int8 source (5) and the
+#: window sieve's base-prime mask (1), rounded up.  The tracemalloc peak of
+#: a whole psi_counts call is 22.1 per entry at x = 1e12.
+_PSI_BYTES_PER_ROOT = 24
+
+#: Entries per flush of _exact_sum: 2^26 limbs below 2^27 sum below 2^53.
+_EXACT_SUM_BLOCK = 1 << 26
+
+#: Bins of _exact_sum, one per float64 exponent np.frexp gives (-1073..1024).
+_EXPONENTS = 2098
 
 #: log(q1!/q0!) takes the Stirling difference for q0 >= this.  Its
 #: truncation is then below 1 / (1680 * 201^7) < 4.5e-20 (A&S 6.1.42).
@@ -425,10 +440,49 @@ def _log_factorial_ratio(q1: np.ndarray, q0: np.ndarray):
     return g, mag
 
 
+def _exact_sum(parts) -> float:
+    """The correctly rounded sum of the finite entries of an iterable of
+    float64 arrays, when it is finite: the float math.fsum returns for them,
+    in any order and however they are split into arrays.
+
+    np.frexp writes each entry as M 2^(e - 53), M an integer with
+    |M| < 2^53.  M splits into limbs h 2^26 + l with |h| <= 2^27 and
+    0 <= l < 2^26, and np.bincount adds each limb per exponent e: at most
+    _EXACT_SUM_BLOCK limbs per bin between flushes keep every bin sum below
+    2^53, so it is exact.  A flush adds the bins to one Python int in units
+    of 2^-1126 (e - 53 >= -1126 for every float64, subnormals included),
+    and one int/int true division, which CPython rounds correctly, ends the
+    sum."""
+    total = 0
+    bins = np.zeros((2, _EXPONENTS))
+    held = 0
+
+    def flush() -> None:
+        nonlocal total, held
+        for e in np.flatnonzero(bins.any(axis=0)).tolist():
+            total += ((int(bins[0, e]) << 26) + int(bins[1, e])) << e
+        bins[:] = 0.0
+        held = 0
+
+    for a in parts:
+        for i in range(0, a.size, _EXACT_SUM_BLOCK):
+            m, e = np.frexp(a[i : i + _EXACT_SUM_BLOCK])
+            if held + m.size > _EXACT_SUM_BLOCK:
+                flush()
+            held += m.size
+            m *= 2.0**53
+            h = np.floor(m * 2.0**-26)
+            e += 1073  # the unit 2^-1126 is 2^(e - 53) at e = -1073
+            bins[0] += np.bincount(e, weights=h, minlength=_EXPONENTS)
+            bins[1] += np.bincount(e, weights=m - h * 2.0**26, minlength=_EXPONENTS)
+    flush()
+    return total / (1 << 1126)
+
+
 def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
     """sum_m nu(m) [F(x1 // m) - F(x0 // m)] for F = lam_prime_summatory,
-    0 <= x0 <= x1 with x1 - x0 <= 2^32 and brackets the pairs (m, nu(m)),
-    and the magnitude W of its parts (see psi_counts).
+    0 <= x0 <= x1 < 2^52 with x1 - x0 <= 2^32 and brackets the pairs
+    (m, nu(m)), and the magnitude W of its parts (see psi_counts).
 
     Bracket m is one Dirichlet hyperbola split (Tenenbaum, I.3.2) of both of
     its arguments at u = isqrt(z1), z1 = x1 // m.  F(z) sums chi(k) log l
@@ -447,27 +501,31 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
         A(n) = sum_{mk = n, k <= u_m} nu(m) chi(k)                  (int32)
         B(l) = sum_m nu(m) [S(z1 // l) - S(max(z0 // l, u_m))]      (int64)
 
-    one strided slice of A and one contiguous slice of B per bracket.  The
+    one strided slice of A and slices of B in tiles of _WINDOW_TILE l per
+    bracket.  The quotients z // l there and x // n below are
+    sieves.floor_div float divisions, exact as t + d <= 2 x1 < 2^53.  The
     float work then runs once per n and once per l,
 
         sum_n A(n) log(q1!/q0!) + sum_l B(l) log l,
 
     in tiles of _WINDOW_TILE, dropping the parts with q1 = q0 or a zero
     coefficient; every part sums over pairs kl in a bracket's window, so
-    the parts are of the windows' size.  All parts feed one math.fsum, a
-    correctly rounded sum, and W is one left-to-right np.cumsum over n, then
-    l: both are bit-identical whatever the chunk and tile sizes.
+    the parts are of the windows' size.  All parts feed one _exact_sum,
+    which returns their correctly rounded sum (the float math.fsum would),
+    and W is one left-to-right np.cumsum over n, then l: both are
+    bit-identical whatever the chunk and tile sizes.
 
     The coefficient arrays do not grow with C.  A is built in int32 chunks
     of _COEFF_CHUNK n (chunk [lo, hi) takes a slice of every m < hi with
     m u_m >= lo), and |A(n)| <= sum_{m | n} |nu(m)| <= 4^omega(n)
     <= 4^15 < 2^31 for n < 2^63, as nu(p) = -1 - chi(p), nu(p^2) = chi(p)
-    and nu(p^e) = 0 for e > 2.  B has isqrt(x1) + 1 entries.  Each of its
+    and nu(p^e) = 0 for e > 2.  B and the float l have isqrt(x1) + 1
+    entries (see _PSI_BYTES_PER_ROOT).  Each of B's
     S-differences is at most the number of multiples of ml in (x0, x1], so
     |B(l)| <= 4^15 ((x1 - x0) / l + 1) < 2^63."""
     r = math.isqrt(x1)
     S = chi.partial_sum
-    ls = np.arange(r + 1, dtype=np.int64)
+    ls = np.arange(r + 1, dtype=np.float64)  # l as a float, for floor_div
     B = np.zeros(r + 1, dtype=np.int64)
     live = []  # (m, nu(m), u_m) of the brackets with a nonzero window
     for m, v in brackets:
@@ -475,8 +533,9 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
         if v and z1 != z0:
             u = math.isqrt(z1)
             L = z1 // (u + 1)
-            l = ls[1 : L + 1]
-            B[1 : L + 1] += v * (S(z1 // l) - S(np.maximum(z0 // l, u)))
+            for j in range(1, L + 1, _WINDOW_TILE):
+                l = ls[j : min(j + _WINDOW_TILE, L + 1)]
+                B[j : j + l.size] += v * (S(floor_div(z1, l)) - S(np.maximum(floor_div(z0, l), u)))
             live.append((m, v, u))
     if not live:
         return 0.0, 0.0
@@ -502,24 +561,24 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
                 A[k0 * m - lo : k1 * m - lo + 1 : m] += v * chi_tab[k0 : k1 + 1]
         for j in range(0, A.size, _WINDOW_TILE):
             i = j + np.flatnonzero(A[j : j + _WINDOW_TILE])
-            q1, q0 = x1 // (i + lo), x0 // (i + lo)
+            n = (i + lo).astype(np.float64)
+            q1, q0 = floor_div(x1, n), floor_div(x0, n)
             keep = np.flatnonzero(q1 != q0)
             a = A[i[keep]]
             g, mag = _log_factorial_ratio(q1[keep], q0[keep])
             tally(np.abs(a) * mag)
-            yield (a * g).tolist()  # |A(n)| < 2^31: exact as a float
+            yield a * g  # |A(n)| < 2^31: exact as a float
 
     def l_tile(lo: int):
         idx = lo + np.flatnonzero(B[lo : lo + _WINDOW_TILE])
         b, logs = B[idx], np.log(idx.astype(np.float64))
         tally(np.abs(b) * logs)
-        return (b * logs).tolist()
+        return b * logs
 
     tiles = itertools.chain(
         itertools.chain.from_iterable(map(n_tiles, range(1, n_max + 1, _COEFF_CHUNK))),
         map(l_tile, range(1, r + 1, _WINDOW_TILE)))
-    total = math.fsum(itertools.chain.from_iterable(tiles))  # tallies W on the way
-    return total, weight
+    return _exact_sum(tiles), weight  # tallies W on the way
 
 
 @dataclass(frozen=True)
@@ -576,9 +635,11 @@ def psi_counts(
     (Lambda_* = Lambda - Lambda*), and psi is reassembled as
     psi_star + psi_substar (equal to the sieve value up to one rounding).
     cutoff C defaults to D^2 and must be >= 1; y must be below 2^32, which
-    keeps psi*'s coefficients within int64.  Neither end of the window may
-    be 1: the Li window diverges there (its principal value exists only
-    when 1 is strictly inside).
+    keeps psi*'s coefficients within int64, and x below 2^52, which keeps
+    its float quotients exact.  Its arrays of isqrt(x) + 1 entries must fit
+    DEFAULT_MEMORY_BUDGET, checked before any is allocated.  Neither end of
+    the window may be 1: the Li window diverges there (its principal value
+    exists only when 1 is strictly inside).
 
     psi_star_err = 2^-48 W bounds the rounding error of psi_star, where
     W = sum_n |A(n)| M(n) + sum_l |B(l)| log l over the live parts of
@@ -590,7 +651,7 @@ def psi_counts(
     Stirling truncation is below 4.5e-20 < 2^-67 M, as M >= 2 log 202
     there.  A(n) is exact as a float; B(l) rounds once if |B(l)| >= 2^53,
     a u that fits in the 6u a log l leaves of its 14u.  Each product rounds
-    once (u) and the one fsum once (u W).  So the error is below 16u W.
+    once (u) and the exact sum once (u W).  So the error is below 16u W.
     W itself is a left-to-right sum of N < 2^51 positive floats, each
     within 2u of its term, so it is more than half the exact sum and
     2^-48 W = 32u W covers 16u.  By the triangle
@@ -608,8 +669,11 @@ def psi_counts(
         raise ValueError(f"need y < 2^32, got y={y}")
     if x == 1 or x - y == 1:
         raise ValueError(f"the Li window diverges at an endpoint t = 1, got x={x}, y={y}")
+    if x >= 2**52:
+        raise ValueError(f"need x < 2^52, which keeps psi*'s float quotients exact, got x={x}")
     C = _cutoff(chi, cutoff)
     xi, xmy = math.floor(x), math.floor(x - y)
+    check_memory_budget(f"x = {x}", math.isqrt(xi) + 1, _PSI_BYTES_PER_ROOT, "isqrt(x)")
 
     psi_sieve, pi_cnt = von_mangoldt_window(xmy, xi)
 

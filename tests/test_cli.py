@@ -142,6 +142,37 @@ def test_psi_short(capsys):
     assert "pi_count = 1" in text
 
 
+def test_psi_short_reports_psi_star_err(capsys):
+    from deltalab.characters import make_character
+    from deltalab.tables import psi_counts
+
+    rep = psi_counts(10**7, make_character(13), 10**7, (10**7) ** 0.55)
+    assert run(["psi-short", "--x", "1e7", "--alpha", "0.55", "--disc", "13", "--json"]) == 0
+    result = json.loads(out_of(capsys))["result"]
+    assert result["psi_star_err"] == rep.psi_star_err > 0
+    assert run(["psi-short", "--x", "1e7", "--alpha", "0.55", "--disc", "13"]) == 0
+    assert f"psi_star_err = {rep.psi_star_err:.12g}\n" in out_of(capsys)
+
+
+def test_psi_short_past_the_float_quotient_bound_allocates_nothing(capsys):
+    # x = 1e17 would need isqrt(x) + 1 = 3.2e8 entries per array (2.4 GiB
+    # for B alone) and float quotients past 2^53
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert run(["psi-short", "--x", "1e17", "--y", "100", "--disc", "-4"]) == 1
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "2^52" in err
+    assert peak < 1 << 20 and elapsed < 1.0
+
+
 def test_psi_short_needs_y_or_alpha(capsys):
     assert run(["psi-short", "--x", "100", "--disc", "-4"]) == 1
 

@@ -5,6 +5,7 @@ the residue formulas, and short-interval counts."""
 import dataclasses
 import math
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltalab import tables, verify
+from deltalab import sieves, tables, verify
 from deltalab.characters import l_one, l_one_derivative, make_character
 from deltalab.sieves import convolve, mobius_array, prime_mask, tau_array, von_mangoldt_window
 from deltalab.tables import (
@@ -212,6 +213,64 @@ def test_mobius_array_matches_the_per_prime_loop():
     assert got.dtype == np.int64 and np.array_equal(got, loop)
 
 
+def test_floor_div_exact_while_t_plus_d_below_2_53():
+    # the hardest t are one below a multiple of d: t/d is then closest to
+    # the next integer
+    rng = np.random.default_rng(53)
+    d = np.concatenate([np.arange(1, 1000), rng.integers(1, 2**27, 5000), [2**26, 2**27 - 1]])
+    for top in (2**52, 2**53 - 1):  # t <= top - d: psi_counts' x < 2^52, then the edge
+        k = (top - d) // d
+        for t in (k * d - 1, k * d, (k - 1) * d + 1, rng.integers(0, top - d)):
+            want = t // d
+            assert np.array_equal(sieves.floor_div(t.astype(np.float64), d.astype(np.float64)), want)
+
+
+def _per_prime_window(lo, hi):
+    """von_mangoldt_window with one Python step per base prime and block,
+    and one per prime power: the reference for its vectorised marks."""
+    base = np.flatnonzero(prime_mask(math.isqrt(hi))).tolist()
+    terms, count = [], 0
+    for a in range(lo + 1, hi + 1, sieves.SEGMENT):
+        b = min(a + sieves.SEGMENT, hi + 1)
+        seg = np.ones(b - a, dtype=bool)
+        for n in (0, 1):
+            if a <= n < b:
+                seg[n - a] = False
+        for p in base:
+            start = max(p * p, -(-a // p) * p)
+            if start < b:
+                seg[start - a :: p] = False
+        idx = np.flatnonzero(seg) + a
+        count += len(idx)
+        if len(idx):
+            terms.append(float(np.log(idx.astype(np.float64)).sum()))
+    for p in base:
+        pk = p * p
+        while pk <= hi:
+            if pk > lo:
+                terms.append(math.log(p))
+            pk *= p
+    return math.fsum(terms), count
+
+
+_SHORT_WINDOWS = [
+    (0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4),  # 0/1, hi < 4
+    (3, 9), (8, 9), (24, 25), (26, 27), (31, 32), (120, 121), (124, 125),  # p^k ends
+    (90, 100), (1000, 1010), (10**6 - 15, 10**6), (10**9 - 7, 10**9 + 8),  # shorter than 16
+]
+
+
+def test_window_sieve_matches_the_per_prime_loop(monkeypatch):
+    for lo, hi in _SHORT_WINDOWS + [(0, 20_000), (96_000, 101_000), (10**9 - 30_000, 10**9)]:
+        assert von_mangoldt_window(lo, hi) == _per_prime_window(lo, hi), (lo, hi)
+    # small blocks: windows cross block ends, and the strided and the
+    # fancy-indexed marks split the base primes differently
+    for segment in (5, 16, 17, 1000):
+        monkeypatch.setattr(sieves, "SEGMENT", segment)
+        for lo, hi in _SHORT_WINDOWS + [(0, 5000), (96_000, 101_000)]:
+            assert von_mangoldt_window(lo, hi) == _per_prime_window(lo, hi), (segment, lo, hi)
+
+
 def test_lam_fill_matches_the_per_prime_loop():
     for N in (1, 2, 4, 97, 10**5):
         loop = np.zeros(N + 1, dtype=np.float64)
@@ -342,16 +401,62 @@ def test_lam_prime_summatory_pinned_at_the_log_factorial_table_edge():
             assert lam_prime_summatory(chi, z) == _blocked_lam_prime_summatory(chi, z), (d, z)
 
 
-@pytest.mark.parametrize("d, x, y, psi_star_hex", [
-    (-4, 10**8, (10**8) ** 0.55, "0x1.14c0a5c1ffd12p+15"),
-    (-163, 10**7, (10**7) ** 0.6, "0x1.e58a53f2b162cp+13"),
-    (-47, 1000, 100, "0x1.8dcc7c8ce46e0p+6"),  # C > x, repeated quotients
-], ids=["D=-4", "D=-163", "D=-47"])
-def test_psi_star_pinned_bits(d, x, y, psi_star_hex):
-    # psi* of the coefficient kernel, bit for bit.  A 40-digit sum of the
-    # exact log-prime coefficients of the window puts these 5.6e-11, 8.7e-12
-    # and 3.8e-13 from the true value (psi_star_err: 1.2e-8, 6.3e-9, 4.9e-11).
-    assert psi_counts(x, make_character(d), x, y).psi_star.hex() == psi_star_hex
+@pytest.mark.parametrize("d, x, y, psi_star_hex, err_hex", [
+    (-4, 10**8, (10**8) ** 0.55, "0x1.14c0a5c1ffd12p+15", "0x1.926e290b5b85bp-27"),
+    (-163, 10**7, (10**7) ** 0.6, "0x1.e58a53f2b162cp+13", "0x1.b1eb0442d717cp-28"),
+    (-47, 1000, 100, "0x1.8dcc7c8ce46e0p+6", "0x1.ad3cf04073beep-35"),  # C > x, repeated quotients
+    (29, 10**9, (10**9) ** 0.5, "0x1.3855b1f95fc7ep+14", "0x1.718ca7fc38f80p-26"),
+    (-23, 10**9, (10**9) ** 0.7, "0x1.62504394bd7e1p+20", "0x1.5fbc8825d7bf5p-20"),
+], ids=["D=-4", "D=-163", "D=-47", "D=29", "D=-23"])
+def test_psi_star_pinned_bits(d, x, y, psi_star_hex, err_hex):
+    # psi* of the coefficient kernel and its bound psi_star_err, bit for
+    # bit.  A 40-digit sum of the exact log-prime coefficients of the window
+    # puts the first three 5.6e-11, 8.7e-12 and 3.8e-13 from the true value
+    # (psi_star_err: 1.2e-8, 6.3e-9, 4.9e-11).
+    rep = psi_counts(x, make_character(d), x, y)
+    assert (rep.psi_star.hex(), rep.psi_star_err.hex()) == (psi_star_hex, err_hex)
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+def test_exact_sum_is_fsum_bit_for_bit():
+    # Mutation note: with the low limb (bins[1]) dropped from the flush,
+    # this test fails (1.0 + 2^-40 and the random arrays lose their low 26
+    # mantissa bits), and so do the psi* pins.
+    rng = np.random.default_rng(16)
+    exps = rng.integers(-1074, 1001, 4000).astype(np.float64)
+    wide = rng.choice([-1.0, 1.0], 4000) * rng.random(4000) * np.exp2(exps)
+    near = rng.standard_normal(3000) * np.exp2(rng.integers(-60, 60, 3000).astype(np.float64))
+    cases = [
+        [], [0.0], [-0.0], [0.0, -0.0], [-0.0, -0.0],  # empty and signed zeros
+        [1.0, -1.0], [1e16, 1.0, -1e16], [2.0**53, 1.0, 1.0, -(2.0**53)],  # cancellation
+        [1.0, 2.0**-40], [0.1] * 10, [1e100, 1.0, -1e100, 1e-100],
+        [2.0**-1074] * 7, [2.0**-1074, 2.0**1000, -(2.0**1000)],  # exponents at both ends
+        [2.0**1000, 2.0**-1074, 2.0**-1022, -(2.0**1000)],
+        [(1 - 2.0**-53) * 2.0**1000, 2.0**947, -(2.0**1000)],
+        wide.tolist(), near.tolist(), (near + near[::-1] * 1e-17).tolist(),
+        np.concatenate([near, -near[:-1]]).tolist(),  # cancels to one entry
+    ]
+    for case in cases:
+        a = np.array(case, dtype=np.float64)
+        want = _bits(math.fsum(case))
+        assert _bits(tables._exact_sum([a])) == want, case[:4]
+        # over many calls, empty arrays among them, in another order
+        parts = np.array_split(a[::-1], 37)
+        assert _bits(tables._exact_sum(iter(parts))) == want, case[:4]
+    assert tables._exact_sum([]) == 0.0
+
+
+def test_exact_sum_flushes_its_bins(monkeypatch):
+    # each bin holds at most _EXACT_SUM_BLOCK limbs between flushes
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(5000) * 1e6
+    want = _bits(math.fsum(a.tolist()))
+    for block in (1, 3, 64, 4999):
+        monkeypatch.setattr(tables, "_EXACT_SUM_BLOCK", block)
+        assert _bits(tables._exact_sum(np.array_split(a, 11))) == want, block
 
 
 def _brute_window_difference(chi, z1, z0):
@@ -554,6 +659,8 @@ def test_psi_validation():
         psi_counts(100, CHI4, 50, 0)
     with pytest.raises(ValueError, match="2\\^32"):  # psi*'s int64 coefficient bound
         psi_counts(2**33, CHI4, 2**33, 2**32)
+    with pytest.raises(ValueError, match="2\\^52"):  # psi*'s float quotients
+        psi_counts(2**52, CHI4, 2**52, 100)
     # the Li window diverges at an endpoint t = 1: its principal value
     # exists only when 1 is strictly inside
     for x, y in ((10, 9), (1, 0.5)):
@@ -613,6 +720,34 @@ def test_sieve_tables_peak_within_bytes_per_entry():
     finally:
         tracemalloc.stop()
     assert peak <= N * tables._BYTES_PER_ENTRY
+
+
+def test_psi_counts_peak_within_bytes_per_root():
+    x = 10**12
+    CHI4.value_table(1)
+    tracemalloc.start()
+    try:
+        psi_counts(x, CHI4, x, 1000, cutoff=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (math.isqrt(x) + 1) * tables._PSI_BYTES_PER_ROOT
+
+
+def test_psi_counts_checks_the_budget_before_allocating(monkeypatch):
+    x = 10**12
+    need = (math.isqrt(x) + 1) * tables._PSI_BYTES_PER_ROOT
+    monkeypatch.setattr(tables, "DEFAULT_MEMORY_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match="isqrt"):
+            psi_counts(x, CHI4, x, 1000, cutoff=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    monkeypatch.setattr(tables, "DEFAULT_MEMORY_BUDGET", need)
+    assert psi_counts(x, CHI4, x, 1000, cutoff=16).pi_count == len(list(sympy.primerange(x - 999, x + 1)))
 
 
 def test_memory_budget_error_just_below_need(monkeypatch):
