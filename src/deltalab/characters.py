@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
@@ -39,6 +40,7 @@ __all__ = [
     "is_fundamental_discriminant",
     "fundamental_discriminants",
     "gauss_sum",
+    "gauss_sums",
     "l_one",
     "l_one_series",
     "l_one_derivative",
@@ -269,17 +271,24 @@ def gauss_sum(m: int, chi: RealCharacter) -> complex:
     """G(m, chi) = sum_{k=1..D} chi(k) e(km/D), compensated summation.
 
     Absolute error budget about D * 2^-50.  For gcd(m, D) = 1 the modulus
-    is sqrt(D) and G(m, chi) = chi(m) G(1, chi).  One gather from the
-    cached roots of unity; fsum is correctly rounded, so the result does
-    not depend on the order of the terms.
+    is sqrt(D) and G(m, chi) = chi(m) G(1, chi).  See gauss_sums.
     """
+    return gauss_sums([m], chi)[0]
+
+
+def gauss_sums(ms: Sequence[int], chi: RealCharacter) -> list:
+    """[G(m, chi) for m in ms] from one gather of the cached roots of unity.
+
+    Each G is two math.fsum calls over its terms chi(k) e(km/D); fsum is
+    correctly rounded, so a G does not depend on the order of its terms or
+    on the other m of the call."""
     q = chi.conductor
-    k = np.arange(1, q + 1)
-    c = chi.period_array()[k % q]
-    live = c != 0
-    z = _unit_roots(q)[(k[live] * (m % q)) % q]
-    c = c[live]
-    return complex(math.fsum((c * z.real).tolist()), math.fsum((c * z.imag).tolist()))
+    per = chi.period_array()
+    k = np.flatnonzero(per != 0)  # the k of chi(k) != 0, as residues mod q
+    z = _unit_roots(q)[np.array([m % q for m in ms], dtype=np.int64)[:, None] * k % q]
+    c = per[k]
+    return [complex(math.fsum(r), math.fsum(i))
+            for r, i in zip((c * z.real).tolist(), (c * z.imag).tolist())]
 
 
 @lru_cache(maxsize=256)
@@ -313,11 +322,18 @@ def l_one(chi: RealCharacter) -> float:
 
 
 def _power_moments(chi: RealCharacter, j_max: int) -> list:
-    """A_j = sum_{a=1..q} chi(a) a^j as exact ints, j = 0..j_max."""
+    """A_j = sum_{a=1..q} chi(a) a^j as exact ints, j = 0..j_max, from the
+    running products chi(a) a^j."""
     q = chi.conductor
     per = chi.period_array()
-    vals = [(a, int(per[a])) for a in range(1, q) if per[a]]
-    return [sum(c * a**j for a, c in vals) for j in range(j_max + 1)]
+    a = np.flatnonzero(per[1:] != 0) + 1
+    terms = per[a].tolist()  # chi(a) a^j for j = 0, as Python ints
+    a = a.tolist()
+    moments = []
+    for _ in range(j_max + 1):
+        moments.append(sum(terms))
+        terms = list(map(operator.mul, terms, a))
+    return moments
 
 
 def l_one_series(chi: RealCharacter) -> float:
@@ -332,7 +348,7 @@ def l_one_series(chi: RealCharacter) -> float:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
     tab = chi.value_table(_PERIODS * q)
-    n = np.flatnonzero(tab[1:]) + 1
+    n = np.flatnonzero(tab[1:] != 0) + 1
     partial = math.fsum((tab[n] / n).tolist())
     k_max = 14
     moments = _power_moments(chi, k_max - 1)
@@ -355,7 +371,7 @@ def l_one_derivative(chi: RealCharacter) -> float:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
     tab = chi.value_table(_PERIODS * q)
-    n = np.flatnonzero(tab[2:]) + 2
+    n = np.flatnonzero(tab[2:] != 0) + 2
     logs = np.fromiter(map(math.log, n.tolist()), dtype=np.float64, count=len(n))
     partial = math.fsum((tab[n] * logs / n).tolist())
     j_max = 16

@@ -80,19 +80,33 @@ def convolve(f: np.ndarray, g: np.ndarray, n: int, fmax: Optional[int] = None) -
     """h[k] = sum_{dm=k, d <= fmax} f[d] g[m] for 1 <= k <= n, split at
     s = isqrt(n): a strided pass per nonzero f[d], d <= s, then one per
     nonzero g[m], m <= n // (s + 1), for d in (s, min(n // m, fmax)].
-    Products take numpy's promoted dtype: f or g must be wide enough."""
+
+    A coefficient of exactly 1 or -1 adds or subtracts its slice with no
+    product temporary: a - b is a + (-b) in integers and in IEEE floats, so
+    h is the same bit for bit.  Other products take numpy's promoted
+    dtype: f or g must be wide enough."""
     fmax = n if fmax is None else max(0, min(int(fmax), n))
     h = np.zeros(n + 1, dtype=np.result_type(f, g))
     s = math.isqrt(n)
-    for d in np.flatnonzero(f[1 : min(s, fmax) + 1]).tolist():
-        d += 1
-        h[d::d] += f[d] * g[1 : n // d + 1]
+    ds = np.flatnonzero(f[1 : min(s, fmax) + 1] != 0) + 1
+    for d, c in zip(ds.tolist(), f[ds].tolist()):
+        _add_scaled(h[d::d], c, f[d], g[1 : n // d + 1])
     if fmax > s:
-        for m in np.flatnonzero(g[1 : n // (s + 1) + 1]).tolist():
-            m += 1
+        ms = np.flatnonzero(g[1 : n // (s + 1) + 1] != 0) + 1
+        for m, c in zip(ms.tolist(), g[ms].tolist()):
             top = min(n // m, fmax)
-            h[m * (s + 1) : m * top + 1 : m] += g[m] * f[s + 1 : top + 1]
+            _add_scaled(h[m * (s + 1) : m * top + 1 : m], c, g[m], f[s + 1 : top + 1])
     return h
+
+
+def _add_scaled(out: np.ndarray, c, scalar, v: np.ndarray) -> None:
+    """out += scalar * v in place, where c is scalar as a Python number."""
+    if c == 1:
+        out += v
+    elif c == -1:
+        out -= v
+    else:
+        out += scalar * v
 
 
 def tau_array(n: int) -> np.ndarray:

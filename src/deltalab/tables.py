@@ -64,6 +64,8 @@ __all__ = [
     "psi_counts",
     "tau_moment_bound",
     "verify_table_identities",
+    "chi_free_arrays",
+    "ChiFreeArrays",
     "lam_prime_summatory",
     "nu_value",
     "MemoryBudgetError",
@@ -560,7 +562,7 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
             if k0 <= k1:
                 A[k0 * m - lo : k1 * m - lo + 1 : m] += v * chi_tab[k0 : k1 + 1]
         for j in range(0, A.size, _WINDOW_TILE):
-            i = j + np.flatnonzero(A[j : j + _WINDOW_TILE])
+            i = j + np.flatnonzero(A[j : j + _WINDOW_TILE] != 0)
             n = (i + lo).astype(np.float64)
             q1, q0 = floor_div(x1, n), floor_div(x0, n)
             keep = np.flatnonzero(q1 != q0)
@@ -570,7 +572,7 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
             yield a * g  # |A(n)| < 2^31: exact as a float
 
     def l_tile(lo: int):
-        idx = lo + np.flatnonzero(B[lo : lo + _WINDOW_TILE])
+        idx = lo + np.flatnonzero(B[lo : lo + _WINDOW_TILE] != 0)
         b, logs = B[idx], np.log(idx.astype(np.float64))
         tally(np.abs(b) * logs)
         return b * logs
@@ -730,22 +732,68 @@ class TableCheckReport:
     max_float_deviation: float
 
 
-def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int):
+@dataclass(frozen=True)
+class ChiFreeArrays:
+    """What verify_table_identities needs at limit N that does not depend
+    on chi: mu, the primes <= N (the first n_small of them <= isqrt(N)),
+    the bound tau(n) log n (log 1 at n = 0), log p for the primes above
+    isqrt(N) as a column, and for each of the first n_small + 1 primes p
+    the int8 vectors w[j] = v_p(j p) and direct[j] = [j is a power of p]
+    on 0 <= j <= N // p.  Built by chi_free_arrays(N)."""
+
+    limit: int
+    mu: np.ndarray
+    primes: np.ndarray
+    n_small: int
+    tau_log: np.ndarray
+    large_logs: np.ndarray
+    prime_vectors: tuple
+
+
+def chi_free_arrays(N: int) -> ChiFreeArrays:
+    """The chi-free inputs of verify_table_identities at limit N, for a
+    caller that checks several characters at the same N."""
+    primes = primes_up_to(N)
+    n_small = int(np.searchsorted(primes, math.isqrt(N), side="right"))
+    vectors = []
+    for p in primes[: n_small + 1].tolist():
+        top = N // p
+        w = np.ones(top + 1, dtype=np.int8)  # w[j] = v_p(j*p): l = j*p
+        direct = np.zeros(top + 1, dtype=np.int8)
+        direct[1] = 1
+        stride = p  # p^k in compressed coordinates
+        while stride <= top:
+            w[stride::stride] += 1
+            direct[stride] = 1
+            stride *= p
+        vectors.append((w, direct))
+    n_arr = np.arange(N + 1, dtype=np.float64)
+    n_arr[0] = 1.0
+    large = primes[n_small:]
+    return ChiFreeArrays(
+        limit=N,
+        mu=mobius_array(N),
+        primes=primes,
+        n_small=n_small,
+        tau_log=tau_array(N) * np.log(n_arr),
+        large_logs=np.array([math.log(p) for p in large.tolist()])[:, None],
+        prime_vectors=tuple(vectors),
+    )
+
+
+def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int,
+                        w: np.ndarray, direct_c: np.ndarray):
     """The exact log p coefficient vectors of lam', Lambda* and Lambda_* on
     the multiples n = j*p <= N, indexed by j; raises IdentityCheckError
     unless the definition and convolution routes of lam' agree and
-    lam' * nu is the indicator of the powers of p."""
+    lam' * nu is the indicator direct_c of the powers of p.  w[j] is
+    v_p(j*p)."""
     N = t.limit
     top = N // p
     b_c = np.zeros(top + 1, dtype=np.int64)  # b_c[j] = coeff at n = j*p
     stride = 1  # p^(k-1) in compressed coordinates
     while stride <= top:
         b_c[stride::stride] += t.lam[1 : top // stride + 1]
-        stride *= p
-    w = np.ones(top + 1, dtype=np.int64)  # w[j] = v_p(j*p): l = j*p
-    stride = p
-    while stride <= top:
-        w[stride::stride] += 1
         stride *= p
     a_c = convolve(w, chi_np, top)
     if not np.array_equal(a_c, b_c):
@@ -755,11 +803,6 @@ def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int):
             f"definition {a_c[bad // p]}, convolution {b_c[bad // p]}"
         )
     conv_c = convolve(a_c, t.nu, top)
-    direct_c = np.zeros(top + 1, dtype=np.int64)
-    stride = 1
-    while stride <= top:
-        direct_c[stride] = 1
-        stride *= p
     if not np.array_equal(conv_c, direct_c):
         bad = int(np.flatnonzero(conv_c != direct_c)[0]) * p
         raise IdentityCheckError(
@@ -775,7 +818,7 @@ def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int):
     return a_c, star_c, sub_c
 
 
-def verify_table_identities(t: FunctionTable) -> TableCheckReport:
+def verify_table_identities(t: FunctionTable, shared: Optional[ChiFreeArrays] = None) -> TableCheckReport:
     """Exact verification of every convolution identity.
 
     lam, nu and rho are compared with their defining convolutions 1*chi,
@@ -790,13 +833,23 @@ def verify_table_identities(t: FunctionTable) -> TableCheckReport:
     with absolute slack _FLOAT_SLACK), on the exact-coefficient evaluation
     and, for 0 <= lam', on the table's own array.  Raises IdentityCheckError
     on any mismatch.
+
+    shared holds the arrays that do not depend on chi (mu, the primes,
+    tau log n, the large primes' logs, each prime's v_p and power
+    indicator); pass chi_free_arrays(t.limit) to check several characters
+    at one limit without rebuilding them.  By default they are built here.
+    The report is the same either way.
     """
     N, C = t.limit, t.cutoff
+    if shared is None:
+        shared = chi_free_arrays(N)
+    elif shared.limit != N:
+        raise ValueError(f"shared arrays are for limit {shared.limit}, the table's is {N}")
     chi = t.chi
     chi_np = chi.value_table(N).astype(np.int64)
 
     one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
-    mu = mobius_array(N)
+    mu = shared.mu
     lam_ref = convolve(chi_np, one, N)
     for name, got, ref in (
         ("lambda = 1*chi", t.lam, lam_ref),
@@ -820,10 +873,9 @@ def verify_table_identities(t: FunctionTable) -> TableCheckReport:
     lamp_float = np.zeros(N + 1, dtype=np.float64)
     star_float = np.zeros(N + 1, dtype=np.float64)
     sub_float = np.zeros(N + 1, dtype=np.float64)
-    primes = primes_up_to(N)
-    n_small = int(np.searchsorted(primes, math.isqrt(N), side="right"))
-    for p in primes[:n_small].tolist():
-        a_c, star_c, sub_c = _prime_coefficients(t, chi_np, p)
+    primes, n_small = shared.primes, shared.n_small
+    for p, (w, direct_c) in zip(primes[:n_small].tolist(), shared.prime_vectors):
+        a_c, star_c, sub_c = _prime_coefficients(t, chi_np, p, w, direct_c)
         lp = math.log(p)
         lamp_float[p :: p] += lp * a_c[1:]
         star_float[p :: p] += lp * star_c[1:]
@@ -839,8 +891,9 @@ def verify_table_identities(t: FunctionTable) -> TableCheckReport:
     # float arrays are the same bit for bit.
     large = primes[n_small:]
     if len(large):
-        a_c, star_c, sub_c = _prime_coefficients(t, chi_np, int(large[0]))
-        logs = np.array([math.log(p) for p in large.tolist()])[:, None]
+        a_c, star_c, sub_c = _prime_coefficients(t, chi_np, int(large[0]),
+                                                 *shared.prime_vectors[n_small])
+        logs = shared.large_logs
         tops, firsts, counts = np.unique(N // large, return_index=True, return_counts=True)
         for top, lo, k in zip(tops.tolist(), firsts.tolist(), counts.tolist()):
             idx = large[lo : lo + k, None] * np.arange(1, top + 1)
@@ -850,10 +903,7 @@ def verify_table_identities(t: FunctionTable) -> TableCheckReport:
             sub_float[idx] += lp * sub_c[1 : top + 1]
 
     # lam'(1) = 0 and the inequality 0 <= lam' <= tau log with slack.
-    tau = tau_array(N)
-    n_arr = np.arange(N + 1, dtype=np.float64)
-    n_arr[0] = 1.0
-    upper = tau * np.log(n_arr)
+    upper = shared.tau_log
     if np.any(lamp_float < -_FLOAT_SLACK) or np.any(lamp_float[1:] > upper[1:] + _FLOAT_SLACK):
         bad = int(np.flatnonzero(
             (lamp_float < -_FLOAT_SLACK) | (lamp_float > upper + _FLOAT_SLACK))[0])

@@ -151,41 +151,76 @@ def _check_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([abs(seed), int(seed < 0), zlib.crc32(name.encode())])
 
 
+#: Entries per kronecker_array call of the multiplicativity check: each call
+#: takes whole discriminants, as many as fit.
+_KRONECKER_BLOCK = 1 << 17
+
+
+def _gauss_deviations(chi: ch.RealCharacter, m_cap: Optional[int]):
+    """max ||G(m)| - sqrt q| and max |G(m) - chi(m) G(1)| over the first
+    m_cap m in [1, q] coprime to q (all when m_cap is None), with every G
+    from one gauss_sums call."""
+    q = chi.conductor
+    per = chi.period_array()
+    ms = [m for m in range(1, q + 1) if math.gcd(m, q) == 1]
+    if m_cap is not None and len(ms) > m_cap:
+        ms = ms[:m_cap]
+    g1, *gs = ch.gauss_sums([1] + ms, chi)
+    sq = math.sqrt(q)
+    worst_mag = worst_twist = 0.0
+    for m, g in zip(ms, gs):
+        worst_mag = max(worst_mag, abs(abs(g) - sq))
+        worst_twist = max(worst_twist, abs(g - int(per[m % q]) * g1))
+    return worst_mag, worst_twist
+
+
+def _orthogonality_failures(discs: List[int]) -> List[int]:
+    """The d whose character does not sum to 0 over 1..|d|: one
+    kronecker_array call over every d, one np.add.reduceat."""
+    sizes = np.abs(discs)
+    ends = np.cumsum(sizes)
+    n = np.arange(1, ends[-1] + 1) - np.repeat(ends - sizes, sizes)
+    sums = np.add.reduceat(ch.kronecker_array(np.repeat(discs, sizes), n), ends - sizes)
+    return [d for d, s in zip(discs, sums.tolist()) if s != 0]
+
+
+def _multiplicativity_failures(discs: List[int], draws: np.ndarray) -> int:
+    """How many of the pairs (m, n) = draws[i] give (d|mn) != (d|m)(d|n)
+    for d = discs[i]: three kronecker_array calls per block of whole
+    discriminants, at most _KRONECKER_BLOCK entries a block."""
+    rows = max(1, _KRONECKER_BLOCK // max(1, draws.shape[2]))
+    bad = 0
+    for lo in range(0, len(discs), rows):
+        d = np.array(discs[lo : lo + rows])[:, None]
+        m, n = draws[lo : lo + rows, 0], draws[lo : lo + rows, 1]
+        prod = ch.kronecker_array(d, m) * ch.kronecker_array(d, n)
+        bad += int(np.count_nonzero(ch.kronecker_array(d, m * n) != prod))
+    return bad
+
+
 def _check_characters(limits: dict, rng: np.random.Generator) -> List[CheckResult]:
     lbound = limits["lone_disc_bound"]
     chis = {d: ch.make_character(d) for d in ch.fundamental_discriminants(max(200, lbound))}
     discs = [d for d in chis if abs(d) <= 200]
-    m_cap = limits["gauss_m_cap"]
-    worst_mag = 0.0
-    worst_twist = 0.0
-    for d in discs:
-        chi = chis[d]
-        q = chi.conductor
-        g1 = ch.gauss_sum(1, chi)
-        ms = [m for m in range(1, q + 1) if math.gcd(m, q) == 1]
-        if m_cap is not None and len(ms) > m_cap:
-            ms = ms[:m_cap]
-        for m in ms:
-            g = ch.gauss_sum(m, chi)
-            worst_mag = max(worst_mag, abs(abs(g) - math.sqrt(q)))
-            worst_twist = max(worst_twist, abs(g - chi(m) * g1))
+    devs = [_gauss_deviations(chis[d], limits["gauss_m_cap"]) for d in discs]
+    worst_mag = max(mag for mag, _ in devs)
+    worst_twist = max(twist for _, twist in devs)
     ok_g = worst_mag < 1e-9 and worst_twist < 1e-9
     r1 = CheckResult(
         "gauss-invariants", ok_g, True,
         f"|D|<=200: max ||G|-sqrt D| = {_fmt(worst_mag)}, max twist dev = {_fmt(worst_twist)}",
     )
 
-    bad_orth = [d for d in discs if ch.kronecker_array(d, np.arange(1, abs(d) + 1)).sum() != 0]
+    bad_orth = _orthogonality_failures(discs)
     pairs = limits["mult_pairs"]
-    bad_mult = 0
-    for d, (m, n) in zip(discs, rng.integers(1, 10**6, size=(len(discs), 2, pairs))):
-        prod = ch.kronecker_array(d, m) * ch.kronecker_array(d, n)
-        bad_mult += int(np.count_nonzero(ch.kronecker_array(d, m * n) != prod))
+    bad_mult = _multiplicativity_failures(
+        discs, rng.integers(1, 10**6, size=(len(discs), 2, pairs)))
+    orth = (f"orthogonality fails for D in {bad_orth}" if bad_orth
+            else f"orthogonality exact on {len(discs)} discriminants")
     r2 = CheckResult(
         "character-orthogonality-multiplicativity",
         not bad_orth and bad_mult == 0, True,
-        f"orthogonality exact on {len(discs)} discriminants; "
-        f"{pairs} random multiplicativity pairs per discriminant, {bad_mult} failures",
+        f"{orth}; {pairs} random multiplicativity pairs per discriminant, {bad_mult} failures",
     )
 
     lvals = [ch.l_one(chi) for d, chi in chis.items() if abs(d) <= lbound]
@@ -203,16 +238,22 @@ def _check_characters(limits: dict, rng: np.random.Generator) -> List[CheckResul
     return [r1, r2, r3, r4]
 
 
-def _check_tables(limits: dict) -> CheckResult:
+def _check_tables(limits: dict, prebuilt: Optional[dict] = None) -> CheckResult:
+    """convolution-identities over limits["table_discs"] at N =
+    limits["table_limit"], with one chi_free_arrays(N) for them all.
+    prebuilt maps a discriminant to its table at N; each is popped from it
+    when its turn comes, so no table outlives its check."""
     N = limits["table_limit"]
+    prebuilt = {} if prebuilt is None else prebuilt
+    shared = tb.chi_free_arrays(N)
     details = []
     for d in limits["table_discs"]:
-        chi = ch.make_character(d)
-        t = tb.sieve_tables(N, chi)
+        t = prebuilt.pop(d) if d in prebuilt else tb.sieve_tables(N, ch.make_character(d))
         try:
-            rep = tb.verify_table_identities(t)
+            rep = tb.verify_table_identities(t, shared)
         except tb.IdentityCheckError as e:
             return CheckResult("convolution-identities", False, True, f"D={d}: {e}")
+        del t  # freed before the next table is built
         details.append(f"D={d}: {rep.primes_checked} primes, float dev {_fmt(rep.max_float_deviation)}")
     return CheckResult(
         "convolution-identities", True, True,
@@ -261,9 +302,13 @@ def _check_delta(limits: dict, rng: np.random.Generator) -> List[CheckResult]:
         "d3-spot-value", d3_10 == 53, True, f"sum of d_3(n) for n <= 10 = {d3_10} (expected 53)",
     ))
     s = dl.triple_delta(chis[-4], chis[5], chis[-4], 1000)
+    fails = [f"residue {s.residue!r} != 0"] if s.residue != 0.0 else []
+    if s.delta != s.raw_sum:
+        fails.append(f"delta {s.delta!r} != raw sum {s.raw_sum!r}")
     out.append(CheckResult(
-        "nontrivial-residue-zero", s.residue == 0.0 and s.delta == s.raw_sum, True,
-        "three nontrivial characters: residue 0, delta = raw sum",
+        "nontrivial-residue-zero", not fails, True,
+        ("three nontrivial characters (-4,5,-4) at x=1000: " + "; ".join(fails)) if fails
+        else "three nontrivial characters: residue 0, delta = raw sum",
     ))
     return out
 
@@ -386,22 +431,25 @@ def _lambda_star_window(t: tb.FunctionTable, x: int, y: float):
 
 
 def _check_feasibility(rng: np.random.Generator) -> CheckResult:
-    ok = (
-        fs.check(fs.PAPER_THETA, fs.PAPER_R)
-        and not fs.check(fs.PAPER_THETA, 429_672)
-        and fs.minimal_r(fs.PAPER_THETA) == 429_673
-        and fs.minimal_r(_F(1, 2)) == 391
-        and fs.minimal_r(fs.C0) is None
-    )
-    mono_ok = True
+    theta = fs.PAPER_THETA
+    fails = []
+    if not fs.check(theta, fs.PAPER_R):
+        fails.append(f"published (theta, r) = ({theta}, {fs.PAPER_R}) fails")
+    if fs.check(theta, 429_672):
+        fails.append(f"r = 429672 holds at theta = {theta}")
+    for th, want in ((theta, 429_673), (_F(1, 2), 391), (fs.C0, None)):
+        got = fs.minimal_r(th)
+        if got != want:
+            fails.append(f"minimal_r({th}) = {got}, expected {want}")
     grid = rng.integers((492294, 1), (550000, 10**7), size=(1000, 2)).tolist()
     for t, r in grid:
-        theta = _F(t, 1_000_000)
-        if fs.check(theta, r):
-            if not fs.check(theta + _F(1, 10**6), r) or not fs.check(theta, r + 1):
-                mono_ok = False
+        th = _F(t, 1_000_000)
+        if fs.check(th, r) and not (fs.check(th + _F(1, 10**6), r) and fs.check(th, r + 1)):
+            fails.append(f"not monotone at (theta, r) = ({th}, {r})")
+            break
     return CheckResult(
-        "feasibility", ok and mono_ok, True,
+        "feasibility", not fails, True,
+        "; ".join(fails) if fails else
         "published (theta, r) holds; minimal r = 429673 (exact ceiling of 3007707/7); "
         "monotone on a 1000-point random grid",
     )
@@ -423,14 +471,22 @@ def run_suite(quick: bool = True, seed: int = 0, overrides: Optional[dict] = Non
     results.extend(_check_comparisons())
     results.extend(_check_characters(
         limits, _check_rng(seed, "character-orthogonality-multiplicativity")))
-    results.append(_check_tables(limits))
+    # lemma41-consistency and psi-star-oracle share sieve_tables(N, chi_-4)
+    # at N = max residual x.  When the tables check runs at that N too, it
+    # takes this table as its D = -4 one and drops it there, so no table is
+    # built twice, the tables check holds one table at a time, and none is
+    # alive during the delta check.  The results keep their order.
+    table = tb.sieve_tables(max(limits["residual_xs"]), ch.make_character(-4))
+    residuals = _check_residuals(limits, table)
+    psi = _check_psi(limits, table)
+    reuse = table.limit == limits["table_limit"] and -4 in limits["table_discs"]
+    prebuilt = {-4: table} if reuse else {}
+    del table
+    results.append(_check_tables(limits, prebuilt))
     results.extend(_check_delta(limits, _check_rng(seed, "delta-oracle")))
     results.append(_check_exp_sum())
-    # lemma41-consistency and psi-star-oracle share sieve_tables(N, chi_-4)
-    # at N = max residual x, built after the delta oracles have been freed.
-    table = tb.sieve_tables(max(limits["residual_xs"]), ch.make_character(-4))
-    results.append(_check_residuals(limits, table))
-    results.extend(_check_psi(limits, table))
+    results.append(residuals)
+    results.extend(psi)
     results.append(_check_feasibility(_check_rng(seed, "feasibility")))
     return results
 

@@ -23,6 +23,7 @@ from deltalab.characters import (
     ResiduePattern,
     fundamental_discriminants,
     gauss_sum,
+    gauss_sums,
     is_fundamental_discriminant,
     kronecker,
     kronecker_array,
@@ -161,6 +162,23 @@ def test_multiplicativity_check_catches_one_flipped_class(monkeypatch, fresh_per
             if r.name == "character-orthogonality-multiplicativity"]
     assert not r2.ok and r2.gating
     assert int(re.search(r"(\d+) failures", r2.detail).group(1)) > 0
+
+
+def test_orthogonality_check_names_the_discriminant_of_one_flipped_value(
+        monkeypatch, fresh_period_tables):
+    orig = characters.kronecker_array
+
+    def flipped(a, n):  # (-7|3) = -1 turned to +1
+        out = orig(a, n)
+        a, n = np.broadcast_arrays(np.asarray(a), np.asarray(n))
+        return np.where((a == -7) & (n == 3), -out, out)
+
+    monkeypatch.setattr(characters, "kronecker_array", flipped)
+    limits = dict(verify.QUICK_LIMITS, mult_pairs=10)
+    [r2] = [r for r in verify._check_characters(limits, np.random.default_rng(0))
+            if r.name == "character-orthogonality-multiplicativity"]
+    assert not r2.ok and r2.gating
+    assert r2.detail.startswith("orthogonality fails for D in [-7];"), r2.detail
 
 
 KNOWN_FUNDAMENTAL = {
@@ -345,8 +363,9 @@ def test_array_passes_bit_identical_to_the_loops():
     for d in fundamental_discriminants(200):
         chi = make_character(d)
         q = chi.conductor
-        for m in (0, 1, 2, -5, q - 1, q, 3 * q + 2, 10**6 + 3):
-            assert _bits(gauss_sum(m, chi)) == _bits(_gauss_sum_loop(m, chi)), (d, m)
+        ms = (0, 1, 2, -5, q - 1, q, 3 * q + 2, 10**6 + 3)
+        for m, g in zip(ms, gauss_sums(ms, chi)):
+            assert _bits(gauss_sum(m, chi)) == _bits(g) == _bits(_gauss_sum_loop(m, chi)), (d, m)
         assert _bits(l_one_series(chi)) == _bits(_l_one_series_loop(chi)), d
         assert _bits(l_one_derivative(chi)) == _bits(_l_one_derivative_loop(chi)), d
 

@@ -3,6 +3,7 @@ log-coefficient identity checker, split spot-checks, asymptotics against
 the residue formulas, and short-interval counts."""
 
 import dataclasses
+import itertools
 import math
 import re
 import struct
@@ -22,6 +23,7 @@ from deltalab.tables import (
     IdentityCheckError,
     MemoryBudgetError,
     asymptotic_residual,
+    chi_free_arrays,
     divisor_sum,
     lam_prime_summatory,
     nu_value,
@@ -191,6 +193,44 @@ def test_convolve_matches_divisor_double_loop(data):
         assert got.tolist() == brute_convolve(f.tolist(), g.tolist(), n, fmax)
 
 
+def _convolve_before_unit_path(f, g, n, fmax=None):
+    """convolve as it was before +-1 coefficients skipped the product: the
+    bit-for-bit pin of the current one."""
+    fmax = n if fmax is None else max(0, min(int(fmax), n))
+    h = np.zeros(n + 1, dtype=np.result_type(f, g))
+    s = math.isqrt(n)
+    for d in np.flatnonzero(f[1 : min(s, fmax) + 1]).tolist():
+        d += 1
+        h[d::d] += f[d] * g[1 : n // d + 1]
+    if fmax > s:
+        for m in np.flatnonzero(g[1 : n // (s + 1) + 1]).tolist():
+            m += 1
+            top = min(n // m, fmax)
+            h[m * (s + 1) : m * top + 1 : m] += g[m] * f[s + 1 : top + 1]
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 97, 10**4])
+def test_convolve_bits_match_the_product_loop(n):
+    """Coefficients in -2..2 (floats also off the integers, so the float
+    sums round) in int8, int64 and float64, every pairing, at each fmax
+    edge: the same dtype and bytes as the loop that multiplied by +-1."""
+    rng = np.random.default_rng(n)
+    s = math.isqrt(n)
+
+    def draw(dtype):
+        v = rng.integers(-2, 3, n + 1)
+        if dtype is np.float64:
+            return np.where(rng.random(n + 1) < 0.5, v, rng.uniform(-2, 2, n + 1))
+        return v.astype(dtype)
+
+    for fd, gd in itertools.product((np.int8, np.int64, np.float64), repeat=2):
+        f, g = draw(fd), draw(gd)
+        for fmax in (None, 0, 1, s, s + 1, n):
+            got, want = convolve(f, g, n, fmax), _convolve_before_unit_path(f, g, n, fmax)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (fd, gd, fmax)
+
+
 def test_tau_array_by_divisor_enumeration():
     tau = tau_array(500)
     assert tau[0] == 0
@@ -324,6 +364,30 @@ def test_identity_checker_catches_float_corruption_above_sqrt(field, n):
     arr[n] += 1e-6
     with pytest.raises(IdentityCheckError, match="deviate"):
         verify_table_identities(dataclasses.replace(t, **{field: arr}))
+
+
+def test_identity_checker_with_shared_arrays_gives_the_same_report():
+    for N in (1, 2, 2000, 10**4):
+        shared = chi_free_arrays(N)
+        for d in (-4, 5, 13):
+            t = sieve_tables(N, make_character(d))
+            assert verify_table_identities(t, shared) == verify_table_identities(t), (N, d)
+    with pytest.raises(ValueError, match="limit 2000"):
+        verify_table_identities(sieve_tables(1000, CHI13), chi_free_arrays(2000))
+
+
+def test_identity_checker_catches_corrupt_shared_mu_and_tau():
+    """mu(94) = mu(2*47) and tau(47) log 47, with 47 > isqrt(2000)."""
+    t = sieve_tables(2000, CHI13)
+    shared = chi_free_arrays(2000)
+    mu = shared.mu.copy()
+    mu[94] = 0
+    with pytest.raises(IdentityCheckError, match=re.escape("nu = mu*(mu chi) fails first at n=94")):
+        verify_table_identities(t, dataclasses.replace(shared, mu=mu))
+    tau_log = shared.tau_log.copy()
+    tau_log[47] = 0.0
+    with pytest.raises(IdentityCheckError, match="tau log fails at n=47"):
+        verify_table_identities(t, dataclasses.replace(shared, tau_log=tau_log))
 
 
 def test_identity_checker_counts_every_prime():

@@ -2,15 +2,24 @@
 seed and the check alone."""
 
 import cmath
+import dataclasses
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from deltalab import delta, verify
+from deltalab import characters, delta, feasibility, tables, verify
+from deltalab.cli import run
 from deltalab.verify import QUICK_LIMITS
+
+DATA = Path(__file__).resolve().parent / "data"
 
 SMALL = {"table_limit": 1000, "delta_limit": 1000, "mult_pairs": 10,
          "residual_xs": (1000,), "psi_xs": (1000,)}
@@ -80,3 +89,64 @@ def test_exp_sum_check_fails_on_one_phase_off_by_1e9(monkeypatch):
     monkeypatch.setattr(delta, "exp_sum", perturbed)
     r = verify._check_exp_sum()
     assert r.gating and not r.ok, r.detail
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_all_quick_report_matches_its_golden_file(seed):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(["verify-all", "--quick", "--seed", str(seed)]) == 0
+    assert buf.getvalue() == (DATA / f"verify_all_quick_seed{seed}.txt").read_text()
+
+
+def test_quick_suite_builds_the_minus4_table_once(monkeypatch):
+    orig = tables.sieve_tables
+    builds = []
+
+    def counted(N, chi, cutoff=None):
+        builds.append((N, chi.discriminant))
+        return orig(N, chi, cutoff)
+
+    monkeypatch.setattr(tables, "sieve_tables", counted)
+    results = verify.run_suite(quick=True, seed=0)
+    assert all(r.ok for r in results)
+    assert sorted(builds) == sorted((10**5, d) for d in QUICK_LIMITS["table_discs"])
+
+
+CHARACTER_LIMITS = dict(QUICK_LIMITS, mult_pairs=10)
+
+
+def test_gauss_check_fails_on_a_perturbed_unit_root(monkeypatch):
+    orig = characters._unit_roots
+
+    def perturbed(q):
+        z = orig(q).copy()
+        if q == 5:
+            z[2] *= cmath.exp(1e-6j)
+        return z
+
+    monkeypatch.setattr(characters, "_unit_roots", perturbed)
+    r = verify._check_characters(CHARACTER_LIMITS, np.random.default_rng(0))[0]
+    assert r.name == "gauss-invariants" and r.gating and not r.ok, r.detail
+
+
+def test_residue_zero_failure_names_the_residue(monkeypatch):
+    orig = delta.triple_delta
+
+    def with_residue(*args, **kwargs):
+        s = orig(*args, **kwargs)
+        return dataclasses.replace(s, residue=0.5, delta=s.raw_sum - 0.5)
+
+    monkeypatch.setattr(delta, "triple_delta", with_residue)
+    r = verify._check_delta(dict(QUICK_LIMITS, delta_limit=1000), np.random.default_rng(0))[-1]
+    assert r.name == "nontrivial-residue-zero" and r.gating and not r.ok
+    assert "residue 0.5 != 0" in r.detail and "residue 0, delta" not in r.detail, r.detail
+
+
+def test_feasibility_failure_names_the_condition(monkeypatch):
+    orig = feasibility.minimal_r
+    monkeypatch.setattr(feasibility, "minimal_r",
+                        lambda theta: orig(theta) + 1 if theta == Fraction(1, 2) else orig(theta))
+    r = verify._check_feasibility(np.random.default_rng(0))
+    assert r.name == "feasibility" and r.gating and not r.ok
+    assert r.detail == "minimal_r(1/2) = 392, expected 391"
