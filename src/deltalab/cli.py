@@ -13,10 +13,13 @@ Count flags (--limit, --cap, --table-limit, --delta-limit) read 1e6 but reject
 2.7, inf and nan; float flags and --x-grid bounds must be finite.  Flags that
 act only together (--eval-M with --eval-T, --claim-x with --claim-D, --ours
 with --theirs, --out with --dump csv) exit 1 when given alone, as do tuple's
---eps without --eval-M and --eval-T, and feasibility's --minimal with --r,
---claim-x or --claim-D; psi-short takes exactly one of --y and --alpha.
+--eps without --eval-M and --eval-T, feasibility's --minimal with --r,
+--claim-x or --claim-D, and tables' --json with --dump csv; psi-short takes
+exactly one of --y and --alpha.
 psi-short with an end of the window at 1, and tau-moment with a log power
-or ratio outside the float range, exit 1 rather than print inf.
+or ratio outside the float range, exit 1 rather than print inf.  Every array
+or list whose size a flag sets is checked against the memory budget before
+it is allocated, and any MemoryError exits 1.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -55,8 +58,8 @@ from .monomials import (
 )
 from .tables import (
     IdentityCheckError,
-    MemoryBudgetError,
     asymptotic_residual,
+    check_memory_budget,
     divisor_sum,
     psi_counts,
     sieve_tables,
@@ -194,8 +197,11 @@ def _parse_range(spec: str):
 def _parse_mspec(spec: str) -> List[int]:
     """m values: '3', '1..4', or '1,2,5'."""
     if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(v) for v in spec.split(".."))
+        # gauss holds about 1545 bytes per m at its peak (tracemalloc, --json,
+        # 2e4 and 1e5 values; 416-431 in text)
+        check_memory_budget(f"--m {spec}", hi - lo + 1, 1550, "the number of m")
+        return list(range(lo, hi + 1))
     if "," in spec:
         return [int(s) for s in spec.split(",")]
     return [int(spec)]
@@ -209,6 +215,9 @@ def _parse_grid(spec: str) -> List[float]:
     lo, hi, kind, n = finite(parts[0]), finite(parts[1]), parts[2], int(parts[3])
     if n < 1 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
+    # delta-sweep holds about 750-775 bytes per grid point at its peak
+    # (tracemalloc, 1e4 and 5e4 points)
+    check_memory_budget(f"grid {spec}", n, 780, "n")
     if kind == "geometric" and lo <= 0:
         raise ValueError(f"a geometric grid needs lo > 0, got {spec!r}")
     if n == 1:
@@ -293,6 +302,9 @@ def _cmd_compare(args, config):
 def _cmd_character(args, config):
     chi = make_character(args.disc)
     n = args.table
+    # about 233-243 bytes per value at the peak (tracemalloc, --json, 1e5
+    # and 1e6 values; 144-155 in text)
+    check_memory_budget(f"--table {n}", n, 245, "--table")
     values = {k: chi(k) for k in range(1, n + 1)}
     if args.json:
         print(json.dumps({"discriminant": chi.discriminant, "conductor": chi.conductor,
@@ -335,6 +347,8 @@ def _cmd_lfunction(args, config):
 def _cmd_tables(args, config):
     if args.out is not None and args.dump is None:
         raise ValueError("--out needs --dump csv")
+    if args.dump is not None and args.json:
+        raise ValueError("--json conflicts with --dump csv: the run writes CSV and prints one line")
     chi = make_character(args.disc)
     N = args.limit
     t = sieve_tables(N, chi, cutoff=args.cutoff)
@@ -444,6 +458,8 @@ def _cmd_expsum(args, config):
         args.D = float(chi3.conductor)
         config.params["D"] = args.D
     lo, hi = _parse_range(args.range)
+    # exp_sum holds 176.0 bytes per term at its peak (tracemalloc, 1e5 and 1e6 terms)
+    check_memory_budget(f"--range {args.range}", hi - lo + 1, 176, "the range length")
     if args.sign == "max":
         val, sig = exp_sum_max_sign(args.n1, args.n2, chi3, (lo, hi), args.x, args.D, args.m)
     else:
@@ -494,9 +510,9 @@ def _cmd_tau_moment(args, config):
 
 
 def _cmd_verify_all(args, config):
-    print(config.echo())
     results = run_suite(quick=args.quick, seed=args.seed, overrides={
         "table_limit": args.table_limit, "delta_limit": args.delta_limit})
+    print(config.echo())
     sys.stdout.write(format_report(results, seed=args.seed, quick=args.quick))
     return 0 if all(r.ok for r in results if r.gating) else 1
 
@@ -637,7 +653,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except OracleMismatchError as e:
         print(f"oracle regression: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError, MemoryBudgetError) as e:
+    except (ValueError, OverflowError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -12,9 +12,9 @@ quotient entries per x, with the rows of all x stacked into int64 numpy
 passes over tiles of fixed size (about 100 tiles at x = 1e8, 470 at 1e9),
 exact for x < 5e15 and within the tile size for x < 4.4e12.
 triple_raw_sum is its one-element case, and triple_deltas / triple_delta
-sit on top of it.  Its character sums S(v) = sum_{k<=v} chi(k) and values
-chi(n) come from RealCharacter.partial_sum and RealCharacter.values, one
-array call per tile.  Its oracle is the coefficient convolution
+sit on top of it.  All its quotient tiles go through one kernel, _row_sums,
+with S(v) = sum_{k<=v} chi(k) from one RealCharacter.partial_sum call per
+tile and character.  Its oracle is the coefficient convolution
 chi1 * chi2 * chi3 summed to every x <= N (naive_triple_raw_prefix), which
 shares no code with it.  Only the residue of the L-product is floating
 point, so delta = raw - residue carries a single rounding.
@@ -88,34 +88,44 @@ def _isqrt(t: np.ndarray) -> np.ndarray:
     return s
 
 
+def _row_sums(t: np.ndarray, bound: np.ndarray, terms) -> list:
+    """Per term (cv, cs) of terms, the row sums of cv(a) S_cs(t // a) over
+    a <= bound, for nonempty int64 arrays t >= 0 and bound >= 0 (bound
+    non-increasing): (rows x a) tiles of at most _BLOCK_ELEMENTS entries, in
+    chunks of as many a, with rows as wide as a tile's first, the widest,
+    and the mask a <= bound only past its last, the narrowest."""
+    cvs = {cv.discriminant: cv for cv, _ in terms}  # distinct characters, by discriminant
+    css = {cs.discriminant: (cs, {}) for _, cs in terms}  # S_cs, and its row sums per cv
+    for cv, cs in terms:
+        css[cs.discriminant][1][cv.discriminant] = np.zeros(len(t), np.int64)
+    tf, width = t.astype(np.float64), int(bound[0])
+    for a0 in range(1, width + 1, _BLOCK_ELEMENTS):
+        a = np.arange(a0, min(a0 + _BLOCK_ELEMENTS, width + 1), dtype=np.int64)
+        vals = {d: c.values(a) for d, c in cvs.items()}
+        a, lo = a.astype(np.float64), 0  # the tiles need the columns as floats only
+        while lo < len(t) and bound[lo] >= a0:  # rows with bound >= a0 come first
+            w = min(int(bound[lo]) + 1 - a0, len(a))
+            hi = min(lo + max(1, _BLOCK_ELEMENTS // w), len(t))
+            q = floor_div(tf[lo:hi, None], a[:w])
+            m = max(int(bound[hi - 1]) + 1 - a0, 0)
+            q[:, m:] *= a[m:w] <= bound[lo:hi, None]  # S(0) = 0 drops the entries with a > bound
+            for cs, rows in css.values():
+                s = cs.partial_sum(q)  # one S_cs tile alive at a time
+                for dv, row in rows.items():
+                    row[lo:hi] += s @ vals[dv][:w]
+            lo = hi
+    return [css[cs.discriminant][1][cv.discriminant] for cv, cs in terms]
+
+
 def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarray:
     """P(t) = sum_{ab <= t} chi1(a) chi2(b) for every entry of the
     non-increasing int64 array t >= 0, by the two-factor hyperbola with
     s = isqrt(t):
 
-        P(t) = sum_{a <= s} [chi1(a) S2(t // a) + chi2(a) S1(t // a)] - S1(s) S2(s).
-
-    Vectorized over a in (rows x a) tiles of at most _BLOCK_ELEMENTS
-    entries; a tile's rows are as wide as its first, the widest, and only
-    the columns past its last, the narrowest, need the mask a <= s."""
+        P(t) = sum_{a <= s} [chi1(a) S2(t // a) + chi2(a) S1(t // a)] - S1(s) S2(s)."""
     s = _isqrt(t)
-    tf = t.astype(np.float64)
-    out = -(c1.partial_sum(s) * c2.partial_sum(s))
-    lo = 0
-    while lo < len(t):
-        width = int(s[lo])
-        hi = min(lo + max(1, _BLOCK_ELEMENTS // max(width, 1)), len(t))
-        narrow = int(s[hi - 1])
-        for a0 in range(1, width + 1, _BLOCK_ELEMENTS):
-            a = np.arange(a0, min(a0 + _BLOCK_ELEMENTS, width + 1), dtype=np.int64)
-            q = floor_div(tf[lo:hi, None], a.astype(np.float64))
-            m = max(narrow + 1 - a0, 0)
-            q[:, m:] *= a[m:] <= s[lo:hi, None]  # S(0) = 0 drops the entries with a > s
-            s1 = c1.partial_sum(q)
-            s2 = s1 if c2 == c1 else c2.partial_sum(q)
-            out[lo:hi] += s2 @ c1.values(a) + s1 @ c2.values(a)
-        lo = hi
-    return out
+    r12, r21 = _row_sums(t, s, ((c1, c2), (c2, c1)))
+    return r12 + r21 - c1.partial_sum(s) * c2.partial_sum(s)
 
 
 def pair_summatory(c1: RealCharacter, c2: RealCharacter, t: int) -> int:
@@ -145,11 +155,10 @@ def triple_raw_sums(
     and hands its distinct values, non-increasing, to one _pair_sums call
     (nearby N share most of them); a term whose character repeats an
     earlier one equals that term and is counted, not recomputed.  The
-    middle term stacks its (N, a) rows, each y wide and masked to b <= y,
-    in tiles of whole rows.  Row results are reduced per N with
-    np.add.reduceat over each N's contiguous run.  Each of the three pair
-    sums touches about 2 x^(2/3) entries per x and the middle term y^2, and
-    every temporary holds at most _BLOCK_ELEMENTS entries while
+    middle term's rows go to the same kernel, _row_sums, with b <= y.  Row
+    results are reduced per N by np.add.reduceat.  The pair sums touch
+    about 2 x^(2/3) entries each per x and the middle term y^2; every tile
+    holds at most _BLOCK_ELEMENTS entries, and every row array too while
     y <= _BLOCK_ELEMENTS, i.e. x < 4.4e12.
 
     Exact int64: every partial sum, and every product of character sums,
@@ -180,7 +189,6 @@ def _hyperbola(chis, N: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = np.arange(1, len(owner) + 1, dtype=np.int64) - starts[owner]
     vals = [c.values(n) for c in chis]
     M = N[owner] // n  # N // n; N // ab = M // b
-    Mf, nf, yrow = M.astype(np.float64), n.astype(np.float64), y[owner]
     total = chis[0].partial_sum(y) * chis[1].partial_sum(y) * chis[2].partial_sum(y)
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         if chis[i] in chis[:i]:
@@ -191,19 +199,9 @@ def _hyperbola(chis, N: np.ndarray, y: np.ndarray) -> np.ndarray:
         # chi_i(1) = 1 keeps every N's first row, so its run starts there
         runs = np.cumsum(live)[starts] - 1
         total += chis.count(chis[i]) * np.add.reduceat(vals[i][live] * p, runs)
-    rowsum = np.zeros(len(n), dtype=np.int64)
-    lo = 0
-    while lo < len(n):
-        width = int(yrow[lo])  # rows 0..width-1 hold n = 1..width
-        hi = min(lo + max(1, _BLOCK_ELEMENTS // width), len(n))
-        q = floor_div(Mf[lo:hi, None], nf[:width])
-        narrow = int(yrow[hi - 1])
-        q[:, narrow:] *= n[narrow:width] <= yrow[lo:hi, None]  # S(0) = 0 drops b > y
-        sums = {c: c.partial_sum(q) for c in dict.fromkeys(chis)}  # once per character
-        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            rowsum[lo:hi] += vals[i][lo:hi] * (sums[chis[k]] @ vals[j][:width])
-        lo = hi
-    return total - np.add.reduceat(rowsum, starts)
+    c1, c2, c3 = chis  # middle term: sum_{i<j} chi_i rjk, rjk = sum_{b<=y} chi_j(b) S_k(M // b)
+    r23, r32, r31 = _row_sums(M, y[owner], ((c2, c3), (c3, c2), (c3, c1)))
+    return total - np.add.reduceat(vals[0] * (r23 + r32) + vals[1] * r31, starts)
 
 
 def triple_raw_sum(c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, x: float) -> int:

@@ -24,8 +24,10 @@ from typing import Union
 RationalLike = Union[Fraction, int, str]
 
 #: Hard cap on the recursion order; denominators grow geometrically and a
-#: runaway input would allocate huge integers for no analytic gain.
-MAX_ORDER = 10_000
+#: runaway input would allocate huge integers for no analytic gain.  7142 is
+#: the largest order whose exponents print under Python's default limit of
+#: 4300 digits on int-to-str conversion.
+MAX_ORDER = 7142
 
 #: Order-4 base exponents (fixed input data, not derived here).
 BASE_ORDER = 4

@@ -295,38 +295,25 @@ def _dominates_chain(t1: Monomial, t2: Monomial, chain: Tuple[str, ...]) -> bool
     return all(v >= 0 for v in exps.values())
 
 
-def dominant_simplify(
-    e: BoundExpr, assumptions: Iterable[Tuple[str, str]]
-) -> Monomial:
-    """The single monomial dominating every term under a chain of dominance
-    relations (pairs (smaller, larger), e.g. [("Dmax","D"), ("D","x")]).
+#: The dominance chain 1 <= Dmax <= D <= x of the final simplification.
+DOMINANCE_CHAIN = ("Dmax", "D", "x")
 
-    The bottom chain symbol is merged away from each term first (Dmax folded
-    into D), then a term dominating all the folded candidates is selected;
-    if none exists the offending pair is reported, never silently resolved.
-    The result is flagged whenever any input term is.
+
+def dominant_simplify(e: BoundExpr) -> Monomial:
+    """The single monomial dominating every term of e on DOMINANCE_CHAIN.
+
+    Dmax is merged away from each term first (folded into D), then a term
+    dominating all the folded candidates on D <= x is selected; if none
+    exists the offending pair is reported, never silently resolved.  The
+    result is flagged whenever any input term is.
     """
-    pairs = list(assumptions)
-    chain = [pairs[0][0]]
-    for lo, hi in pairs:
-        if lo != chain[-1]:
-            raise ValueError(f"assumptions must form a chain, broke at ({lo}, {hi})")
-        chain.append(hi)
-    if len(chain) < 2:
-        raise ValueError("need at least one dominance relation")
-
-    bad = [s for t in e.terms for s in t.symbols() if s not in chain]
+    bad = [s for t in e.terms for s in t.symbols() if s not in DOMINANCE_CHAIN]
     if bad:
         raise ValueError(f"terms contain symbols outside the chain: {sorted(set(bad))}")
 
     any_eps = any(t.eps for t in e.terms)
-    if len(chain) >= 3:
-        folded = [_fold_bottom(t, chain[0], chain[1]) for t in e.terms]
-        subchain = tuple(chain[1:])
-    else:
-        folded = list(e.terms)
-        subchain = tuple(chain)
-
+    subchain = DOMINANCE_CHAIN[1:]
+    folded = [_fold_bottom(t, *DOMINANCE_CHAIN[:2]) for t in e.terms]
     for cand in folded:
         if all(_dominates_chain(cand, t, subchain) for t in folded):
             return Monomial(cand._exps, eps=any_eps)
@@ -400,10 +387,6 @@ _FINAL_TERMS = [
 ]
 
 _SIMPLIFIED = mono(D=_F(527, 1038), x=_F(511, 1038), eps=True)
-
-#: Chain of dominance assumptions used for the final simplification.
-DOMINANCE_CHAIN = (("Dmax", "D"), ("D", "x"))
-
 
 @dataclass(frozen=True)
 class DerivationResult:
@@ -493,7 +476,7 @@ def derive_main_theorem() -> DerivationResult:
     # The tail and the balanced first term coincide; BoundExpr merges them.
     _check_terms("final", final.terms, _FINAL_TERMS)
 
-    simplified = dominant_simplify(final, DOMINANCE_CHAIN)
+    simplified = dominant_simplify(final)
     if simplified != _SIMPLIFIED:
         raise DerivationRegressionError(
             f"simplified differs: got {simplified}, expected {_SIMPLIFIED}"

@@ -711,6 +711,8 @@ def tau_moment_bound(delta_cap: int, A: float) -> float:
         raise ValueError(f"delta_cap must be >= 2, got {delta_cap}")
     if A < 0:
         raise ValueError(f"A must be >= 0, got {A}")
+    # 32.0 bytes per d at the peak (tracemalloc, cap 1e5 and 1e6)
+    check_memory_budget(f"cap {delta_cap}", delta_cap, 32, "cap")
     tau = tau_array(delta_cap)
     tmax = float(tau.max())
     if A * math.log(tmax) > math.log(1e300):

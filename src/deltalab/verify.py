@@ -32,7 +32,9 @@ from . import feasibility as fs
 from . import monomials as mo
 from . import tables as tb
 
-__all__ = ["CheckResult", "run_suite", "format_report", "QUICK_LIMITS", "FULL_LIMITS"]
+__all__ = [
+    "CheckResult", "run_suite", "format_report", "QUICK_LIMITS", "FULL_LIMITS", "TABLE_DISCS",
+]
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ QUICK_LIMITS = {
     "lone_disc_bound": 200,
     "residual_xs": (10_000, 100_000),
     "psi_xs": (100_000,),
-    "table_discs": (-4, 5, -8, 12, 13),
 }
 
 FULL_LIMITS = {
@@ -62,8 +63,10 @@ FULL_LIMITS = {
     "lone_disc_bound": 500,
     "residual_xs": (10_000, 100_000, 1_000_000),
     "psi_xs": (100_000, 1_000_000),
-    "table_discs": (-4, 5, -8, 12, 13),
 }
+
+#: The discriminants of the convolution-identities check, in both modes.
+TABLE_DISCS = (-4, 5, -8, 12, 13)
 
 _F = Fraction
 
@@ -239,7 +242,7 @@ def _check_characters(limits: dict, rng: np.random.Generator) -> List[CheckResul
 
 
 def _check_tables(limits: dict, prebuilt: Optional[dict] = None) -> CheckResult:
-    """convolution-identities over limits["table_discs"] at N =
+    """convolution-identities over TABLE_DISCS at N =
     limits["table_limit"], with one chi_free_arrays(N) for them all.
     prebuilt maps a discriminant to its table at N; each is popped from it
     when its turn comes, so no table outlives its check."""
@@ -247,7 +250,7 @@ def _check_tables(limits: dict, prebuilt: Optional[dict] = None) -> CheckResult:
     prebuilt = {} if prebuilt is None else prebuilt
     shared = tb.chi_free_arrays(N)
     details = []
-    for d in limits["table_discs"]:
+    for d in TABLE_DISCS:
         t = prebuilt.pop(d) if d in prebuilt else tb.sieve_tables(N, ch.make_character(d))
         try:
             rep = tb.verify_table_identities(t, shared)
@@ -462,9 +465,13 @@ def run_suite(quick: bool = True, seed: int = 0, overrides: Optional[dict] = Non
         if unknown:
             raise ValueError(f"unknown limit overrides: {sorted(unknown)}")
         limits.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("table_limit", "delta_limit"):
+    # Peak bytes per entry, by tracemalloc: the tables check (chi_free_arrays,
+    # one table and its identity check) 167-168 at N = 1e5 to 1e6; the delta
+    # check is its convolution oracle's.
+    for key, per_entry in (("table_limit", 168), ("delta_limit", dl._ORACLE_BYTES_PER_ENTRY)):
         if limits[key] < 1:
             raise ValueError(f"{key} must be >= 1, got {limits[key]}")
+        tb.check_memory_budget(f"{key} = {limits[key]}", limits[key], per_entry, key)
     results: List[CheckResult] = []
     results.append(_check_exponent_recursion())
     results.append(_check_derivation())
@@ -479,8 +486,7 @@ def run_suite(quick: bool = True, seed: int = 0, overrides: Optional[dict] = Non
     table = tb.sieve_tables(max(limits["residual_xs"]), ch.make_character(-4))
     residuals = _check_residuals(limits, table)
     psi = _check_psi(limits, table)
-    reuse = table.limit == limits["table_limit"] and -4 in limits["table_discs"]
-    prebuilt = {-4: table} if reuse else {}
+    prebuilt = {-4: table} if table.limit == limits["table_limit"] else {}
     del table
     results.append(_check_tables(limits, prebuilt))
     results.extend(_check_delta(limits, _check_rng(seed, "delta-oracle")))

@@ -118,7 +118,7 @@ def test_criterion_4_character_gauss_invariants():
 def test_criterion_5_convolution_identities():
     # every identity, the lambda' inequality and the table's own lambda' >= 0
     assert QUICK_LIMITS["table_limit"] == 10**5
-    assert QUICK_LIMITS["table_discs"] == (-4, 5, -8, 12, 13)
+    assert verify.TABLE_DISCS == (-4, 5, -8, 12, 13)
     _run_check(5, 60.0, verify._check_tables, QUICK_LIMITS)
 
 

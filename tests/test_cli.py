@@ -1,6 +1,7 @@
 """CLI contract tests: subcommand outputs, exit codes, config files, and
 the output-directory environment override.  All in-process via cli.run."""
 
+import functools
 import io
 import json
 import os
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltalab.cli
 from deltalab.cli import build_parser, finite, run
+from deltalab.exponents import MAX_ORDER, derive_tuple
 
 
 def out_of(capsys):
@@ -38,6 +41,21 @@ def test_tuple_text_and_eval(capsys):
 
 def test_tuple_validation_exit_code(capsys):
     assert run(["tuple", "--order", "3"]) == 1
+
+
+def test_tuple_prints_every_order_it_accepts(monkeypatch, capsys):
+    """MAX_ORDER is the largest order whose exponents convert to str under
+    Python's default 4300-digit limit; one order more is rejected up front."""
+    assert MAX_ORDER == 7142
+    # one derivation (about 13 s) serves both output forms
+    monkeypatch.setattr(deltalab.cli, "derive_tuple", functools.cache(derive_tuple))
+    for extra in ([], ["--json"]):
+        assert run(["tuple", "--order", str(MAX_ORDER), *extra]) == 0
+        out = out_of(capsys)
+        assert len(out) > 32_000 and f"{MAX_ORDER}" in out
+        assert run(["tuple", "--order", str(MAX_ORDER + 1), *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"exceeds cap {MAX_ORDER}" in err
 
 
 def test_unknown_subcommand_exit_code(capsys):
@@ -476,11 +494,21 @@ def test_cutoff_below_one_rejected(capsys):
     ["psi-short", "--x", "1", "--y", "0.5", "--disc", "-4", "--json"],
     ["tau-moment", "--cap", "2", "--A", "11"],
     ["tau-moment", "--cap", "2", "--A", "996"],
+    ["verify-all", "--quick", "--table-limit", "1e9"],
+    ["verify-all", "--quick", "--delta-limit", "1e9"],
+    ["tau-moment", "--cap", "1e12", "--A", "1"],
+    ["expsum", "--n1", "1", "--n2", "1", "--d3", "5", "--x", "1e6", "--range", "1:1e12", "--m", "1"],
+    ["gauss", "--disc", "5", "--m", "1..100000000"],
+    ["delta-sweep", "--d1", "1", "--d2", "1", "--d3", "1", "--x-grid", "1:10:linear:100000000"],
+    ["character", "--disc", "5", "--table", "100000000000"],
+    ["tuple", "--order", "7143"],
 ])
 def test_failing_run_exits_1_with_message(argv, tmp_path, monkeypatch, capsys):
-    """Over the memory budget (tables, and the --naive-check oracle), a
-    geometric grid from 0, a Li window with an end at t = 1 (it diverges),
-    and a log power (log 2)^(2^A + 1) that underflows to 0."""
+    """Over the memory budget (tables, verify-all's two limits before any
+    check runs, the --naive-check oracle, and every array or list whose size
+    a flag sets), a geometric grid from 0, a Li window with an end at t = 1
+    (it diverges), a log power (log 2)^(2^A + 1) that underflows to 0, and
+    an order past the cap."""
     monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
     assert run(argv) == 1
     out, err = capsys.readouterr()
@@ -544,14 +572,16 @@ _CONFLICTS = [
      ["--minimal", "--r", "--claim-x", "--claim-D"]),
     ("feasibility", ["--theta", "0.4923", "--r", "433433"], {"minimal": None},
      ["--minimal", "--r"]),
+    ("tables", ["--disc", "-4", "--limit", "100", "--dump", "csv"], {"json": None},
+     ["--dump csv", "--json"]),
 ]
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])
 @pytest.mark.parametrize("command,base,given,named", _CONFLICTS)
 def test_flag_without_effect_rejected(command, base, given, named, form, tmp_path, capsys):
-    """A flag the run would ignore: --eps outside the bound line, and
-    anything but --theta next to --minimal."""
+    """A flag the run would ignore: --eps outside the bound line, anything
+    but --theta next to --minimal, and --json next to --dump csv."""
     if form == "flag":
         extra = []
         for key, value in given.items():

@@ -178,27 +178,29 @@ def test_balance_correctness_property(u1, u2, e1, e2):
 
 
 def test_dominant_simplify_theorem_terms():
-    got = dominant_simplify(main_theorem_terms(), [("Dmax", "D"), ("D", "x")])
+    got = dominant_simplify(main_theorem_terms())
     assert got == mono(D="527/1038", x="511/1038", eps=True)
     assert got == simplified_main_bound()
 
 
 def test_dominant_simplify_single_term():
     t = mono(D="1/2", x="1/3")
-    assert dominant_simplify(BoundExpr([t]), [("Dmax", "D"), ("D", "x")]) == t
+    assert dominant_simplify(BoundExpr([t])) == t
 
 
 def test_dominant_simplify_incomparable_reported():
     e = BoundExpr([mono(x=1), mono(D=2)])
     with pytest.raises(IncomparableTermsError) as exc:
-        dominant_simplify(e, [("Dmax", "D"), ("D", "x")])
+        dominant_simplify(e)
     assert len(exc.value.pair) == 2
+    with pytest.raises(ValueError, match="outside the chain"):
+        dominant_simplify(BoundExpr([mono(x=1, N=1)]))
 
 
 def test_dominant_simplify_output_dominates_numerically():
     rng = random.Random(11)
     expr = main_theorem_terms()
-    top = dominant_simplify(expr, [("Dmax", "D"), ("D", "x")])
+    top = dominant_simplify(expr)
     for _ in range(500):
         Dmax = rng.uniform(1, 100)
         D = rng.uniform(Dmax, 10**4)

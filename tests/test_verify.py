@@ -110,7 +110,7 @@ def test_quick_suite_builds_the_minus4_table_once(monkeypatch):
     monkeypatch.setattr(tables, "sieve_tables", counted)
     results = verify.run_suite(quick=True, seed=0)
     assert all(r.ok for r in results)
-    assert sorted(builds) == sorted((10**5, d) for d in QUICK_LIMITS["table_discs"])
+    assert sorted(builds) == sorted((10**5, d) for d in verify.TABLE_DISCS)
 
 
 CHARACTER_LIMITS = dict(QUICK_LIMITS, mult_pairs=10)
