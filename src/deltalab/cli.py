@@ -302,10 +302,10 @@ def _cmd_compare(args, config):
 def _cmd_character(args, config):
     chi = make_character(args.disc)
     n = args.table
-    # about 233-243 bytes per value at the peak (tracemalloc, --json, 1e5
-    # and 1e6 values; 144-155 in text)
+    # about 229-237 bytes per value at the peak (tracemalloc, --json, 1e5
+    # and 1e6 values; 140-151 in text)
     check_memory_budget(f"--table {n}", n, 245, "--table")
-    values = {k: chi(k) for k in range(1, n + 1)}
+    values = dict(enumerate(chi.value_table(max(n, 0))[1:].tolist(), start=1))
     if args.json:
         print(json.dumps({"discriminant": chi.discriminant, "conductor": chi.conductor,
                           "parity": chi.parity, "values": values}, indent=2))

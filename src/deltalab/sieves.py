@@ -45,13 +45,13 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def smallest_prime_factor(n: int) -> np.ndarray:
-    """spf[k] = smallest prime factor of k (spf[1] = 1, spf[0] = 0).  No
-    caller in the package: kept only because bench/tracing.py names it."""
-    spf = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            sl[sl == np.arange(p * p, n + 1, p)] = p
+    """spf[k] = smallest prime factor of k (spf[1] = 1, spf[0] = 0), int32.
+
+    One strided store per prime p <= isqrt(n), from p^2 on, in descending
+    order: the smallest prime of k is written last."""
+    spf = np.arange(n + 1, dtype=np.int32)
+    for p in primes_up_to(math.isqrt(n))[::-1].tolist():
+        spf[p * p :: p] = p
     return spf
 
 

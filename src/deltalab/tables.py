@@ -12,9 +12,10 @@ The functions, all attached to a real character chi of conductor D:
 plus the splits at the cutoff C (default D^2): rho = rho* + rho_*,
 Lambda = Lambda* + Lambda_* according to m <= C versus m > C.
 lam, nu and rho are multiplicative, so they are built from their values at
-prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2), with
-strided passes per prime p <= sqrt(N); verify_table_identities checks them
-against the convolutions that define them.  rho*, lam' and Lambda* are
+prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2), by one
+recurrence on the smallest prime factor over doubling blocks of n;
+verify_table_identities checks them against the convolutions that define
+them.  rho*, lam' and Lambda* are
 sieves.convolve calls, which split the divisor pairs at sqrt(N): about
 2 sqrt(N) numpy passes per table.
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from .characters import RealCharacter, ResiduePattern, l_one, l_one_derivative, residue_main_term
 from .monomials import Monomial, evaluate, mono
-from .sieves import convolve, floor_div, mobius_array, primes_up_to
+from .sieves import convolve, floor_div, mobius_array, primes_up_to, smallest_prime_factor
 from .sieves import tau_array, von_mangoldt_window
 
 __all__ = [
@@ -82,7 +83,8 @@ class IdentityCheckError(AssertionError):
 
 
 #: Bytes per entry: sieve_tables' tracemalloc peak is 72.0 at N = 1e5 and 1e6
-#: (the nine output arrays), 72.2 at 1e4 and 73.4 at 2000; rounded up.
+#: (the nine output arrays), 72.2-72.3 at 1e4 and 73.0-73.9 at 2000 (D = 1,
+#: -4, 13, 193); rounded up.
 _BYTES_PER_ENTRY = 74
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
@@ -93,6 +95,12 @@ _QUOTIENT_TILE = 1 << 12
 #: n or l per tile of the float pass of _psi_star, the psi* kernel: its
 #: temporaries stay this size whatever x is.
 _WINDOW_TILE = 1 << 14
+
+#: n per block of _multiplicative_tables: its temporaries stay this size
+#: whatever N is.  With 2^17 (1 MB temporaries) they grew the heap, which
+#: stayed resident: the tables-build peak RSS rose by 2-3 MB (in-process
+#: replays of its ops); with 2^14 it is within 1.5 MB, at the same speed.
+_SPF_BLOCK = 1 << 14
 
 #: n per int32 chunk of _psi_star's coefficients A(n) (1 MB): their memory
 #: stays this size whatever x and C are.  With 2^20 (4 MB) psi-windows'
@@ -230,29 +238,55 @@ def check_memory_budget(what: str, N: int, bytes_per_entry: int, name: str, hint
 
 
 def _multiplicative_tables(N: int, chi_tab: np.ndarray):
-    """lam, nu and rho on [0, N] (entry 0 is 0): strided passes over the
-    multiples of each prime p <= isqrt(N), then one gather for what is left
-    of n, which is 1 or a prime above isqrt(N)."""
+    """lam, nu and rho on [0, N] (entry 0 is 0), and Lambda, which is
+    log p at the prime powers p^e and 0 elsewhere.
+
+    One recurrence on the smallest prime factor p of n, a blocked linear
+    sieve (Gries and Misra, CACM 21, 1978): with q = n / p, the exponent
+    e(n) = v_p(n) and the cofactor m(n) = n / p^e(n) are e(q) + 1 and m(q)
+    when p divides q, else 1 and q; then f(n) = f(m(n)) f(p^e(n)).  Every
+    read is at q <= n / 2, so over a block [lo, hi) with hi <= 2 lo it falls
+    below lo, and the block is a few whole-array numpy passes.
+
+    The four outputs are allocated before the scratch arrays spf, e and m,
+    and nothing that outlives the call after them, so the freed scratch
+    leaves no hole below a live table in the heap."""
     rules = (_lam_at_prime_power, _nu_at_prime_power, _rho_at_prime_power)
-    # values[chi(p) + 1, e] for every e with 2^e <= N
-    values = [np.array([[rule(c, e) for e in range(N.bit_length())] for c in (-1, 0, 1)])
-              for rule in rules]
-    lam, nu, rho = tabs = [np.ones(N + 1, dtype=np.int64) for _ in rules]
-    lam[0] = nu[0] = rho[0] = 0
-    rest = np.arange(N + 1, dtype=np.int64)  # n with its primes <= isqrt(N) divided out
-    for p in primes_up_to(math.isqrt(N)).tolist():
-        e = np.ones(N // p, dtype=np.int64)  # e[j - 1] = v_p(j p)
-        pk = p
-        while pk <= N // p:
-            e[pk - 1 :: pk] += 1
-            pk *= p
+    E = N.bit_length()  # every e with 2^e <= N is below E
+    # values[(chi(p) + 1) * E + e] = f(p^e)
+    values = [np.array([rule(c, e) for c in (-1, 0, 1) for e in range(E)]) for rule in rules]
+    lam, nu, rho = tabs = [np.empty(N + 1, dtype=np.int64) for _ in rules]
+    for f in tabs:
+        f[:2] = (0, 1)
+    Lam = np.zeros(N + 1, dtype=np.float64)
+    spf = smallest_prime_factor(N)
+    e = np.zeros(N + 1, dtype=np.int8)
+    m = np.zeros(N + 1, dtype=np.int32)
+    m[1] = 1
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, lo + _SPF_BLOCK, N + 1)
+        p = spf[lo:hi]
+        q = floor_div(np.arange(lo, hi, dtype=np.float64), p)
+        same = spf[q] == p
+        e_n = np.where(same, e[q] + 1, 1)
+        m_n = np.where(same, m[q], q)
+        e[lo:hi], m[lo:hi] = e_n, m_n
+        k = (chi_tab[p] + 1).astype(np.intp)
+        k *= E
+        k += e_n
         for f, v in zip(tabs, values):
-            f[p::p] *= v[chi_tab[p] + 1, e]
-        rest[p::p] //= p**e
-    c, e = chi_tab[rest] + 1, (rest > 1).view(np.int8)  # rest = q^e, e = 0 or 1
-    for f, v in zip(tabs, values):
-        f *= v[c, e]
-    return tabs
+            np.multiply(f[m_n], v[k], out=f[lo:hi])
+        # Lambda at the prime powers n (m(n) = 1) from math.log(p), the
+        # shared correctly rounded table: one log per prime n, then one
+        # gather, as p < lo when n = p^e with e > 1
+        pp = np.flatnonzero(m_n == 1)
+        base, pp = p[pp], pp + lo
+        primes = pp[pp == base]
+        Lam[primes] = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
+        Lam[pp] = Lam[base]
+        lo = hi
+    return lam, nu, rho, Lam
 
 
 def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> FunctionTable:
@@ -269,22 +303,10 @@ def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> Fu
     check_memory_budget(f"limit {N}", N, _BYTES_PER_ENTRY, "limit",
                         " or psi_counts, which streams segmented sieves")
     C = _cutoff(chi, cutoff)
-    lam, nu, rho = _multiplicative_tables(N, chi.value_table(N))
+    lam, nu, rho, Lam = _multiplicative_tables(N, chi.value_table(N))
     one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
     rho_star = convolve(lam, one, N, fmax=C)
     rho_substar = rho - rho_star  # exact integer complement of the m <= C part
-
-    # Lambda at prime powers from math.log (the shared correctly rounded
-    # table): one pass over the primes, then the higher powers of the
-    # p <= isqrt(N); lam' = Lambda * lam.
-    Lam = np.zeros(N + 1, dtype=np.float64)
-    primes = primes_up_to(N)
-    Lam[primes] = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
-    for p in primes[: np.searchsorted(primes, math.isqrt(N), side="right")].tolist():
-        pk = p * p
-        while pk <= N:
-            Lam[pk] = Lam[p]
-            pk *= p
     lam_prime = convolve(Lam, lam, N)
 
     Lam_star = convolve(nu, lam_prime, N, fmax=C)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltalab.cli
+from deltalab.characters import make_character
 from deltalab.cli import build_parser, finite, run
 from deltalab.exponents import MAX_ORDER, derive_tuple
 
@@ -95,6 +96,21 @@ def test_compare_default_records_both_pairs(capsys):
 def test_character_table(capsys):
     assert run(["character", "--disc", "-4", "--table", "8"]) == 0
     assert "1 0 -1 0 1 0 -1 0" in out_of(capsys)
+
+
+@pytest.mark.parametrize("d", [-4, 5, -163])
+def test_character_table_matches_the_scalar_character(capsys, d):
+    chi = make_character(d)
+    values = {k: chi(k) for k in range(1, 1001)}
+    assert run(["character", "--disc", str(d), "--table", "1000", "--json"]) == 0
+    assert out_of(capsys) == json.dumps({"discriminant": d, "conductor": chi.conductor,
+                                         "parity": chi.parity, "values": values}, indent=2) + "\n"
+    assert run(["character", "--disc", str(d), "--table", "1000"]) == 0
+    assert out_of(capsys).splitlines()[1:] == [
+        f"character: {chi}",
+        "n: " + " ".join(map(str, values)),
+        "chi: " + " ".join(map(str, values.values())),
+    ]
 
 
 def test_character_invalid_disc(capsys):

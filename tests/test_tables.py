@@ -253,6 +253,50 @@ def test_mobius_array_matches_the_per_prime_loop():
     assert got.dtype == np.int64 and np.array_equal(got, loop)
 
 
+def _trial_spf(n):
+    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+
+
+def test_smallest_prime_factor_matches_trial_division():
+    for n in (0, 1, 2, 3, 4):
+        assert sieves.smallest_prime_factor(n).tolist() == [0, 1, 2, 3, 2][: n + 1]
+    spf = sieves.smallest_prime_factor(10**4)
+    assert spf.dtype == np.int32
+    assert spf.tolist() == [0, 1] + [_trial_spf(n) for n in range(2, 10**4 + 1)]
+    spf = sieves.smallest_prime_factor(10**6)
+    for n in (999_983, 997**2, 991 * 997, 10**6):  # a prime, a prime square, two primes, the top
+        assert spf[n] == _trial_spf(n), n
+
+
+def _divisor_sum_oracle(chi, n):
+    """lam(n) and rho(n) as direct divisor sums of chi and of lam, by
+    sympy's divisors: no sieve, no prime-power rule."""
+    lam = {d: sum(chi(k) for k in sympy.divisors(d)) for d in sympy.divisors(n)}
+    return lam[n], sum(lam.values())
+
+
+@pytest.mark.parametrize("d", [1, -4, -7, 5])  # trivial; chi(2) = 0, 1 and -1
+def test_smallest_prime_factor_recurrence_matches_divisor_sums(d):
+    """lam, nu, rho and Lambda at random n and at every block edge of the
+    recurrence, plus and minus one, for N a prime, a prime square and 3^12."""
+    chi = make_character(d)
+    assert chi(2) == {1: 1, -4: 0, -7: 1, 5: -1}[d]
+    rng = np.random.default_rng(abs(d))
+    for N in (65_537, 257**2, 3**12):
+        t = sieve_tables(N, chi)
+        edges, lo = [], 2
+        while lo <= N:
+            edges.append(lo)
+            lo = min(2 * lo, lo + tables._SPF_BLOCK)
+        ns = {n + s for n in edges + [tables._SPF_BLOCK, N] for s in (-1, 0, 1)}
+        ns = sorted(n for n in ns | set(rng.integers(1, N + 1, 40).tolist()) if 1 <= n <= N)
+        for n in ns:
+            lam, rho = _divisor_sum_oracle(chi, n)
+            factors = sympy.factorint(n)
+            Lam = math.log(next(iter(factors))) if len(factors) == 1 else 0.0
+            assert (t.lam[n], t.nu[n], t.rho[n], t.Lam[n]) == (lam, nu_value(chi, n), rho, Lam), (N, n)
+
+
 def test_floor_div_exact_while_t_plus_d_below_2_53():
     # the hardest t are one below a multiple of d: t/d is then closest to
     # the next integer
@@ -774,16 +818,16 @@ def test_memory_budget_error():
 
 
 def test_sieve_tables_peak_within_bytes_per_entry():
-    N = 10**4
     chi = make_character(13)
     chi.value_table(1)  # the period array is cached; build it outside the trace
-    tracemalloc.start()
-    try:
-        sieve_tables(N, chi)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= N * tables._BYTES_PER_ENTRY
+    for N in (10**4, 10**5):
+        tracemalloc.start()
+        try:
+            sieve_tables(N, chi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= N * tables._BYTES_PER_ENTRY, N
 
 
 def test_psi_counts_peak_within_bytes_per_root():
