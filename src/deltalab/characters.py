@@ -8,11 +8,12 @@ that zeta factors can appear in residue patterns and triple products; it is
 rejected by the L-value routines (pole at s = 1).
 
 The Kronecker symbol comes in two forms.  The scalar `kronecker` takes any
-Python ints and is what chi(n) calls.  `kronecker_array` is the same symbol
-elementwise on int64 arrays, for any int64 a and 0 <= n < 2^63 (n < 0 is
-refused); it multiplies nothing, so that input bound is its only one.  It
-builds every period table and runs the verify-all character checks, and
-the tests pin it to the scalar form.
+Python ints and is the definition, which no production path calls.
+`kronecker_array` is the same symbol elementwise on int64 arrays, for any
+int64 a and 0 <= n < 2^63 (n < 0 is refused); it multiplies nothing, so that
+input bound is its only one.  It builds every period table, which chi(n)
+reads at n mod |d| for any integer n, and runs the verify-all character
+checks; the tests pin the table and chi(n) to the scalar form.
 
 Floating-point contract: Gauss sums use compensated summation with an
 absolute error budget of about D * 2^-50.  L(1, chi), from the finite
@@ -191,17 +192,24 @@ def fundamental_discriminants(bound: int):
 
 @dataclass(frozen=True)
 class RealCharacter:
-    """A real primitive Dirichlet character, Kronecker-symbol backed.
+    """A real primitive Dirichlet character, given by its discriminant alone.
 
     Construct through make_character, which validates the discriminant.
     """
 
     discriminant: int
-    conductor: int
-    parity: str  # "even" (d > 0) or "odd" (d < 0)
+
+    @property
+    def conductor(self) -> int:
+        return abs(self.discriminant)
+
+    @property
+    def parity(self) -> str:
+        return "even" if self.discriminant > 0 else "odd"
 
     def __call__(self, n: int) -> int:
-        return kronecker(self.discriminant, n)
+        """chi(n) = (d|n) for any integer n, from the period table."""
+        return int(self.period_array()[n % self.conductor])
 
     @property
     def is_trivial(self) -> bool:
@@ -242,8 +250,7 @@ class RealCharacter:
 
 @lru_cache(maxsize=256)
 def _period_array(disc: int) -> np.ndarray:
-    q = abs(disc) if abs(disc) > 1 else 1
-    arr = kronecker_array(disc, np.arange(q)).astype(np.int8)
+    arr = kronecker_array(disc, np.arange(abs(disc))).astype(np.int8)
     arr.setflags(write=False)
     return arr
 
@@ -262,9 +269,7 @@ def make_character(d_signed: int) -> RealCharacter:
     reason = _discriminant_failure(d)
     if reason is not None:
         raise ValueError(reason)
-    return RealCharacter(
-        discriminant=d, conductor=abs(d), parity="even" if d > 0 else "odd"
-    )
+    return RealCharacter(d)
 
 
 def gauss_sum(m: int, chi: RealCharacter) -> complex:

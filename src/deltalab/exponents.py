@@ -9,7 +9,7 @@ The seven exponents are exact rationals.  The order-4 base values are fixed
 input data; each higher order is obtained from the previous one by a fixed
 algebraic step that divides through by 2(b+1).  The "+epsilon" carried by b
 and eta at order 4 survives the step onto b and eta of every later order,
-so it is tracked as a pair of boolean flags rather than symbolically.
+so it is the constant ExponentTuple.eps_on rather than symbolic.
 
 All arithmetic uses fractions.Fraction: no rounding happens anywhere in
 this module.
@@ -17,9 +17,9 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -46,9 +46,11 @@ _BASE = {
 class ExponentTuple:
     """The seven exponents of an order-r derivative-test bound.
 
-    eps_on names the entries that carry a "+epsilon"; only "b" and "eta"
-    ever do.  Instances are immutable and safe to share across threads.
+    eps_on names the entries that carry a "+epsilon": "b" and "eta" at
+    every order.  Instances are immutable and safe to share across threads.
     """
+
+    eps_on: ClassVar[frozenset] = frozenset({"b", "eta"})
 
     order: int
     a: Fraction
@@ -58,13 +60,10 @@ class ExponentTuple:
     alpha: Fraction
     gamma: Fraction
     delta: Fraction
-    eps_on: frozenset = field(default_factory=lambda: frozenset({"b", "eta"}))
 
     def __post_init__(self):
         if self.order < BASE_ORDER:
             raise ValueError(f"order must be >= {BASE_ORDER}, got {self.order}")
-        if not self.eps_on <= {"b", "eta"}:
-            raise ValueError(f"eps flags limited to b/eta, got {set(self.eps_on)}")
 
     def as_dict(self) -> dict:
         """JSON-friendly layout: exact fraction strings plus the eps flag list."""
@@ -105,7 +104,6 @@ def step(t: ExponentTuple) -> ExponentTuple:
         alpha=(t.alpha + 1) / 2,
         gamma=(t.a * t.delta + (t.b + 1) * (t.gamma + 1)) / d,
         delta=t.delta / d,
-        eps_on=frozenset(t.eps_on & {"b", "eta"}),
     )
 
 
@@ -127,8 +125,8 @@ def derive_tuple(r: int) -> ExponentTuple:
 def bound_eval(t: ExponentTuple, M: float, T: float, eps: float = 0.0) -> float:
     """Numeric value of the four-term bound at (M, T).
 
-    eps is substituted into the flagged exponents (b and/or eta).  Used by
-    the empirical lab for constant fitting; constants are not modeled here.
+    eps is added to b and eta, the exponents in eps_on.  Used by the
+    empirical lab for constant fitting; constants are not modeled here.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -136,8 +134,8 @@ def bound_eval(t: ExponentTuple, M: float, T: float, eps: float = 0.0) -> float:
         raise ValueError(f"T must be > 0, got {T}")
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    b = float(t.b) + (eps if "b" in t.eps_on else 0.0)
-    eta = float(t.eta) + (eps if "eta" in t.eps_on else 0.0)
+    b = float(t.b) + eps
+    eta = float(t.eta) + eps
     return (
         M ** float(t.a) * T ** b
         + M ** float(t.xi) * T ** eta

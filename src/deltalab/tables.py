@@ -10,7 +10,8 @@ The functions, all attached to a real character chi of conductor D:
     Lambda(n) = sum_{dm=n} lam'(d) nu(m)   (the von Mangoldt function)
 
 plus the splits at the cutoff C (default D^2): rho = rho* + rho_*,
-Lambda = Lambda* + Lambda_* according to m <= C versus m > C.
+Lambda = Lambda* + Lambda_* according to m <= C versus m > C, where a
+table's rho_* and Lambda_* are its views rho - rho* and Lambda - Lambda*.
 lam, nu and rho are multiplicative, so they are built from their values at
 prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2), by one
 recurrence on the smallest prime factor over doubling blocks of n;
@@ -82,10 +83,11 @@ class IdentityCheckError(AssertionError):
     """An exact convolution-identity check failed."""
 
 
-#: Bytes per entry: sieve_tables' tracemalloc peak is 72.0 at N = 1e5 and 1e6
-#: (the nine output arrays), 72.2-72.3 at 1e4 and 73.0-73.9 at 2000 (D = 1,
-#: -4, 13, 193); rounded up.
-_BYTES_PER_ENTRY = 74
+#: Bytes per entry: sieve_tables' tracemalloc peak is 56.0-60.1 at N = 1e5
+#: and 1e6 (the seven stored arrays, and Lambda*'s product temporary of N/p
+#: entries where nu(p) = -2 for a small prime p), 60.1-64.4 at 1e4 and
+#: 65.2-65.8 at 2000 (D = 1, -3, -4, 5, -7, 13, 17, -163, 193); rounded up.
+_BYTES_PER_ENTRY = 66
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
 #: Block ends per tile of lam_prime_summatory: its temporaries stay this
@@ -146,11 +148,19 @@ class FunctionTable:
     nu: np.ndarray
     rho: np.ndarray
     rho_star: np.ndarray
-    rho_substar: np.ndarray
     lam_prime: np.ndarray
     Lam: np.ndarray
     Lam_star: np.ndarray
-    Lam_substar: np.ndarray
+
+    @property
+    def rho_substar(self) -> np.ndarray:
+        """rho_* = rho - rho*, the m > C part, as a new array."""
+        return self.rho - self.rho_star
+
+    @property
+    def Lam_substar(self) -> np.ndarray:
+        """Lambda_* = Lambda - Lambda*, the m > C part, as a new array."""
+        return self.Lam - self.Lam_star
 
     def array(self, f: str) -> np.ndarray:
         return getattr(self, _canonical_name(f))
@@ -158,6 +168,7 @@ class FunctionTable:
 
 _NAME_ALIASES = {
     **{f.name: f.name for f in fields(FunctionTable) if f.name not in ("limit", "chi", "cutoff")},
+    "rho_substar": "rho_substar", "Lam_substar": "Lam_substar",
     "lambda": "lam",
     "rho*": "rho_star",
     "rho_*": "rho_substar",
@@ -290,8 +301,9 @@ def _multiplicative_tables(N: int, chi_tab: np.ndarray):
 
 
 def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> FunctionTable:
-    """Build all nine arrays on [1, N]: lam, nu and rho from their values
-    at prime powers, the others by square-root-split convolutions.
+    """Build the seven stored arrays on [1, N]: lam, nu, rho and Lambda from
+    their values at prime powers, rho*, lam' and Lambda* by square-root-split
+    convolutions (rho_* and Lambda_* are views of these).
 
     cutoff defaults to D^2 and must be >= 1.  Raises MemoryBudgetError with
     a suggested smaller limit when the arrays would not fit
@@ -306,31 +318,12 @@ def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> Fu
     lam, nu, rho, Lam = _multiplicative_tables(N, chi.value_table(N))
     one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
     rho_star = convolve(lam, one, N, fmax=C)
-    rho_substar = rho - rho_star  # exact integer complement of the m <= C part
     lam_prime = convolve(Lam, lam, N)
-
     Lam_star = convolve(nu, lam_prime, N, fmax=C)
-    # Exact float complement so Lambda = Lambda* + Lambda_* holds pointwise;
-    # the m > C definition is verified at the coefficient level by
-    # verify_table_identities.
-    Lam_substar = Lam - Lam_star
-
-    for arr in (lam, nu, rho, rho_star, rho_substar, lam_prime, Lam, Lam_star, Lam_substar):
+    for arr in (lam, nu, rho, rho_star, lam_prime, Lam, Lam_star):
         arr.setflags(write=False)
-    return FunctionTable(
-        limit=N,
-        chi=chi,
-        cutoff=C,
-        lam=lam,
-        nu=nu,
-        rho=rho,
-        rho_star=rho_star,
-        rho_substar=rho_substar,
-        lam_prime=lam_prime,
-        Lam=Lam,
-        Lam_star=Lam_star,
-        Lam_substar=Lam_substar,
-    )
+    return FunctionTable(limit=N, chi=chi, cutoff=C, lam=lam, nu=nu, rho=rho, rho_star=rho_star,
+                         lam_prime=lam_prime, Lam=Lam, Lam_star=Lam_star)
 
 
 def divisor_sum(t: FunctionTable, f: str, x: float):
@@ -885,10 +878,7 @@ def verify_table_identities(t: FunctionTable, shared: Optional[ChiFreeArrays] = 
             raise IdentityCheckError(
                 f"{name} fails first at n={bad}: table {got[bad]}, reference {ref[bad]}"
             )
-    if not np.array_equal(t.rho[1:], t.rho_star[1:] + t.rho_substar[1:]):
-        raise IdentityCheckError("rho != rho* + rho_* pointwise")
-    small = min(C, N)
-    if np.any(t.rho_substar[1 : small + 1] != 0):
+    if np.any(t.rho_substar[1 : min(C, N) + 1] != 0):
         raise IdentityCheckError("rho_*(n) != 0 for some n <= cutoff")
 
     # Per-prime exact coefficient checks and the shared-log float build.

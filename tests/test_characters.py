@@ -264,7 +264,21 @@ def test_values_match_kronecker():
         n = np.arange(3 * chi.conductor + 2, dtype=np.int64)
         got = chi.values(n)
         assert got.dtype == np.int64
-        assert got[1:].tolist() == [chi(int(k)) for k in n[1:]]
+        assert got[1:].tolist() == [kronecker(d, int(k)) for k in n[1:]]
+
+
+def test_chi_is_the_scalar_kronecker_symbol():
+    """chi(n) reads the period table at n mod q; the scalar kronecker is the
+    definition, on both signs of n and past the int64 range."""
+    big = 2**70 + 1
+    for d in [1] + fundamental_discriminants(500):
+        chi = make_character(d)
+        q = chi.conductor
+        got = [chi(n) for n in range(-2 * q, 2 * q + 1)] + [chi(big), chi(-big)]
+        want = [kronecker(d, n) for n in range(-2 * q, 2 * q + 1)] + [kronecker(d, big),
+                                                                      kronecker(d, -big)]
+        assert got == want, d
+        assert all(type(v) is int for v in got), d
 
 
 def test_fundamental_test_agrees_with_make_character():

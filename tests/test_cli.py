@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltalab.cli
-from deltalab.characters import make_character
+from deltalab.characters import gauss_sum, kronecker, make_character
 from deltalab.cli import build_parser, finite, run
 from deltalab.exponents import MAX_ORDER, derive_tuple
+from deltalab.tables import sieve_tables
 
 
 def out_of(capsys):
@@ -101,7 +102,7 @@ def test_character_table(capsys):
 @pytest.mark.parametrize("d", [-4, 5, -163])
 def test_character_table_matches_the_scalar_character(capsys, d):
     chi = make_character(d)
-    values = {k: chi(k) for k in range(1, 1001)}
+    values = {k: kronecker(d, k) for k in range(1, 1001)}
     assert run(["character", "--disc", str(d), "--table", "1000", "--json"]) == 0
     assert out_of(capsys) == json.dumps({"discriminant": d, "conductor": chi.conductor,
                                          "parity": chi.parity, "values": values}, indent=2) + "\n"
@@ -117,11 +118,34 @@ def test_character_invalid_disc(capsys):
     assert run(["character", "--disc", "9"]) == 1
 
 
+@pytest.mark.parametrize("table", ["-5", "0", "2.7"])
+def test_character_table_below_one_or_fractional_rejected(table, capsys):
+    for extra in ([], ["--json"]):
+        assert run(["character", "--disc", "-4", "--table", table, *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error: " in err and "Traceback" not in err
+
+
 def test_gauss_range(capsys):
     assert run(["gauss", "--disc", "5", "--m", "1..3", "--json"]) == 0
     d = json.loads(out_of(capsys))
     assert [row["m"] for row in d["values"]] == [1, 2, 3]
     assert float(d["values"][0]["abs"]) == pytest.approx(5**0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [5, -163, 1429])
+def test_gauss_batched_output_matches_the_per_m_path(d, monkeypatch, capsys):
+    """1429 > 2^16 / 300: its 300 m take several gauss_sums calls."""
+    argv = ["gauss", "--disc", str(d), "--m", "1..300"]
+    got = []
+    for extra in ([], ["--json"]):
+        assert run([*argv, *extra]) == 0
+        got.append(out_of(capsys))
+    monkeypatch.setattr(deltalab.cli, "gauss_sums",
+                        lambda ms, chi: [gauss_sum(m, chi) for m in ms])
+    for extra, text in zip(([], ["--json"]), got):
+        assert run([*argv, *extra]) == 0
+        assert out_of(capsys) == text
 
 
 def test_lfunction(capsys):
@@ -142,6 +166,21 @@ def test_tables_csv(tmp_path, capsys):
     assert lines[1] == "1,1,1,0,1,0,1,0,0,0"
     row2 = lines[2].split(",")
     assert row2[0] == "2" and row2[3] == "0.69314718056"
+
+
+def test_tables_csv_matches_per_row_formatting_across_blocks(tmp_path, capsys):
+    """The dump formats 2^14-row blocks of .tolist() columns; past a block
+    edge it must read as numpy scalars formatted one row at a time."""
+    N = (1 << 14) + 5
+    out = tmp_path / "t.csv"
+    assert run(["tables", "--disc", "13", "--limit", str(N), "--cutoff", "7", "--dump", "csv",
+                "--out", str(out)]) == 0
+    t = sieve_tables(N, make_character(13), cutoff=7)
+    rho_sub, Lam_sub = t.rho_substar, t.Lam_substar
+    rows = [f"{n},{t.lam[n]},{t.nu[n]},{t.lam_prime[n]:.12g},{t.rho[n]},{t.Lam[n]:.12g},"
+            f"{t.rho_star[n]},{rho_sub[n]},{t.Lam_star[n]:.12g},{Lam_sub[n]:.12g}"
+            for n in range(1, N + 1)]
+    assert out.read_text().splitlines()[1:] == rows
 
 
 def test_tables_out_env_dir(tmp_path, monkeypatch, capsys):
@@ -492,6 +531,11 @@ def test_count_flag_reads_exponent_form(capsys):
     assert "limit = 1000\n" in text
     assert run(["tau-moment", "--cap", "1e1", "--A", "1"]) == 0
     assert "sum = 6.00238095238" in out_of(capsys)
+    for extra in ([], ["--json"]):
+        assert run(["character", "--disc", "-4", "--table", "1e3", *extra]) == 0
+        got = out_of(capsys)
+        assert run(["character", "--disc", "-4", "--table", "1000", *extra]) == 0
+        assert got == out_of(capsys)
 
 
 def test_cutoff_below_one_rejected(capsys):
@@ -503,6 +547,7 @@ def test_cutoff_below_one_rejected(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["tables", "--disc", "-4", "--limit", "1e9"],
+    ["tables", "--disc", "-4", "--limit", "3e7", "--dump", "csv"],
     ["divisor-sum", "--f", "rho", "--x", "1e9", "--disc", "-4"],
     ["delta-sweep", "--d1", "1", "--d2", "1", "--d3", "-4", "--x-grid", "0:10:geometric:3"],
     ["delta", "--d1", "1", "--d2", "1", "--d3", "-4", "--x", "1e9", "--naive-check"],

@@ -381,8 +381,7 @@ def test_identity_checker_catches_corruption():
     bad[1234] += 1
     broken = type(t)(
         limit=t.limit, chi=t.chi, cutoff=t.cutoff, lam=bad, nu=t.nu, rho=t.rho,
-        rho_star=t.rho_star, rho_substar=t.rho_substar, lam_prime=t.lam_prime,
-        Lam=t.Lam, Lam_star=t.Lam_star, Lam_substar=t.Lam_substar,
+        rho_star=t.rho_star, lam_prime=t.lam_prime, Lam=t.Lam, Lam_star=t.Lam_star,
     )
     with pytest.raises(IdentityCheckError, match="n=1234"):
         verify_table_identities(broken)
@@ -402,12 +401,14 @@ def test_identity_checker_catches_integer_corruption_above_sqrt(field, identity)
 @pytest.mark.parametrize("field", ["lam_prime", "Lam_star", "Lam_substar"])
 @pytest.mark.parametrize("n", [47, 3 * 47, 41 * 47, 1999, 2 * 997])
 def test_identity_checker_catches_float_corruption_above_sqrt(field, n):
-    """n = p*j with p > isqrt(2000) = 44: the primes checked by class."""
+    """n = p*j with p > isqrt(2000) = 44: the primes checked by class.
+    Lambda_* is the view Lambda - Lambda*, so it is corrupted through Lambda."""
     t = sieve_tables(2000, CHI13)
-    arr = getattr(t, field).copy()
+    stored = {"Lam_substar": "Lam"}.get(field, field)
+    arr = getattr(t, stored).copy()
     arr[n] += 1e-6
     with pytest.raises(IdentityCheckError, match="deviate"):
-        verify_table_identities(dataclasses.replace(t, **{field: arr}))
+        verify_table_identities(dataclasses.replace(t, **{stored: arr}))
 
 
 def test_identity_checker_with_shared_arrays_gives_the_same_report():
@@ -442,11 +443,18 @@ def test_identity_checker_counts_every_prime():
 def test_every_array_field_is_a_function_name(table4):
     names = [f.name for f in dataclasses.fields(table4)
              if isinstance(getattr(table4, f.name), np.ndarray)]
-    assert len(names) == 9
+    assert names == ["lam", "nu", "rho", "rho_star", "lam_prime", "Lam", "Lam_star"]
     for name in names:
         arr = getattr(table4, name)
         assert table4.array(name) is arr
         assert divisor_sum(table4, name, 100) == arr[1:101].sum(), name
+    # the two views: the same subtraction that defines them, bit for bit
+    for name, alias, whole, star in (("rho_substar", "rho_*", "rho", "rho_star"),
+                                     ("Lam_substar", "Lambda_*", "Lam", "Lam_star")):
+        want = getattr(table4, whole) - getattr(table4, star)
+        for arr in (getattr(table4, name), table4.array(name), table4.array(alias)):
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
+        assert divisor_sum(table4, alias, 100) == want[1:101].sum(), name
 
 
 def test_divisor_sum_basics(table4):
