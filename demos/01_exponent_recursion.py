@@ -30,11 +30,24 @@ for r in range(5, 17):
     print(f"{r:>6} {str(cur.b):>22} {float(cur.b):>12.3e} {str(ident):>15}")
     prev = cur
 
-print("\nalpha_r approaches 1 with the closed form 1 - (1 - 334/411)/2^(r-4):")
-for r in (4, 6, 10, 20):
-    t = derive_tuple(r)
-    assert t.alpha == 1 - (1 - Fraction(334, 411)) / 2 ** (r - 4)
-    print(f"  alpha_{r} = {t.alpha} = {float(t.alpha):.10f}")
+print("\nderive_tuple(r) is the recursion in closed form, with k = r - 4, u = 2^k,")
+print("q = 110u - 26:")
+print("  a = (110u - 68 - 13k)/q      b = 13/q (+eps)     eta = 31/q (+eps)")
+print("  xi = (110u^2 - 105u - 31ku - 5)/(qu)            delta = 42/q")
+print("  gamma = (110u^2 - 68u + 42ku + 42)/(qu)         alpha = 1 - 77/(411u)")
+t = base_tuple()
+for r in range(4, 21):
+    k, u = r - 4, Fraction(2 ** (r - 4))
+    q = 110 * u - 26
+    closed = ((110 * u - 68 - 13 * k) / q, 13 / q,
+              (110 * u**2 - 105 * u - 31 * k * u - 5) / (q * u), 31 / q, 1 - 77 / (411 * u),
+              (110 * u**2 - 68 * u + 42 * k * u + 42) / (q * u), 42 / q)
+    assert derive_tuple(r) == t and (t.a, t.b, t.xi, t.eta, t.alpha, t.gamma, t.delta) == closed
+    if r in (4, 6, 10, 20):
+        print(f"  order {r}: " + "  ".join(f"{n}={v}" for n, v in zip(
+            ("a", "b", "xi", "eta", "alpha", "gamma", "delta"), closed)))
+    t = step(t)
+print("(equal to the step recursion at every order 4..20)")
 
 print("\nNumeric value of the four-term bound at order 5:")
 t5 = derive_tuple(5)

@@ -18,8 +18,9 @@ alone, as do tuple's --eps without --eval-M and --eval-T, feasibility's
 csv; psi-short takes exactly one of --y and --alpha.
 psi-short with an end of the window at 1, and tau-moment with a log power
 or ratio outside the float range, exit 1 rather than print inf.  Every array
-or list whose size a flag sets is checked against the memory budget before
-it is allocated, and any MemoryError exits 1.
+or list whose size a flag sets, a character's period table included, is
+checked against the memory budget before it is allocated, and any
+MemoryError exits 1.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -648,6 +649,12 @@ def run(argv: Optional[List[str]] = None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         config = _resolve_config(args, parser.commands[args.command])
+        for flag in ("disc", "d1", "d2", "d3"):  # every flag that names a character
+            d = getattr(args, flag, None)
+            if d is not None:
+                # its period table holds about 92 bytes per residue at its peak
+                # (tracemalloc, d = 1,000,001, -1,000,003 and 4,000,037)
+                check_memory_budget(f"--{flag} {d}", abs(d), 92, f"|--{flag}|")
         return args.func(args, config)
     except DerivationRegressionError as e:
         print(f"derivation regression: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exact-rational recursion for higher-order derivative-test exponents.
+"""Exact-rational exponents of the higher-order derivative tests.
 
 An order-r derivative test bounds an exponential sum over an interval of
 length M, with phase derivatives of size T*M^(-j) for j = r-2, r-1, r, by
@@ -6,10 +6,10 @@ length M, with phase derivatives of size T*M^(-j) for j = r-2, r-1, r, by
     M^a * T^b  +  M^xi * T^eta  +  M^alpha  +  M^gamma * T^(-delta).
 
 The seven exponents are exact rationals.  The order-4 base values are fixed
-input data; each higher order is obtained from the previous one by a fixed
-algebraic step that divides through by 2(b+1).  The "+epsilon" carried by b
-and eta at order 4 survives the step onto b and eta of every later order,
-so it is the constant ExponentTuple.eps_on rather than symbolic.
+input data.  step, which divides through by 2(b+1), defines each later order
+from the one before; derive_tuple, the production path, is that recursion in
+closed form, and step is its oracle.  The "+epsilon" on b and eta at order 4
+survives every step, so it is the constant ExponentTuple.eps_on.
 
 All arithmetic uses fractions.Fraction: no rounding happens anywhere in
 this module.
@@ -23,10 +23,9 @@ from typing import ClassVar, Union
 
 RationalLike = Union[Fraction, int, str]
 
-#: Hard cap on the recursion order; denominators grow geometrically and a
-#: runaway input would allocate huge integers for no analytic gain.  7142 is
-#: the largest order whose exponents print under Python's default limit of
-#: 4300 digits on int-to-str conversion.
+#: Hard cap on the order.  7142 is the largest order whose exponents print
+#: under Python's default limit of 4300 digits on int-to-str conversion; the
+#: cap also keeps a runaway order from allocating the integer 2^(r-4).
 MAX_ORDER = 7142
 
 #: Order-4 base exponents (fixed input data, not derived here).
@@ -108,7 +107,9 @@ def step(t: ExponentTuple) -> ExponentTuple:
 
 
 def derive_tuple(r: int) -> ExponentTuple:
-    """The order-r tuple: the base with (r-4) recursion steps applied.
+    """The order-r tuple, the base with r - 4 steps applied, in closed form
+    in k = r - 4, u = 2^k and q = 110u - 26 (tests/test_exponents.py proves
+    by induction on k that it solves step).
 
     Raises ValueError for r < 4 and for r above MAX_ORDER.
     """
@@ -116,10 +117,19 @@ def derive_tuple(r: int) -> ExponentTuple:
         raise ValueError(f"order must be >= {BASE_ORDER}, got {r}")
     if r > MAX_ORDER:
         raise ValueError(f"order {r} exceeds cap {MAX_ORDER}")
-    t = base_tuple()
-    for _ in range(r - BASE_ORDER):
-        t = step(t)
-    return t
+    k = r - BASE_ORDER
+    u = 1 << k
+    q = 110 * u - 26
+    return ExponentTuple(
+        order=r,
+        a=Fraction(110 * u - 68 - 13 * k, q),
+        b=Fraction(13, q),
+        xi=Fraction((110 * u - 105 - 31 * k) * u - 5, q * u),
+        eta=Fraction(31, q),
+        alpha=1 - Fraction(77, 411 * u),
+        gamma=Fraction((110 * u - 68 + 42 * k) * u + 42, q * u),
+        delta=Fraction(42, q),
+    )
 
 
 def bound_eval(t: ExponentTuple, M: float, T: float, eps: float = 0.0) -> float:
@@ -142,13 +152,6 @@ def bound_eval(t: ExponentTuple, M: float, T: float, eps: float = 0.0) -> float:
         + M ** float(t.alpha)
         + M ** float(t.gamma) * T ** (-float(t.delta))
     )
-
-
-def alpha_closed_form(r: int) -> Fraction:
-    """Closed form of the alpha recursion: 1 - (1 - alpha_4)/2^(r-4)."""
-    if r < BASE_ORDER:
-        raise ValueError(f"order must be >= {BASE_ORDER}, got {r}")
-    return 1 - (1 - _BASE["alpha"]) / 2 ** (r - BASE_ORDER)
 
 
 def as_fraction(v: RationalLike) -> Fraction:

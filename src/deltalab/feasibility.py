@@ -3,10 +3,13 @@ interval exponent theta and the power budget r:
 
     5/(2r) + 492293/1000000 + 507707/(1000000 r) <= theta.
 
-The two millionths literals are stored verbatim (they sum to 1 exactly);
-511/1038 = 0.4922928... is the plausible source of the first one, but the
-condition commits to the decimal literals and so do we.  All comparisons
-are exact Fraction arithmetic.
+The two millionths literals are stored verbatim.  They sum to 1 exactly, as
+the triple-sum bound's x- and D-exponents 511/1038 and 527/1038 do, and
+C0 - 511/1038 = 67/519000000 = -(C1 - 527/1038).  So the left side exceeds
+the same expression with (511/1038, 527/1038) in place of (C0, C1) by
+(67/519000000)(1 - 1/r) >= 0: the literal condition implies the derived one
+for every r >= 1.  The condition commits to the literals, and so do we.  All
+comparisons are exact Fraction arithmetic.
 
 The constants are the paper's, not parameters.  LEAD = 5/2 is also the
 D-power of the range condition D^(5/2) x^(c0 + c1/r) < y that claim_report

@@ -84,15 +84,10 @@ def _check_exponent_recursion() -> CheckResult:
     t = ex.base_tuple()
     for j in range(5, 51):
         tn = ex.step(t)
-        if not (
-            2 * (t.b + 1) * tn.b == t.b
-            and 2 * (t.b + 1) * tn.eta == t.eta
-            and 2 * (t.b + 1) * tn.delta == t.delta
-            and tn.b < t.b
-            and tn.alpha == ex.alpha_closed_form(j)
-            and all(v > 0 for v in (tn.a, tn.b, tn.xi, tn.eta, tn.alpha, tn.gamma, tn.delta))
-        ):
-            return CheckResult("exponent-recursion", False, True, f"identity fails at order {j}")
+        if tn != ex.derive_tuple(j):
+            return CheckResult("exponent-recursion", False, True, f"closed form != step at order {j}")
+        if not (tn.b < t.b and min(tn.a, tn.b, tn.xi, tn.eta, tn.alpha, tn.gamma, tn.delta) > 0):
+            return CheckResult("exponent-recursion", False, True, f"decay or positivity fails at order {j}")
         t = tn
     return CheckResult(
         "exponent-recursion", True, True,

@@ -1,7 +1,6 @@
 """CLI contract tests: subcommand outputs, exit codes, config files, and
 the output-directory environment override.  All in-process via cli.run."""
 
-import functools
 import io
 import json
 import os
@@ -14,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltalab.characters
 import deltalab.cli
+import deltalab.tables
 from deltalab.characters import gauss_sum, kronecker, make_character
 from deltalab.cli import build_parser, finite, run
-from deltalab.exponents import MAX_ORDER, derive_tuple
+from deltalab.exponents import MAX_ORDER
 from deltalab.tables import sieve_tables
 
 
@@ -45,12 +46,10 @@ def test_tuple_validation_exit_code(capsys):
     assert run(["tuple", "--order", "3"]) == 1
 
 
-def test_tuple_prints_every_order_it_accepts(monkeypatch, capsys):
+def test_tuple_prints_every_order_it_accepts(capsys):
     """MAX_ORDER is the largest order whose exponents convert to str under
     Python's default 4300-digit limit; one order more is rejected up front."""
     assert MAX_ORDER == 7142
-    # one derivation (about 13 s) serves both output forms
-    monkeypatch.setattr(deltalab.cli, "derive_tuple", functools.cache(derive_tuple))
     for extra in ([], ["--json"]):
         assert run(["tuple", "--order", str(MAX_ORDER), *extra]) == 0
         out = out_of(capsys)
@@ -576,6 +575,30 @@ def test_failing_run_exits_1_with_message(argv, tmp_path, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--disc", ["character", "--disc", "1000001", "--table", "5"]),
+    ("--d3", ["delta", "--d1", "1", "--d2", "1", "--d3", "1000001", "--x", "10"]),
+])
+def test_character_over_the_memory_budget_exits_1_before_its_table(flag, argv, monkeypatch,
+                                                                   capsys):
+    """A character's period table (92 bytes per residue at its peak) is
+    checked against the budget before it is built: 1,000,001 residues need
+    87 MiB, over a 64 MiB budget."""
+    monkeypatch.setattr(deltalab.tables, "DEFAULT_MEMORY_BUDGET", 64 << 20)
+    monkeypatch.setattr(deltalab.characters, "_period_array",
+                        lambda d: pytest.fail("period table built"))
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag} 1000001 needs ~87 MiB > budget 64 MiB")
+    assert err.count("\n") == 1
+
+
+def test_character_of_a_million_residues_runs_under_the_default_budget(capsys):
+    assert run(["character", "--disc", "1000001", "--table", "5"]) == 0
+    assert out_of(capsys).endswith("chi: 1 1 -1 1 1\n")
 
 
 def test_raw_sum_cap_defaults_come_from_delta():

@@ -1,20 +1,23 @@
-"""Exponent-recursion tests: frozen constants, exact step identities, and
-an independent sympy.Rational reimplementation as the second route."""
+"""Exponent tests: frozen constants, exact step identities, an independent
+sympy.Rational reimplementation of step, and the closed form of
+derive_tuple against step, by induction and order by order."""
 
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from sympy.polys.domains import GF
 
+from deltalab import exponents
 from deltalab.exponents import (
     MAX_ORDER,
     ExponentTuple,
-    alpha_closed_form,
     base_tuple,
     bound_eval,
     derive_tuple,
     step,
 )
+from deltalab.verify import _check_exponent_recursion
 
 LEMMA2 = (F(139, 194), F(13, 194), F(163, 388), F(31, 194), F(745, 822), F(215, 194), F(21, 97))
 
@@ -77,9 +80,78 @@ def test_recursion_identities_exact_to_50():
         assert 2 * (t.b + 1) * tn.eta == t.eta
         assert 2 * (t.b + 1) * tn.delta == t.delta
         assert tn.b < t.b
-        assert tn.alpha == alpha_closed_form(j)
+        assert tn == derive_tuple(j)
         assert tn.order == j
         t = tn
+
+
+def closed_form(k, u, xi_u=105):
+    """The seven entries at order k + 4 with u = 2^k, restated from the
+    formula: integer k and u as Fractions, or sympy symbols.  xi_u is xi's
+    coefficient of u in its numerator, perturbable."""
+    q = 110 * u - 26
+    return (
+        (110 * u - 68 - 13 * k) / q,
+        13 / q,
+        (110 * u**2 - xi_u * u - 31 * k * u - 5) / (q * u),
+        31 / q,
+        1 - 77 / (411 * u),
+        (110 * u**2 - 68 * u + 42 * k * u + 42) / (q * u),
+        42 / q,
+    )
+
+
+def test_closed_form_solves_step_by_induction():
+    """closed(0) is the base tuple and step(closed(k)) = closed(k + 1) as
+    rational functions of the symbols k and u = 2^k, so derive_tuple's
+    closed form is the recursion at every order."""
+    assert closed_form(F(0), F(1)) == tuple_fields(base_tuple())
+    k, u = sympy.symbols("k u", positive=True)
+    stepped = tuple_fields(step(ExponentTuple(4, *closed_form(k, u))))
+    for mine, want in zip(stepped, closed_form(k + 1, 2 * u)):
+        assert sympy.cancel(mine - want) == 0
+
+
+def test_derive_tuple_is_the_restated_closed_form():
+    for r in (4, 5, 6, 50, 399, MAX_ORDER):
+        k = r - 4
+        assert tuple_fields(derive_tuple(r)) == closed_form(F(k), F(2**k))
+
+
+def test_derive_tuple_equals_the_recursion_to_399():
+    t = base_tuple()
+    for r in range(4, 400):
+        assert derive_tuple(r) == t, r
+        t = step(t)
+
+
+def test_derive_tuple_equals_the_recursion_at_max_order_mod_a_prime():
+    """The Fraction recursion to 7142 spends seconds in its gcds.  Over
+    GF(2^61 - 1) step is the same map at microseconds a step (a denominator
+    divisible by the prime would raise)."""
+    K = GF(2**61 - 1)
+    t = ExponentTuple(4, *(K(v.numerator) / K(v.denominator) for v in tuple_fields(base_tuple())))
+    for _ in range(MAX_ORDER - 4):
+        t = step(t)
+    want = derive_tuple(MAX_ORDER)
+    assert t.order == MAX_ORDER
+    assert tuple_fields(t) == tuple(K(v.numerator) / K(v.denominator) for v in tuple_fields(want))
+
+
+@pytest.mark.parametrize("from_order,detail", [
+    (4, "order-5 mismatch"),
+    (20, "closed form != step at order 20"),
+])
+def test_verify_catches_a_perturbed_closed_form(from_order, detail, monkeypatch):
+    """xi's coefficient 105 -> 104 from some order on fails the gating check."""
+    def perturbed(r):
+        k = r - 4
+        return ExponentTuple(r, *closed_form(F(k), F(2**k), 104 if r >= from_order else 105))
+
+    monkeypatch.setattr(exponents, "derive_tuple", perturbed)
+    res = _check_exponent_recursion()
+    assert not res.ok and res.gating
+    assert res.detail.startswith(detail)
 
 
 def test_positivity_and_denominator_growth():

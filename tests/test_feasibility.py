@@ -1,6 +1,7 @@
 """Feasibility-condition tests: the published parameter point, exact
 ceilings, monotonicity, and the hypothesis report."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,24 @@ def test_constants():
     assert C1 == F(507707, 10**6)
     assert C0 + C1 == 1
     assert LEAD == F(5, 2)
+
+
+def test_literals_imply_the_condition_at_the_derived_exponents():
+    """C0 and C1 sit E = 67/519,000,000 either side of 511/1038 and
+    527/1038, so the literal left side exceeds the derived one by
+    E (1 - 1/r) >= 0, and the literal condition implies the derived one."""
+    E = F(67, 519_000_000)
+    assert C0 - F(511, 1038) == E
+    assert C1 - F(527, 1038) == -E
+    rng = random.Random(21)
+    for r in [1, 2, PAPER_R] + [rng.randrange(1, 10**8) for _ in range(300)]:
+        literal = LEAD / r + C0 + C1 / r
+        derived = LEAD / r + F(511, 1038) + F(527, 1038) / r
+        assert literal - derived == E * (1 - F(1, r)) >= 0
+        theta = literal if r != PAPER_R else PAPER_THETA
+        assert check(theta, r) and derived <= theta
+        theta = F(rng.randrange(490_000, 510_000), 10**6)
+        assert not check(theta, r) or derived <= theta
 
 
 def test_published_point_holds():

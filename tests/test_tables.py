@@ -504,13 +504,14 @@ def test_lam_prime_summatory_pinned_across_tiles():
             assert lam_prime_summatory(chi, z) == _blocked_lam_prime_summatory(chi, z)
 
 
-def test_lam_prime_summatory_pinned_at_the_log_factorial_table_edge():
-    edge = 1 << 16
+def test_lam_prime_summatory_pinned_around_a_square_and_at_quotients_of_x():
+    square = 1 << 16
     X = 10**8 + 7
-    # k = 1 is a live block end with quotient z, so the first three z put
-    # the quotients edge - 1, edge and edge + 1 through _lgamma_plus_one;
-    # 2^32 + 5 has quotients on both sides of the edge.
-    zs = [edge - 1, edge, edge + 1, 2**32 + 5] + [X // m for m in range(1, 50)]
+    # Around the square z = 256^2 the block ends switch from k <= isqrt(z)
+    # to z // v; at z = 256^2 - 1 no k has quotient v = 256, so that end
+    # repeats the one before.  2^32 + 5 = (2^16)^2 + 5 spans 32 tiles, and
+    # X // m are the quotients of one x.
+    zs = [square - 1, square, square + 1, 2**32 + 5] + [X // m for m in range(1, 50)]
     for d in (1, -4, 13, -163):
         chi = make_character(d)
         for z in zs:
