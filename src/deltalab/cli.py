@@ -56,6 +56,7 @@ from .monomials import (
     COMPARISON_PAIRS,
     DerivationRegressionError,
     derive_main_theorem,
+    simplified_main_bound,
 )
 from .tables import (
     IdentityCheckError,
@@ -199,9 +200,7 @@ def _parse_mspec(spec: str) -> List[int]:
     """m values: '3', '1..4', or '1,2,5'."""
     if ".." in spec:
         lo, hi = (int(v) for v in spec.split(".."))
-        # gauss holds about 1545 bytes per m at its peak (tracemalloc, --json,
-        # 2e4 and 1e5 values; 416-431 in text)
-        check_memory_budget(f"--m {spec}", hi - lo + 1, 1550, "the number of m")
+        check_memory_budget(f"--m {spec}", hi - lo + 1, "gauss", "the number of m")
         return list(range(lo, hi + 1))
     if "," in spec:
         return [int(s) for s in spec.split(",")]
@@ -216,9 +215,7 @@ def _parse_grid(spec: str) -> List[float]:
     lo, hi, kind, n = finite(parts[0]), finite(parts[1]), parts[2], int(parts[3])
     if n < 1 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
-    # delta-sweep holds about 750-775 bytes per grid point at its peak
-    # (tracemalloc, 1e4 and 5e4 points)
-    check_memory_budget(f"grid {spec}", n, 780, "n")
+    check_memory_budget(f"grid {spec}", n, "delta_sweep", "n")
     if kind == "geometric" and lo <= 0:
         raise ValueError(f"a geometric grid needs lo > 0, got {spec!r}")
     if n == 1:
@@ -305,9 +302,7 @@ def _cmd_character(args, config):
     n = args.table
     if n < 1:
         raise ValueError(f"--table must be >= 1, got {n}")
-    # about 229-237 bytes per value at the peak (tracemalloc, --json, 1e5
-    # and 1e6 values; 140-151 in text)
-    check_memory_budget(f"--table {n}", n, 245, "--table")
+    check_memory_budget(f"--table {n}", n, "character", "--table")
     values = dict(enumerate(chi.value_table(n)[1:].tolist(), start=1))
     if args.json:
         print(json.dumps({"discriminant": chi.discriminant, "conductor": chi.conductor,
@@ -354,8 +349,8 @@ def _cmd_tables(args, config):
         raise ValueError("--json conflicts with --dump csv: the run writes CSV and prints one line")
     chi = make_character(args.disc)
     N = args.limit
-    if args.dump == "csv":  # 74.9 bytes a row at the peak, with both views (tracemalloc, 1e6)
-        check_memory_budget(f"limit {N}", N, 75, "limit")
+    if args.dump == "csv":
+        check_memory_budget(f"limit {N}", N, "tables_csv", "limit")
     t = sieve_tables(N, chi, cutoff=args.cutoff)
     if args.dump == "csv":
         path = _out_path(args.out or f"tables_{args.disc}_{N}.csv")
@@ -453,8 +448,9 @@ def _cmd_delta_sweep(args, config):
     pairs = [(s.x, abs(s.delta)) for s in samples if s.delta != 0]
     if len(pairs) >= 3 and len({p[0] for p in pairs}) >= 2:
         fit = exponent_fit(pairs)
+        x_exp = simplified_main_bound().exponent("x")
         print(f"|delta| ~ x^{_fmt(fit.slope)} (r^2 = {_fmt(fit.r_squared)}); "
-              f"simplified-bound x-exponent 511/1038 = {_fmt(511 / 1038)}")
+              f"simplified-bound x-exponent {x_exp} = {_fmt(float(x_exp))}")
     return 0
 
 
@@ -464,8 +460,7 @@ def _cmd_expsum(args, config):
         args.D = float(chi3.conductor)
         config.params["D"] = args.D
     lo, hi = _parse_range(args.range)
-    # exp_sum holds 176.0 bytes per term at its peak (tracemalloc, 1e5 and 1e6 terms)
-    check_memory_budget(f"--range {args.range}", hi - lo + 1, 176, "the range length")
+    check_memory_budget(f"--range {args.range}", hi - lo + 1, "expsum", "the range length")
     if args.sign == "max":
         val, sig = exp_sum_max_sign(args.n1, args.n2, chi3, (lo, hi), args.x, args.D, args.m)
     else:
@@ -652,9 +647,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         for flag in ("disc", "d1", "d2", "d3"):  # every flag that names a character
             d = getattr(args, flag, None)
             if d is not None:
-                # its period table holds about 92 bytes per residue at its peak
-                # (tracemalloc, d = 1,000,001, -1,000,003 and 4,000,037)
-                check_memory_budget(f"--{flag} {d}", abs(d), 92, f"|--{flag}|")
+                check_memory_budget(f"--{flag} {d}", abs(d), "period_table", f"|--{flag}|")
         return args.func(args, config)
     except DerivationRegressionError as e:
         print(f"derivation regression: {e}", file=sys.stderr)

@@ -67,10 +67,6 @@ DEFAULT_RAW_CAP = 10**9
 #: stay this size whatever x is, so peak memory does not grow with x.
 _BLOCK_ELEMENTS = 1 << 14
 
-#: Bytes per entry of naive_triple_raw_prefix: its tracemalloc peak is 25.1
-#: at N = 1e6, 25.7 at 1e5, 31.9 at 1e4 and 34.0 at 2000; rounded up.
-_ORACLE_BYTES_PER_ENTRY = 34
-
 
 def _icbrt(n: np.ndarray) -> np.ndarray:
     """floor(n^(1/3)) for every entry of the int64 array n >= 0."""
@@ -220,7 +216,7 @@ def naive_triple_raw_prefix(
     sieves.convolve calls, then a prefix sum.  Exact int64, O(N log N), and
     no code shared with the production hyperbola (_pair_sums, partial_sum).
 
-    Holds about _ORACLE_BYTES_PER_ENTRY bytes per entry at its peak; raises
+    Its peak is MEMORY_RATES["convolution_oracle"] bytes per entry; raises
     MemoryBudgetError when N of them exceed DEFAULT_MEMORY_BUDGET."""
     return next(naive_triple_raw_prefixes(c1, c2, (c3,), N))
 
@@ -232,7 +228,7 @@ def naive_triple_raw_prefixes(c1: RealCharacter, c2: RealCharacter, thirds, N: i
     builds each prefix when it is asked for, so its peak is that of one
     prefix as long as the caller drops each before asking for the next."""
     N = int(N)
-    check_memory_budget(f"convolution oracle at N = {N}", N, _ORACLE_BYTES_PER_ENTRY, "N")
+    check_memory_budget(f"convolution oracle at N = {N}", N, "convolution_oracle", "N")
     # One int64 factor makes every product int64; |coefficients| <= d_3(n).
     pair = convolve(c1.value_table(N), c2.value_table(N).astype(np.int64), N)
     for c3 in thirds:

@@ -17,6 +17,8 @@ this module.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
@@ -27,6 +29,9 @@ RationalLike = Union[Fraction, int, str]
 #: under Python's default limit of 4300 digits on int-to-str conversion; the
 #: cap also keeps a runaway order from allocating the integer 2^(r-4).
 MAX_ORDER = 7142
+
+#: A decimal string's digits before and after the point, and its exponent.
+_DECIMAL = re.compile(r"\s*[-+]?(\d*)\.?(\d*)(?:e([-+]?\d+))?\s*", re.IGNORECASE)
 
 #: Order-4 base exponents (fixed input data, not derived here).
 BASE_ORDER = 4
@@ -156,10 +161,20 @@ def bound_eval(t: ExponentTuple, M: float, T: float, eps: float = 0.0) -> float:
 
 def as_fraction(v: RationalLike) -> Fraction:
     """Exact conversion accepting Fraction, int, or strings like '139/194'
-    and '0.4923' (decimal strings parse exactly)."""
+    and '0.4923' (decimal strings parse exactly).  A decimal string whose
+    numerator or denominator would pass sys.get_int_max_str_digits() digits
+    is rejected before Fraction builds 10^e, which takes minutes at e = 1e7."""
     if isinstance(v, Fraction):
         return v
+    if isinstance(v, int):
+        return Fraction(v)
+    m = _DECIMAL.fullmatch(str(v).replace("_", ""))
+    limit = sys.get_int_max_str_digits()
+    if m and limit:
+        whole, frac, exp = m.groups(default="0")
+        if len(exp) > limit or max(len(whole + frac) + int(exp), len(frac) - int(exp) + 1) > limit:
+            raise ValueError(f"{v!r:.40} needs more than {limit} digits as an exact fraction")
     try:
-        return Fraction(str(v)) if not isinstance(v, int) else Fraction(v)
+        return Fraction(str(v))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {v!r}") from None

@@ -52,7 +52,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .characters import RealCharacter, ResiduePattern, l_one, l_one_derivative, residue_main_term
-from .monomials import Monomial, evaluate, mono
+from .monomials import Monomial, evaluate, mono, simplified_main_bound
 from .sieves import convolve, floor_div, mobius_array, primes_up_to, smallest_prime_factor
 from .sieves import tau_array, von_mangoldt_window
 
@@ -83,11 +83,23 @@ class IdentityCheckError(AssertionError):
     """An exact convolution-identity check failed."""
 
 
-#: Bytes per entry: sieve_tables' tracemalloc peak is 56.0-60.1 at N = 1e5
-#: and 1e6 (the seven stored arrays, and Lambda*'s product temporary of N/p
-#: entries where nu(p) = -2 for a small prime p), 60.1-64.4 at 1e4 and
-#: 65.2-65.8 at 2000 (D = 1, -3, -4, 5, -7, 13, 17, -163, 193); rounded up.
-_BYTES_PER_ENTRY = 66
+#: Peak bytes per entry of every array whose size a flag or argument sets,
+#: by tracemalloc, rounded up; check_memory_budget reads them by key, and
+#: test_memory_rate re-measures each at two sizes.  An entry is:
+MEMORY_RATES: Dict[str, int] = {
+    "sieve_tables": 66,  # one n <= limit of sieve_tables' seven stored arrays
+    "psi_counts": 24,  # one of psi_counts' isqrt(x) + 1 entries of B, l and the chi table
+    "tau_moment": 32,  # one d <= cap of tau_moment_bound
+    "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
+    "verify_tables": 152,  # one n <= table_limit of verify-all's convolution-identities check
+    "period_table": 92,  # one residue mod |d| of a character's period table
+    "character": 245,  # one value of character --table --json
+    "gauss": 1650,  # one m of gauss --m lo..hi --json
+    "delta_sweep": 780,  # one grid point of delta-sweep
+    "expsum": 176,  # one term of expsum --range
+    "tables_csv": 75,  # one row of tables --dump csv, with both views
+}
+_BYTES_PER_ENTRY = MEMORY_RATES["sieve_tables"]  # bench/run.py prints it in trace mode
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
 #: Block ends per tile of lam_prime_summatory: its temporaries stay this
@@ -110,12 +122,6 @@ _SPF_BLOCK = 1 << 14
 #: about 0.4 MB, at the same ops/s.
 _COEFF_CHUNK = 1 << 18
 
-#: Bytes per entry of psi_counts' arrays of isqrt(x) + 1 entries: B and the
-#: float l (8 each), the int32 chi table and its int8 source (5) and the
-#: window sieve's base-prime mask (1), rounded up.  The tracemalloc peak of
-#: a whole psi_counts call is 22.1 per entry at x = 1e12.
-_PSI_BYTES_PER_ROOT = 24
-
 #: Entries per flush of _exact_sum: 2^26 limbs below 2^27 sum below 2^53.
 _EXACT_SUM_BLOCK = 1 << 26
 
@@ -133,7 +139,7 @@ _FLOAT_SLACK = 1e-9
 ERROR_MONOMIALS: Dict[str, Monomial] = {
     "lambda": mono(D=Fraction(1, 3), x=Fraction(1, 3)),
     "lambda_prime": mono(D=Fraction(1, 3), x=Fraction(1, 3)),
-    "rho": mono(D=Fraction(527, 1038), x=Fraction(511, 1038)),
+    "rho": Monomial(simplified_main_bound().exponents),
 }
 
 
@@ -237,9 +243,10 @@ def nu_value(chi: RealCharacter, m: int) -> int:
     return out
 
 
-def check_memory_budget(what: str, N: int, bytes_per_entry: int, name: str, hint: str = "") -> None:
+def check_memory_budget(what: str, N: int, rate: str, name: str, hint: str = "") -> None:
     """Raise MemoryBudgetError, with the largest N that fits, when N entries
-    of bytes_per_entry bytes each exceed DEFAULT_MEMORY_BUDGET."""
+    of MEMORY_RATES[rate] bytes each exceed DEFAULT_MEMORY_BUDGET."""
+    bytes_per_entry = MEMORY_RATES[rate]
     need = N * bytes_per_entry
     if need > DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(
@@ -312,7 +319,7 @@ def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> Fu
     N = int(N)
     if N < 1:
         raise ValueError(f"limit must be >= 1, got {N}")
-    check_memory_budget(f"limit {N}", N, _BYTES_PER_ENTRY, "limit",
+    check_memory_budget(f"limit {N}", N, "sieve_tables", "limit",
                         " or psi_counts, which streams segmented sieves")
     C = _cutoff(chi, cutoff)
     lam, nu, rho, Lam = _multiplicative_tables(N, chi.value_table(N))
@@ -537,7 +544,7 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
     m u_m >= lo), and |A(n)| <= sum_{m | n} |nu(m)| <= 4^omega(n)
     <= 4^15 < 2^31 for n < 2^63, as nu(p) = -1 - chi(p), nu(p^2) = chi(p)
     and nu(p^e) = 0 for e > 2.  B and the float l have isqrt(x1) + 1
-    entries (see _PSI_BYTES_PER_ROOT).  Each of B's
+    entries (see MEMORY_RATES["psi_counts"]).  Each of B's
     S-differences is at most the number of multiples of ml in (x0, x1], so
     |B(l)| <= 4^15 ((x1 - x0) / l + 1) < 2^63."""
     r = math.isqrt(x1)
@@ -690,7 +697,7 @@ def psi_counts(
         raise ValueError(f"need x < 2^52, which keeps psi*'s float quotients exact, got x={x}")
     C = _cutoff(chi, cutoff)
     xi, xmy = math.floor(x), math.floor(x - y)
-    check_memory_budget(f"x = {x}", math.isqrt(xi) + 1, _PSI_BYTES_PER_ROOT, "isqrt(x)")
+    check_memory_budget(f"x = {x}", math.isqrt(xi) + 1, "psi_counts", "isqrt(x)")
 
     psi_sieve, pi_cnt = von_mangoldt_window(xmy, xi)
 
@@ -726,8 +733,7 @@ def tau_moment_bound(delta_cap: int, A: float) -> float:
         raise ValueError(f"delta_cap must be >= 2, got {delta_cap}")
     if A < 0:
         raise ValueError(f"A must be >= 0, got {A}")
-    # 32.0 bytes per d at the peak (tracemalloc, cap 1e5 and 1e6)
-    check_memory_budget(f"cap {delta_cap}", delta_cap, 32, "cap")
+    check_memory_budget(f"cap {delta_cap}", delta_cap, "tau_moment", "cap")
     tau = tau_array(delta_cap)
     tmax = float(tau.max())
     if A * math.log(tmax) > math.log(1e300):

@@ -460,13 +460,11 @@ def run_suite(quick: bool = True, seed: int = 0, overrides: Optional[dict] = Non
         if unknown:
             raise ValueError(f"unknown limit overrides: {sorted(unknown)}")
         limits.update({k: v for k, v in overrides.items() if v is not None})
-    # Peak bytes per entry, by tracemalloc: the tables check (chi_free_arrays,
-    # one table and its identity check) 151.1-151.9 at N = 1e5 to 1e6; the
-    # delta check is its convolution oracle's.
-    for key, per_entry in (("table_limit", 152), ("delta_limit", dl._ORACLE_BYTES_PER_ENTRY)):
+    # the delta check's peak is its convolution oracle's
+    for key, rate in (("table_limit", "verify_tables"), ("delta_limit", "convolution_oracle")):
         if limits[key] < 1:
             raise ValueError(f"{key} must be >= 1, got {limits[key]}")
-        tb.check_memory_budget(f"{key} = {limits[key]}", limits[key], per_entry, key)
+        tb.check_memory_budget(f"{key} = {limits[key]}", limits[key], rate, key)
     results: List[CheckResult] = []
     results.append(_check_exponent_recursion())
     results.append(_check_derivation())

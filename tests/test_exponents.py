@@ -12,6 +12,7 @@ from deltalab import exponents
 from deltalab.exponents import (
     MAX_ORDER,
     ExponentTuple,
+    as_fraction,
     base_tuple,
     bound_eval,
     derive_tuple,
@@ -235,3 +236,15 @@ def test_json_layout():
     assert d["xi"] == "163/388"
     assert d["eps_on"] == ["b", "eta"]
     assert d["order"] == 5
+
+
+@pytest.mark.parametrize("v", ["0.4923", "511/1038", "1e-3", " -2.5E+7 ", "1_000.5", ".5", "1e4299"])
+def test_as_fraction_parses_decimals_as_fraction_does(v):
+    assert as_fraction(v) == F(v)
+
+
+@pytest.mark.parametrize("v", ["1e4300", "1e-4300", "1e10000000", "1e" + "9" * 5000,
+                               "0." + "1" * 4300])
+def test_as_fraction_rejects_more_digits_than_python_prints(v):
+    with pytest.raises(ValueError, match="digits as an exact fraction"):
+        as_fraction(v)

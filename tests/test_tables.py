@@ -2,9 +2,11 @@
 log-coefficient identity checker, split spot-checks, asymptotics against
 the residue formulas, and short-interval counts."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -15,7 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltalab import sieves, tables, verify
+from deltalab import characters, cli, delta, sieves, tables, verify
 from deltalab.characters import l_one, l_one_derivative, make_character
 from deltalab.sieves import convolve, mobius_array, prime_mask, tau_array, von_mangoldt_window
 from deltalab.tables import (
@@ -826,34 +828,75 @@ def test_memory_budget_error():
         sieve_tables(10**9, CHI4)
 
 
-def test_sieve_tables_peak_within_bytes_per_entry():
-    chi = make_character(13)
-    chi.value_table(1)  # the period array is cached; build it outside the trace
-    for N in (10**4, 10**5):
-        tracemalloc.start()
-        try:
-            sieve_tables(N, chi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= N * tables._BYTES_PER_ENTRY, N
+def _quiet_run(*argv):
+    """cli.run with stdout sent to os.devnull, so no output is held in memory."""
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert cli.run(list(argv)) == 0
 
 
-def test_psi_counts_peak_within_bytes_per_root():
-    x = 10**12
-    CHI4.value_table(1)
+#: Per MEMORY_RATES key: two sizes n1 < n2, both past every fixed tile or
+#: chunk of the path, and the call that allocates n entries.
+RATE_CASES = {
+    "sieve_tables": (1 << 15, 1 << 17, lambda n: sieve_tables(n, CHI13)),
+    # x = (n - 1)^2, so isqrt(x) + 1 = n
+    "psi_counts": (1 << 16, 1 << 18, lambda n: psi_counts((n - 1) ** 2, CHI4, (n - 1) ** 2, 1000,
+                                                          cutoff=16)),
+    "tau_moment": (1 << 15, 1 << 17, lambda n: tau_moment_bound(n, 1.5)),
+    "convolution_oracle": (1 << 15, 1 << 17, lambda n: delta.naive_triple_raw_prefix(
+        *map(make_character, (-163, 5, 1)), n)),
+    "verify_tables": (20_000, 40_000, lambda n: verify._check_tables({"table_limit": n})),
+    # n is the discriminant; the uncached builder, so each call allocates
+    "period_table": (100_001, 400_001, lambda n: characters._period_array.__wrapped__(n)),
+    "character": (5_000, 20_000, lambda n: _quiet_run("character", "--disc", "-4", "--table",
+                                                      str(n), "--json")),
+    # 2^16 // 17 = 3855 m per gauss_sums call
+    "gauss": (4_000, 7_000, lambda n: _quiet_run("gauss", "--disc", "17", "--m", f"1..{n}",
+                                                  "--json")),
+    # past the raw-sum kernel's peak, which below about 4000 points is the larger
+    "delta_sweep": (5_000, 8_000, lambda n: _quiet_run(
+        "delta-sweep", "--d1", "-4", "--d2", "5", "--d3", "-3", "--x-grid",
+        f"1e3:1e4:linear:{n}", "--out", "samples.csv")),
+    # exp_sum itself: its rate is exact, and the CLI's parser adds a few KB of noise
+    "expsum": (1 << 14, 1 << 16, lambda n: delta.exp_sum(3, 5, CHI4, (1, n), 1e6, 4.0, 1)),
+    # past the 2^14-row chunk
+    "tables_csv": (20_000, 36_000, lambda n: _quiet_run("tables", "--disc", "-4", "--limit",
+                                                        str(n), "--dump", "csv")),
+}
+
+
+def _traced_peak(fn, n):
     tracemalloc.start()
     try:
-        psi_counts(x, CHI4, x, 1000, cutoff=16)
-        _, peak = tracemalloc.get_traced_memory()
+        fn(n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (math.isqrt(x) + 1) * tables._PSI_BYTES_PER_ROOT
+
+
+def test_every_memory_rate_has_a_rate_case():
+    assert set(RATE_CASES) == set(tables.MEMORY_RATES)
+    assert tables._BYTES_PER_ENTRY == tables.MEMORY_RATES["sieve_tables"]
+
+
+@pytest.mark.parametrize("key", sorted(RATE_CASES))
+def test_memory_rate(key, tmp_path, monkeypatch):
+    """The tracemalloc peak grows by between 3/4 of the rate and the rate
+    per entry, and the rate covers the whole peak at n2 up to 4 MiB."""
+    monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
+    n1, n2, fn = RATE_CASES[key]
+    rate = tables.MEMORY_RATES[key]
+    fn(n1)  # untraced: caches and imports are not counted
+    peak1, peak2 = _traced_peak(fn, n1), _traced_peak(fn, n2)
+    marginal = (peak2 - peak1) / (n2 - n1)
+    report = (f"{key}: n1 = {n1}, n2 = {n2}, peaks {peak1} and {peak2} B, "
+              f"marginal {marginal:.2f} B per entry, rate {rate}")
+    assert 0.75 * rate <= marginal <= rate, report
+    assert peak2 <= rate * n2 + (4 << 20), report
 
 
 def test_psi_counts_checks_the_budget_before_allocating(monkeypatch):
     x = 10**12
-    need = (math.isqrt(x) + 1) * tables._PSI_BYTES_PER_ROOT
+    need = (math.isqrt(x) + 1) * tables.MEMORY_RATES["psi_counts"]
     monkeypatch.setattr(tables, "DEFAULT_MEMORY_BUDGET", need - 1)
     tracemalloc.start()
     try:
@@ -869,7 +912,7 @@ def test_psi_counts_checks_the_budget_before_allocating(monkeypatch):
 
 def test_memory_budget_error_just_below_need(monkeypatch):
     N = 10**4
-    need = N * tables._BYTES_PER_ENTRY
+    need = N * tables.MEMORY_RATES["sieve_tables"]
     monkeypatch.setattr(tables, "DEFAULT_MEMORY_BUDGET", need - 1)
     with pytest.raises(MemoryBudgetError):
         sieve_tables(N, CHI4)
