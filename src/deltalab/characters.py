@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from itertools import chain
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +67,9 @@ STIELTJES_GAMMA1 = -0.0728158454836767
 #: Full periods K summed directly by l_one_series and l_one_derivative
 #: before their Hurwitz-zeta tails take over.
 _PERIODS = 64
+
+#: Residues per tile of every walk over a character: its temporaries stay this size.
+_TILE = 1 << 14
 
 
 def kronecker(a: int, n: int) -> int:
@@ -250,7 +253,10 @@ class RealCharacter:
 
 @lru_cache(maxsize=256)
 def _period_array(disc: int) -> np.ndarray:
-    arr = kronecker_array(disc, np.arange(abs(disc))).astype(np.int8)
+    q = abs(disc)
+    arr = np.empty(q, dtype=np.int8)
+    for lo in range(0, q, _TILE):
+        arr[lo : lo + _TILE] = kronecker_array(disc, np.arange(lo, min(lo + _TILE, q)))
     arr.setflags(write=False)
     return arr
 
@@ -260,6 +266,18 @@ def _period_prefix(disc: int) -> np.ndarray:
     arr = np.cumsum(_period_array(disc), dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def _nonzero_tiles(chi: RealCharacter, lo: int, hi: int):
+    """(chi(n), n) as int8 and int64 arrays over the n in [lo, hi] with
+    chi(n) != 0, a tile of at most _TILE n at a time."""
+    q = chi.conductor
+    per = chi.period_array()
+    for start in range(lo, hi + 1, _TILE):
+        n = np.arange(start, min(start + _TILE, hi + 1), dtype=np.int64)
+        c = per[n % q]
+        live = c != 0
+        yield c[live], n[live]
 
 
 def make_character(d_signed: int) -> RealCharacter:
@@ -278,11 +296,12 @@ def gauss_sum(m: int, chi: RealCharacter) -> complex:
     Absolute error budget about D * 2^-50.  For gcd(m, D) = 1 the modulus
     is sqrt(D) and G(m, chi) = chi(m) G(1, chi).  See gauss_sums.
     """
-    return gauss_sums([m], chi)[0]
+    return next(gauss_sums([m], chi))
 
 
-def gauss_sums(ms: Sequence[int], chi: RealCharacter) -> list:
-    """[G(m, chi) for m in ms] from one gather of the cached roots of unity.
+def gauss_sums(ms: Sequence[int], chi: RealCharacter) -> Iterator[complex]:
+    """G(m, chi) for each m in ms, in order, from gathers of the cached roots
+    of unity in tiles of about _TILE terms (at least one m each).
 
     Each G is two math.fsum calls over its terms chi(k) e(km/D); fsum is
     correctly rounded, so a G does not depend on the order of its terms or
@@ -290,16 +309,19 @@ def gauss_sums(ms: Sequence[int], chi: RealCharacter) -> list:
     q = chi.conductor
     per = chi.period_array()
     k = np.flatnonzero(per != 0)  # the k of chi(k) != 0, as residues mod q
-    z = _unit_roots(q)[np.array([m % q for m in ms], dtype=np.int64)[:, None] * k % q]
     c = per[k]
-    return [complex(math.fsum(r), math.fsum(i))
-            for r, i in zip((c * z.real).tolist(), (c * z.imag).tolist())]
+    roots = _unit_roots(q)
+    step = max(1, _TILE // q)
+    for lo in range(0, len(ms), step):
+        z = roots[np.array([m % q for m in ms[lo : lo + step]], dtype=np.int64)[:, None] * k % q]
+        for re, im in zip(c * z.real, c * z.imag):
+            yield complex(math.fsum(memoryview(re)), math.fsum(memoryview(im)))
 
 
 @lru_cache(maxsize=256)
 def _unit_roots(q: int) -> np.ndarray:
     """e(r/q) for 0 <= r < q as complex128 (read-only, cached per q)."""
-    arr = np.array([cmath.exp(2j * math.pi * r / q) for r in range(q)])
+    arr = np.fromiter((cmath.exp(2j * math.pi * r / q) for r in range(q)), np.complex128, q)
     arr.setflags(write=False)
     return arr
 
@@ -314,30 +336,34 @@ def l_one(chi: RealCharacter) -> float:
     if chi.is_trivial:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
-    per = chi.period_array()
     if chi.parity == "odd":
-        s = math.fsum(int(per[a % q]) * a for a in range(1, q))
-        return -math.pi * s / q**1.5
-    s = math.fsum(
-        int(per[a]) * math.log(math.sin(math.pi * a / q))
-        for a in range(1, q)
-        if per[a]
-    )
+        return -math.pi * _power_moments(chi, 1)[1] / q**1.5
+    s = math.fsum(chain.from_iterable(
+        memoryview(c * np.fromiter((math.log(math.sin(math.pi * a / q)) for a in memoryview(n)),
+                                   np.float64, len(n)))
+        for c, n in _nonzero_tiles(chi, 1, q)))
     return -s / math.sqrt(q)
 
 
 def _power_moments(chi: RealCharacter, j_max: int) -> list:
-    """A_j = sum_{a=1..q} chi(a) a^j as exact ints, j = 0..j_max, from the
-    running products chi(a) a^j."""
+    """A_j = sum_{a=1..q} chi(a) a^j as exact ints, j = 0..j_max, from each
+    tile's a^j as int64 columns of w-bit limbs, low limb first: a limb times a
+    plus its carry, and chi(a) times a limb summed over a tile, stay below 2^63."""
     q = chi.conductor
-    per = chi.period_array()
-    a = np.flatnonzero(per[1:] != 0) + 1
-    terms = per[a].tolist()  # chi(a) a^j for j = 0, as Python ints
-    a = a.tolist()
-    moments = []
-    for _ in range(j_max + 1):
-        moments.append(sum(terms))
-        terms = list(map(operator.mul, terms, a))
+    w = min(49, 62 - q.bit_length())
+    moments = [0] * (j_max + 1)
+    for c, a in _nonzero_tiles(chi, 1, q):
+        limbs = [np.ones_like(a)]
+        for j in range(j_max + 1):
+            moments[j] += sum(int(c @ limb) << w * i for i, limb in enumerate(limbs))
+            carry = 0
+            for limb in limbs:
+                limb *= a
+                limb += carry
+                carry = limb >> w
+                limb &= (1 << w) - 1
+            if carry.any():
+                limbs.append(carry)
     return moments
 
 
@@ -352,9 +378,8 @@ def l_one_series(chi: RealCharacter) -> float:
     if chi.is_trivial:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
-    tab = chi.value_table(_PERIODS * q)
-    n = np.flatnonzero(tab[1:] != 0) + 1
-    partial = math.fsum((tab[n] / n).tolist())
+    partial = math.fsum(chain.from_iterable(
+        memoryview(c / n) for c, n in _nonzero_tiles(chi, 1, _PERIODS * q)))
     k_max = 14
     moments = _power_moments(chi, k_max - 1)
     tail = math.fsum(
@@ -375,10 +400,9 @@ def l_one_derivative(chi: RealCharacter) -> float:
     if chi.is_trivial:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
-    tab = chi.value_table(_PERIODS * q)
-    n = np.flatnonzero(tab[2:] != 0) + 2
-    logs = np.fromiter(map(math.log, n.tolist()), dtype=np.float64, count=len(n))
-    partial = math.fsum((tab[n] * logs / n).tolist())
+    partial = math.fsum(chain.from_iterable(
+        memoryview(c * np.fromiter(map(math.log, memoryview(n)), np.float64, len(n)) / n)
+        for c, n in _nonzero_tiles(chi, 2, _PERIODS * q)))
     j_max = 16
     moments = _power_moments(chi, j_max)
     logq = math.log(q)

@@ -18,7 +18,7 @@ alone, as do tuple's --eps without --eval-M and --eval-T, feasibility's
 csv; psi-short takes exactly one of --y and --alpha.
 psi-short with an end of the window at 1, and tau-moment with a log power
 or ratio outside the float range, exit 1 rather than print inf.  Every array
-or list whose size a flag sets, a character's period table included, is
+or list whose size a flag sets, a character's tables included, is
 checked against the memory budget before it is allocated, and any
 MemoryError exits 1.
 Floats print at 12 significant digits; CSV is comma-separated with a header
@@ -284,13 +284,14 @@ def _cmd_derive(args, config):
 
 def _cmd_compare(args, config):
     _require_pair(args, "ours", "theirs")
-    print(config.echo())
     if args.ours is not None:
         ours, theirs = as_fraction(args.ours), as_fraction(args.theirs)
+        print(config.echo())
         rel = "<" if ours < theirs else (">" if ours > theirs else "=")
         print(f"{ours} {rel} {theirs} (exact)")
         print(f"decimals: {float(ours):.6f} vs {float(theirs):.6f}")
         return 0
+    print(config.echo())
     for name, (a, b) in COMPARISON_PAIRS.items():
         rel = "<" if a < b else (">" if a > b else "=")
         print(f"{name}: {a} {rel} {b} (exact); {float(a):.6f} vs {float(b):.6f}")
@@ -318,18 +319,17 @@ def _cmd_character(args, config):
 def _cmd_gauss(args, config):
     chi = make_character(args.disc)
     ms = _parse_mspec(args.m)
-    step = max(1, (1 << 16) // chi.conductor)  # m per call: about 2^16 terms chi(k) e(km/D)
-    gs = [g for i in range(0, len(ms), step) for g in gauss_sums(ms[i : i + step], chi)]
-    rows = [{"m": m, "re": g.real, "im": g.imag, "abs": abs(g)} for m, g in zip(ms, gs)]
-    if args.json:
-        print(json.dumps({"discriminant": chi.discriminant,
-                          "values": [{"m": r["m"], "re": _fmt(r["re"]), "im": _fmt(r["im"]),
-                                      "abs": _fmt(r["abs"])} for r in rows]}, indent=2))
+    gs = zip(ms, gauss_sums(ms, chi))
+    if args.json:  # json.dump writes its chunks as it goes, not one string of them all
+        json.dump({"discriminant": chi.discriminant,
+                   "values": [{"m": m, "re": _fmt(g.real), "im": _fmt(g.imag), "abs": _fmt(abs(g))}
+                              for m, g in gs]}, sys.stdout, indent=2)
+        print()
         return 0
     print(config.echo())
     print(f"sqrt(D) = {_fmt(math.sqrt(chi.conductor))}")
-    for r in rows:
-        print(f"G({r['m']}) = {_fmt(r['re'])} + {_fmt(r['im'])}i  |G| = {_fmt(r['abs'])}")
+    for m, g in gs:
+        print(f"G({m}) = {_fmt(g.real)} + {_fmt(g.imag)}i  |G| = {_fmt(abs(g))}")
     return 0
 
 
@@ -349,21 +349,19 @@ def _cmd_tables(args, config):
         raise ValueError("--json conflicts with --dump csv: the run writes CSV and prints one line")
     chi = make_character(args.disc)
     N = args.limit
-    if args.dump == "csv":
-        check_memory_budget(f"limit {N}", N, "tables_csv", "limit")
     t = sieve_tables(N, chi, cutoff=args.cutoff)
     if args.dump == "csv":
         path = _out_path(args.out or f"tables_{args.disc}_{N}.csv")
         path.parent.mkdir(parents=True, exist_ok=True)
-        cols = (t.lam, t.nu, t.lam_prime, t.rho, t.Lam, t.rho_star, t.rho_substar,
-                t.Lam_star, t.Lam_substar)
+        cols = (t.lam, t.nu, t.lam_prime, t.rho, t.Lam, t.rho_star, t.Lam_star)
         with path.open("w") as fh:
             fh.write("n,lambda,nu,lambda_prime,rho,Lambda,rho_star,rho_substar,"
                      "Lambda_star,Lambda_substar\n")
-            for lo in range(1, N + 1, 1 << 14):  # 2^14 rows: one tolist per column
+            for lo in range(1, N + 1, 1 << 14):  # 2^14 rows: one tolist per stored column
                 fh.writelines(
-                    f"{n},{lam},{nu},{lamp:.12g},{rho},{Lam:.12g},{rs},{rsub},{Ls:.12g},{Lsub:.12g}\n"
-                    for n, lam, nu, lamp, rho, Lam, rs, rsub, Ls, Lsub in zip(
+                    f"{n},{lam},{nu},{lamp:.12g},{rho},{Lam:.12g},{rs},{rho - rs},{Ls:.12g},"
+                    f"{Lam - Ls:.12g}\n"
+                    for n, lam, nu, lamp, rho, Lam, rs, Ls in zip(
                         range(lo, N + 1), *(c[lo : lo + (1 << 14)].tolist() for c in cols)))
         print(config.echo())
         print(f"wrote {path} ({N} rows)")
@@ -483,20 +481,21 @@ def _cmd_feasibility(args, config):
                              "it prints only the minimal r")
     _require_pair(args, "claim_x", "claim_D")
     theta = as_fraction(args.theta)
-    print(config.echo())
     if args.minimal:
         r = minimal_r(theta)
-        print(f"minimal_r({theta}) = {'infeasible' if r is None else r}")
-        return 0
-    if args.r is None:
+        lines = [f"minimal_r({theta}) = {'infeasible' if r is None else r}"]
+    elif args.r is None:
         raise ValueError("need --r or --minimal")
-    ok = feas_check(theta, args.r)
-    print(f"check(theta={theta}, r={args.r}) = {ok}")
-    if args.claim_x is not None:
-        rep = claim_report(args.claim_x, theta, args.claim_D, args.r)
-        print(f"x >= D^r: {rep.x_ge_D_pow_r}; alpha in [0.4923, 1]: {rep.alpha_in_range}; "
-              f"theta condition: {rep.theta_condition}; y-range: {rep.y_range_ok} "
-              f"(y = {_fmt(rep.y_value)}, lower bound {_fmt(rep.y_lower_bound)})")
+    else:
+        lines = [f"check(theta={theta}, r={args.r}) = {feas_check(theta, args.r)}"]
+        if args.claim_x is not None:
+            rep = claim_report(args.claim_x, theta, args.claim_D, args.r)
+            lines.append(
+                f"x >= D^r: {rep.x_ge_D_pow_r}; alpha in [0.4923, 1]: {rep.alpha_in_range}; "
+                f"theta condition: {rep.theta_condition}; y-range: {rep.y_range_ok} "
+                f"(y = {_fmt(rep.y_value)}, lower bound {_fmt(rep.y_lower_bound)})")
+    print(config.echo())
+    print("\n".join(lines))
     return 0
 
 

@@ -100,13 +100,15 @@ def convolve(f: np.ndarray, g: np.ndarray, n: int, fmax: Optional[int] = None) -
 
 
 def _add_scaled(out: np.ndarray, c, scalar, v: np.ndarray) -> None:
-    """out += scalar * v in place, where c is scalar as a Python number."""
+    """out += scalar * v in place, where c is scalar as a Python number; a
+    product is formed 2^14 entries at a time, so its temporary stays that size."""
     if c == 1:
         out += v
     elif c == -1:
         out -= v
     else:
-        out += scalar * v
+        for lo in range(0, len(v), 1 << 14):
+            out[lo : lo + (1 << 14)] += scalar * v[lo : lo + (1 << 14)]
 
 
 def tau_array(n: int) -> np.ndarray:

@@ -92,12 +92,11 @@ MEMORY_RATES: Dict[str, int] = {
     "tau_moment": 32,  # one d <= cap of tau_moment_bound
     "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
     "verify_tables": 152,  # one n <= table_limit of verify-all's convolution-identities check
-    "period_table": 92,  # one residue mod |d| of a character's period table
+    "period_table": 70,  # one residue mod |d|: a character's tables, Gauss sum and moments
     "character": 245,  # one value of character --table --json
-    "gauss": 1650,  # one m of gauss --m lo..hi --json
+    "gauss": 440,  # one m of gauss --m lo..hi --json
     "delta_sweep": 780,  # one grid point of delta-sweep
     "expsum": 176,  # one term of expsum --range
-    "tables_csv": 75,  # one row of tables --dump csv, with both views
 }
 _BYTES_PER_ENTRY = MEMORY_RATES["sieve_tables"]  # bench/run.py prints it in trace mode
 DEFAULT_MEMORY_BUDGET = 2 << 30

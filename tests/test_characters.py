@@ -384,6 +384,13 @@ def test_array_passes_bit_identical_to_the_loops():
         assert _bits(l_one_derivative(chi)) == _bits(_l_one_derivative_loop(chi)), d
 
 
+def test_power_moments_equal_their_definition_over_three_tiles():
+    """q = 32771 > 2 * 2^14: the moments cross two tile edges, and each
+    a^16 spans six 46-bit limbs."""
+    chi = make_character(-32771)
+    assert characters._power_moments(chi, 16) == _moments(chi, 16)
+
+
 def test_l_one_pi_over_four_via_leibniz_oracle():
     chi = make_character(-4)
     # alternating series 1 - 1/3 + 1/5 - ... with its first-omitted-term bound

@@ -134,7 +134,7 @@ def test_gauss_range(capsys):
 
 @pytest.mark.parametrize("d", [5, -163, 1429])
 def test_gauss_batched_output_matches_the_per_m_path(d, monkeypatch, capsys):
-    """1429 > 2^16 / 300: its 300 m take several gauss_sums calls."""
+    """1429 > 2^14 / 300: gauss_sums takes its 300 m in several tiles."""
     argv = ["gauss", "--disc", str(d), "--m", "1..300"]
     got = []
     for extra in ([], ["--json"]):
@@ -302,20 +302,32 @@ def test_feasibility_check_and_minimal(capsys):
     assert run(["feasibility", "--theta", "0.4923"]) == 1  # needs --r or --minimal
 
 
-@pytest.mark.parametrize("argv", [
-    ["feasibility", "--theta", "1e10000000", "--minimal"],
-    ["feasibility", "--theta", "1e-999999999", "--r", "5"],
-    ["compare", "--ours", "1e999999999", "--theirs", "1/2"],
-    ["compare", "--ours", "1/2", "--theirs", "1e-10000000"],
-])
+#: Rejected fractions and flags of compare and feasibility, with what the
+#: error line names.
+_REJECTED_FRACTIONS = [
+    (["feasibility", "--theta", "1e10000000", "--minimal"], "digits"),
+    (["feasibility", "--theta", "1e-999999999", "--r", "5"], "digits"),
+    (["compare", "--ours", "1e999999999", "--theirs", "1/2"], "digits"),
+    (["compare", "--ours", "1/2", "--theirs", "1e-10000000"], "digits"),
+    (["compare", "--ours", "abc", "--theirs", "1/2"], "'abc'"),
+    (["compare", "--ours", "1/0", "--theirs", "1/2"], "zero denominator"),
+    (["feasibility", "--theta", "0.5"], "need --r or --minimal"),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _REJECTED_FRACTIONS])
 def test_huge_decimal_exponent_exits_1_at_once(argv, capsys):
+    """A rejected value exits 1 at once, with one error line and nothing on
+    stdout: the config echo comes after validation."""
     import time
 
     start = time.perf_counter()
     assert run(argv) == 1
     assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "digits" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    why = next(why for rejected, why in _REJECTED_FRACTIONS if rejected == argv)
+    assert err.startswith("error: ") and err.count("\n") == 1 and why in err
 
 
 def test_huge_decimal_exponent_in_config_exits_1_at_once(tmp_path, capsys):
@@ -574,7 +586,7 @@ def test_cutoff_below_one_rejected(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["tables", "--disc", "-4", "--limit", "1e9"],
-    ["tables", "--disc", "-4", "--limit", "3e7", "--dump", "csv"],
+    ["tables", "--disc", "-4", "--limit", "4e7", "--dump", "csv"],
     ["divisor-sum", "--f", "rho", "--x", "1e9", "--disc", "-4"],
     ["delta-sweep", "--d1", "1", "--d2", "1", "--d3", "-4", "--x-grid", "0:10:geometric:3"],
     ["delta", "--d1", "1", "--d2", "1", "--d3", "-4", "--x", "1e9", "--naive-check"],
@@ -611,16 +623,19 @@ def test_failing_run_exits_1_with_message(argv, tmp_path, monkeypatch, capsys):
 ])
 def test_character_over_the_memory_budget_exits_1_before_its_table(flag, argv, monkeypatch,
                                                                    capsys):
-    """A character's period table (92 bytes per residue at its peak) is
-    checked against the budget before it is built: 1,000,001 residues need
-    87 MiB, over a 64 MiB budget."""
-    monkeypatch.setattr(deltalab.tables, "DEFAULT_MEMORY_BUDGET", 64 << 20)
+    """A character's tables are checked against the budget before they are
+    built, at MEMORY_RATES["period_table"] bytes per residue: 1,000,001
+    residues need a MiB more than the budget set here."""
+    need = 1_000_001 * deltalab.tables.MEMORY_RATES["period_table"]
+    budget = need - (1 << 20)
+    monkeypatch.setattr(deltalab.tables, "DEFAULT_MEMORY_BUDGET", budget)
     monkeypatch.setattr(deltalab.characters, "_period_array",
                         lambda d: pytest.fail("period table built"))
     assert run(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {flag} 1000001 needs ~87 MiB > budget 64 MiB")
+    assert err.startswith(f"error: {flag} 1000001 needs ~{need >> 20} MiB > budget "
+                          f"{budget >> 20} MiB")
     assert err.count("\n") == 1
 
 

@@ -834,6 +834,18 @@ def _quiet_run(*argv):
         assert cli.run(list(argv)) == 0
 
 
+def _character_kernels(d):
+    """Every kernel on the character of discriminant d in one sequence, from
+    cold caches: its period table and prefix, one Gauss sum, and the power
+    moments."""
+    for cache in (characters._period_array, characters._period_prefix, characters._unit_roots):
+        cache.cache_clear()
+    chi = make_character(d)
+    chi.partial_sum(1)
+    characters.gauss_sum(1, chi)
+    characters._power_moments(chi, 16)
+
+
 #: Per MEMORY_RATES key: two sizes n1 < n2, both past every fixed tile or
 #: chunk of the path, and the call that allocates n entries.
 RATE_CASES = {
@@ -845,11 +857,11 @@ RATE_CASES = {
     "convolution_oracle": (1 << 15, 1 << 17, lambda n: delta.naive_triple_raw_prefix(
         *map(make_character, (-163, 5, 1)), n)),
     "verify_tables": (20_000, 40_000, lambda n: verify._check_tables({"table_limit": n})),
-    # n is the discriminant; the uncached builder, so each call allocates
-    "period_table": (100_001, 400_001, lambda n: characters._period_array.__wrapped__(n)),
+    # n is the discriminant
+    "period_table": (100_001, 400_009, _character_kernels),
     "character": (5_000, 20_000, lambda n: _quiet_run("character", "--disc", "-4", "--table",
                                                       str(n), "--json")),
-    # 2^16 // 17 = 3855 m per gauss_sums call
+    # 2^14 // 17 = 963 m per tile of gauss_sums
     "gauss": (4_000, 7_000, lambda n: _quiet_run("gauss", "--disc", "17", "--m", f"1..{n}",
                                                   "--json")),
     # past the raw-sum kernel's peak, which below about 4000 points is the larger
@@ -858,9 +870,6 @@ RATE_CASES = {
         f"1e3:1e4:linear:{n}", "--out", "samples.csv")),
     # exp_sum itself: its rate is exact, and the CLI's parser adds a few KB of noise
     "expsum": (1 << 14, 1 << 16, lambda n: delta.exp_sum(3, 5, CHI4, (1, n), 1e6, 4.0, 1)),
-    # past the 2^14-row chunk
-    "tables_csv": (20_000, 36_000, lambda n: _quiet_run("tables", "--disc", "-4", "--limit",
-                                                        str(n), "--dump", "csv")),
 }
 
 
@@ -892,6 +901,18 @@ def test_memory_rate(key, tmp_path, monkeypatch):
               f"marginal {marginal:.2f} B per entry, rate {rate}")
     assert 0.75 * rate <= marginal <= rate, report
     assert peak2 <= rate * n2 + (4 << 20), report
+
+
+def test_l_series_sums_stay_flat_past_a_tile():
+    """64q spans 8 and 32 tiles of the walk over chi at these conductors:
+    each L-series sum's peak grows by at most the period_table rate per
+    residue between them (whole-range arrays grew by about 3 KB)."""
+    c1, c2 = make_character(2001), make_character(8005)
+    rate = tables.MEMORY_RATES["period_table"]
+    for fn in (characters.l_one_series, l_one_derivative):
+        fn(c1), fn(c2)  # untraced: the period tables and Hurwitz-zeta values are cached
+        growth = _traced_peak(fn, c2) - _traced_peak(fn, c1)
+        assert growth <= rate * (c2.conductor - c1.conductor), (fn.__name__, growth)
 
 
 def test_psi_counts_checks_the_budget_before_allocating(monkeypatch):
