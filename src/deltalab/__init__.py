@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 from .characters import (  # noqa: F401
     RealCharacter,
-    ResiduePattern,
     gauss_sum,
     kronecker,
     l_one,

@@ -3,9 +3,10 @@
 Characters are realized exclusively through the Kronecker symbol of a
 fundamental discriminant (no general character-group machinery): the
 character of discriminant d is chi(n) = (d|n), of conductor |d|, even for
-d > 0 and odd for d < 0.  d = 1 is admitted as the trivial character so
-that zeta factors can appear in residue patterns and triple products; it is
-rejected by the L-value routines (pole at s = 1).
+d > 0 and odd for d < 0.  d = 1 is admitted as the trivial character, a
+zeta factor in residue main terms and triple products; it is rejected by the
+L-value routines (pole at s = 1).  L(1, chi) and L'(1, chi) are cached per
+discriminant, as the period tables are.
 
 The Kronecker symbol comes in two forms.  The scalar `kronecker` takes any
 Python ints and is the definition, which no production path calls.
@@ -33,6 +34,8 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
+from .sieves import TILE
+
 __all__ = [
     "kronecker",
     "kronecker_array",
@@ -45,7 +48,6 @@ __all__ = [
     "l_one",
     "l_one_series",
     "l_one_derivative",
-    "ResiduePattern",
     "residue_main_term",
     "PoleError",
     "EULER_GAMMA",
@@ -67,9 +69,6 @@ STIELTJES_GAMMA1 = -0.0728158454836767
 #: Full periods K summed directly by l_one_series and l_one_derivative
 #: before their Hurwitz-zeta tails take over.
 _PERIODS = 64
-
-#: Residues per tile of every walk over a character: its temporaries stay this size.
-_TILE = 1 << 14
 
 
 def kronecker(a: int, n: int) -> int:
@@ -255,8 +254,8 @@ class RealCharacter:
 def _period_array(disc: int) -> np.ndarray:
     q = abs(disc)
     arr = np.empty(q, dtype=np.int8)
-    for lo in range(0, q, _TILE):
-        arr[lo : lo + _TILE] = kronecker_array(disc, np.arange(lo, min(lo + _TILE, q)))
+    for lo in range(0, q, TILE):
+        arr[lo : lo + TILE] = kronecker_array(disc, np.arange(lo, min(lo + TILE, q)))
     arr.setflags(write=False)
     return arr
 
@@ -270,11 +269,11 @@ def _period_prefix(disc: int) -> np.ndarray:
 
 def _nonzero_tiles(chi: RealCharacter, lo: int, hi: int):
     """(chi(n), n) as int8 and int64 arrays over the n in [lo, hi] with
-    chi(n) != 0, a tile of at most _TILE n at a time."""
+    chi(n) != 0, a tile of at most TILE n at a time."""
     q = chi.conductor
     per = chi.period_array()
-    for start in range(lo, hi + 1, _TILE):
-        n = np.arange(start, min(start + _TILE, hi + 1), dtype=np.int64)
+    for start in range(lo, hi + 1, TILE):
+        n = np.arange(start, min(start + TILE, hi + 1), dtype=np.int64)
         c = per[n % q]
         live = c != 0
         yield c[live], n[live]
@@ -301,7 +300,7 @@ def gauss_sum(m: int, chi: RealCharacter) -> complex:
 
 def gauss_sums(ms: Sequence[int], chi: RealCharacter) -> Iterator[complex]:
     """G(m, chi) for each m in ms, in order, from gathers of the cached roots
-    of unity in tiles of about _TILE terms (at least one m each).
+    of unity in tiles of about TILE terms (at least one m each).
 
     Each G is two math.fsum calls over its terms chi(k) e(km/D); fsum is
     correctly rounded, so a G does not depend on the order of its terms or
@@ -311,7 +310,7 @@ def gauss_sums(ms: Sequence[int], chi: RealCharacter) -> Iterator[complex]:
     k = np.flatnonzero(per != 0)  # the k of chi(k) != 0, as residues mod q
     c = per[k]
     roots = _unit_roots(q)
-    step = max(1, _TILE // q)
+    step = max(1, TILE // q)
     for lo in range(0, len(ms), step):
         z = roots[np.array([m % q for m in ms[lo : lo + step]], dtype=np.int64)[:, None] * k % q]
         for re, im in zip(c * z.real, c * z.imag):
@@ -326,6 +325,7 @@ def _unit_roots(q: int) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=256)
 def l_one(chi: RealCharacter) -> float:
     """L(1, chi) by the finite classical formulas (within 2e-15, tested).
 
@@ -389,6 +389,7 @@ def l_one_series(chi: RealCharacter) -> float:
     return partial + tail
 
 
+@lru_cache(maxsize=256)
 def l_one_derivative(chi: RealCharacter) -> float:
     """L'(1, chi) = -sum chi(n) log(n)/n via cutoff plus accelerated tail.
 
@@ -432,38 +433,6 @@ def _hurwitz_zeta_pair(s: int) -> Tuple[float, float]:
         return float(mp.zeta(s, K)), float(mp.zeta(s, K, 1))
 
 
-@dataclass(frozen=True)
-class ResiduePattern:
-    """Factor layout of a product of up to three L-series: a zeta
-    multiplicity (0-3) plus nontrivial real characters.
-
-    The primary use has exactly three factors; one- and two-factor variants
-    are admitted for the classical divisor-sum main terms.
-    """
-
-    zeta_multiplicity: int
-    characters: Tuple[RealCharacter, ...] = ()
-
-    def __post_init__(self):
-        total = self.zeta_multiplicity + len(self.characters)
-        if not 1 <= total <= 3:
-            raise ValueError(f"total factors must be 1..3, got {total}")
-        if self.zeta_multiplicity < 0:
-            raise ValueError("zeta multiplicity must be >= 0")
-        for c in self.characters:
-            if c.is_trivial:
-                raise ValueError(
-                    "trivial characters belong in zeta_multiplicity, not the "
-                    "character list"
-                )
-
-    @classmethod
-    def from_characters(cls, chis: Sequence[RealCharacter]) -> "ResiduePattern":
-        """Classify trivial entries as zeta factors."""
-        z = sum(1 for c in chis if c.is_trivial)
-        return cls(z, tuple(c for c in chis if not c.is_trivial))
-
-
 def _series_mul(a: Sequence[float], b: Sequence[float], order: int) -> list:
     out = [0.0] * order
     for i, ai in enumerate(a):
@@ -476,16 +445,20 @@ def _series_mul(a: Sequence[float], b: Sequence[float], order: int) -> list:
     return out
 
 
-def residue_main_term(pattern: ResiduePattern, x: float) -> float:
-    """Residue at s = 1 of the L-product times x^s / s.
+def residue_main_term(chis: Sequence[RealCharacter], x: float) -> float:
+    """Residue at s = 1 of the product of L(s, chi) over the 1 to 3
+    characters chis, times x^s / s; a trivial chi is a zeta factor.
 
     Each zeta factor contributes (1/w)(1 + gamma*w - gamma_1*w^2 + ...) in
-    w = s - 1; each character factor contributes L(1) + L'(1) w + ...; the
-    x^s/s factor is x e^(w log x)/(1 + w).  Zero when no zeta factor.
+    w = s - 1; each nontrivial factor, in the order given, contributes
+    L(1) + L'(1) w + ...; the x^s/s factor is x e^(w log x)/(1 + w).  Zero
+    when no zeta factor.
     """
+    if not 1 <= len(chis) <= 3:
+        raise ValueError(f"total factors must be 1..3, got {len(chis)}")
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    p = pattern.zeta_multiplicity
+    p = sum(chi.is_trivial for chi in chis)
     if p == 0:
         return 0.0
     # Regular parts to order w^(p-1).
@@ -493,7 +466,9 @@ def residue_main_term(pattern: ResiduePattern, x: float) -> float:
     prod = [1.0] + [0.0] * (p - 1)
     for _ in range(p):
         prod = _series_mul(prod, zeta_reg, p)
-    for chi in pattern.characters:
+    for chi in chis:
+        if chi.is_trivial:
+            continue
         coeffs = [l_one(chi)]
         if p >= 2:
             coeffs.append(l_one_derivative(chi))

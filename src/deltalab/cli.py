@@ -58,6 +58,7 @@ from .monomials import (
     derive_main_theorem,
     simplified_main_bound,
 )
+from .sieves import TILE
 from .tables import (
     IdentityCheckError,
     asymptotic_residual,
@@ -200,6 +201,8 @@ def _parse_mspec(spec: str) -> List[int]:
     """m values: '3', '1..4', or '1,2,5'."""
     if ".." in spec:
         lo, hi = (int(v) for v in spec.split(".."))
+        if hi < lo:
+            raise ValueError(f"--m {spec}: empty range [{lo}, {hi}]")
         check_memory_budget(f"--m {spec}", hi - lo + 1, "gauss", "the number of m")
         return list(range(lo, hi + 1))
     if "," in spec:
@@ -357,12 +360,12 @@ def _cmd_tables(args, config):
         with path.open("w") as fh:
             fh.write("n,lambda,nu,lambda_prime,rho,Lambda,rho_star,rho_substar,"
                      "Lambda_star,Lambda_substar\n")
-            for lo in range(1, N + 1, 1 << 14):  # 2^14 rows: one tolist per stored column
+            for lo in range(1, N + 1, TILE):  # one tolist per stored column and tile
                 fh.writelines(
                     f"{n},{lam},{nu},{lamp:.12g},{rho},{Lam:.12g},{rs},{rho - rs},{Ls:.12g},"
                     f"{Lam - Ls:.12g}\n"
                     for n, lam, nu, lamp, rho, Lam, rs, Ls in zip(
-                        range(lo, N + 1), *(c[lo : lo + (1 << 14)].tolist() for c in cols)))
+                        range(lo, N + 1), *(c[lo : lo + TILE].tolist() for c in cols)))
         print(config.echo())
         print(f"wrote {path} ({N} rows)")
         return 0
@@ -432,10 +435,9 @@ def _cmd_delta_sweep(args, config):
     path = _out_path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        rows = [_delta_payload(s) for s in samples]
-        fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
+        fh.write(",".join(_delta_payload(samples[0])) + "\n")
+        for s in samples:  # each row formatted as it is written
+            fh.write(",".join(_fmt(v) for v in _delta_payload(s).values()) + "\n")
     print(config.echo())
     print(f"wrote {path} ({len(samples)} samples)")
     rep = bound_check(samples)

@@ -33,9 +33,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characters import RealCharacter, ResiduePattern, residue_main_term
+from .characters import RealCharacter, residue_main_term
 from .monomials import main_theorem_terms
-from .sieves import convolve, floor_div
+from .sieves import TILE, convolve, floor_div
 from .tables import check_memory_budget
 
 __all__ = [
@@ -63,10 +63,6 @@ __all__ = [
 #: Default brute-force cap for the (hyperbola-assisted) raw sum.
 DEFAULT_RAW_CAP = 10**9
 
-#: Largest temporary of the raw-sum kernel, in elements: the quotient tiles
-#: stay this size whatever x is, so peak memory does not grow with x.
-_BLOCK_ELEMENTS = 1 << 14
-
 
 def _icbrt(n: np.ndarray) -> np.ndarray:
     """floor(n^(1/3)) for every entry of the int64 array n >= 0."""
@@ -87,7 +83,7 @@ def _isqrt(t: np.ndarray) -> np.ndarray:
 def _row_sums(t: np.ndarray, bound: np.ndarray, terms) -> list:
     """Per term (cv, cs) of terms, the row sums of cv(a) S_cs(t // a) over
     a <= bound, for nonempty int64 arrays t >= 0 and bound >= 0 (bound
-    non-increasing): (rows x a) tiles of at most _BLOCK_ELEMENTS entries, in
+    non-increasing): (rows x a) tiles of at most TILE entries, in
     chunks of as many a, with rows as wide as a tile's first, the widest,
     and the mask a <= bound only past its last, the narrowest."""
     cvs = {cv.discriminant: cv for cv, _ in terms}  # distinct characters, by discriminant
@@ -95,13 +91,13 @@ def _row_sums(t: np.ndarray, bound: np.ndarray, terms) -> list:
     for cv, cs in terms:
         css[cs.discriminant][1][cv.discriminant] = np.zeros(len(t), np.int64)
     tf, width = t.astype(np.float64), int(bound[0])
-    for a0 in range(1, width + 1, _BLOCK_ELEMENTS):
-        a = np.arange(a0, min(a0 + _BLOCK_ELEMENTS, width + 1), dtype=np.int64)
+    for a0 in range(1, width + 1, TILE):
+        a = np.arange(a0, min(a0 + TILE, width + 1), dtype=np.int64)
         vals = {d: c.values(a) for d, c in cvs.items()}
         a, lo = a.astype(np.float64), 0  # the tiles need the columns as floats only
         while lo < len(t) and bound[lo] >= a0:  # rows with bound >= a0 come first
             w = min(int(bound[lo]) + 1 - a0, len(a))
-            hi = min(lo + max(1, _BLOCK_ELEMENTS // w), len(t))
+            hi = min(lo + max(1, TILE // w), len(t))
             q = floor_div(tf[lo:hi, None], a[:w])
             m = max(int(bound[hi - 1]) + 1 - a0, 0)
             q[:, m:] *= a[m:w] <= bound[lo:hi, None]  # S(0) = 0 drops the entries with a > bound
@@ -146,7 +142,7 @@ def triple_raw_sums(
     where the last term needs no product condition because y^3 <= N.
 
     The N are taken in decreasing order and in groups whose y sum to at
-    most _BLOCK_ELEMENTS, so one group's rows (N, n <= y) fit in one tile.
+    most TILE, so one group's rows (N, n <= y) fit in one tile.
     Each pair-sum term stacks the group's rows into one t = N // n array
     and hands its distinct values, non-increasing, to one _pair_sums call
     (nearby N share most of them); a term whose character repeats an
@@ -154,8 +150,8 @@ def triple_raw_sums(
     middle term's rows go to the same kernel, _row_sums, with b <= y.  Row
     results are reduced per N by np.add.reduceat.  The pair sums touch
     about 2 x^(2/3) entries each per x and the middle term y^2; every tile
-    holds at most _BLOCK_ELEMENTS entries, and every row array too while
-    y <= _BLOCK_ELEMENTS, i.e. x < 4.4e12.
+    holds at most TILE entries, and every row array too while
+    y <= TILE, i.e. x < 4.4e12.
 
     Exact int64: every partial sum, and every product of character sums,
     is at most the number of lattice points (n1, n2, n3) under the
@@ -171,7 +167,7 @@ def triple_raw_sums(
     ends = np.cumsum(y)
     lo = 0
     while lo < len(N):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - y[lo] + _BLOCK_ELEMENTS, "right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - y[lo] + TILE, "right")))
         out[order[lo:hi]] = _hyperbola((c1, c2, c3), N[lo:hi], y[lo:hi])
         lo = hi
     return out
@@ -203,7 +199,7 @@ def _hyperbola(chis, N: np.ndarray, y: np.ndarray) -> np.ndarray:
 def triple_raw_sum(c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, x: float) -> int:
     """Exact raw triple sum at one x: the one-element case of
     triple_raw_sums, exact in int64 for x < 5e15, with tiles of at most
-    _BLOCK_ELEMENTS entries for x < 4.4e12."""
+    TILE entries for x < 4.4e12."""
     return int(triple_raw_sums(c1, c2, c3, [x])[0])
 
 
@@ -336,12 +332,11 @@ def triple_deltas(
                 "(CLI: --cap) to override"
             )
     raws = triple_raw_sums(chi1, chi2, chi3, xs).tolist()
-    pattern = ResiduePattern.from_characters([chi1, chi2, chi3])
     D = chi1.conductor * chi2.conductor * chi3.conductor
     Dmax = max(chi1.conductor, chi2.conductor, chi3.conductor)
     out = []
     for x, raw in zip(xs, raws):
-        residue = residue_main_term(pattern, x)
+        residue = residue_main_term((chi1, chi2, chi3), x)
         out.append(DeltaSample(
             x=float(x),
             d1=chi1.discriminant,

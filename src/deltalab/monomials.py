@@ -26,9 +26,6 @@ from .exponents import as_fraction, derive_tuple
 # the algebra), these are the canonical ones used throughout.
 SYMBOLS = ("D", "Dmax", "x", "N", "P", "N3", "M", "T")
 
-#: Symbol whose eps-power an evaluated flagged monomial contributes.
-SIZE_SYMBOL = "x"
-
 
 class BalanceError(ValueError):
     """Raised when the balancing symbol has equal exponents on both sides."""
@@ -84,9 +81,6 @@ class Monomial:
 
     def symbols(self) -> frozenset:
         return frozenset(self._exps)
-
-    def is_empty(self) -> bool:
-        return not self._exps
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Monomial):
@@ -195,14 +189,13 @@ class BoundExpr:
     def map(self, fn) -> "BoundExpr":
         return BoundExpr([fn(t) for t in self.terms])
 
-    def evaluate(self, assignment: Mapping[str, float], eps: float = 0.0) -> float:
+    def evaluate(self, assignment: Mapping[str, float]) -> float:
         """Max of the term values (bounds are maxes of monomials)."""
-        return max(evaluate(t, assignment, eps) for t in self.terms)
+        return max(evaluate(t, assignment) for t in self.terms)
 
 
-def evaluate(m: Monomial, assignment: Mapping[str, float], eps: float = 0.0) -> float:
-    """Numeric value of a monomial; a flagged monomial contributes an extra
-    x^eps where x is the designated size symbol."""
+def evaluate(m: Monomial, assignment: Mapping[str, float]) -> float:
+    """Numeric value of a monomial at eps = 0: its eps flag is ignored."""
     val = 1.0
     for k, e in m._exps.items():
         if k not in assignment:
@@ -211,10 +204,6 @@ def evaluate(m: Monomial, assignment: Mapping[str, float], eps: float = 0.0) -> 
         if base < 1.0:
             raise ValueError(f"symbols denote quantities >= 1; got {k}={base}")
         val *= base ** float(e)
-    if m.eps and eps:
-        if SIZE_SYMBOL not in assignment:
-            raise ValueError(f"eps evaluation needs the size symbol {SIZE_SYMBOL!r}")
-        val *= float(assignment[SIZE_SYMBOL]) ** float(eps)
     return val
 
 

@@ -15,6 +15,12 @@ import numpy as np
 #: Segment length for windowed sieves (2^22 entries per block).
 SEGMENT = 1 << 22
 
+#: Entries per tile of every numpy kernel that walks its input in tiles,
+#: so that its temporaries stay this size whatever the input: 2^14 int64
+#: are 128 KiB, glibc's default mmap threshold.  (Blocks of 2^17 grew the
+#: heap, which stayed resident: the tables-build peak RSS rose by 2-3 MB.)
+TILE = 1 << 14
+
 #: A base prime with at least this many multiples in a block clears them by
 #: a strided slice of its own; the others share one fancy-indexed store per
 #: multiple rank, so the Python loop runs over the small primes only.
@@ -101,14 +107,14 @@ def convolve(f: np.ndarray, g: np.ndarray, n: int, fmax: Optional[int] = None) -
 
 def _add_scaled(out: np.ndarray, c, scalar, v: np.ndarray) -> None:
     """out += scalar * v in place, where c is scalar as a Python number; a
-    product is formed 2^14 entries at a time, so its temporary stays that size."""
+    product is formed TILE entries at a time, so its temporary stays that size."""
     if c == 1:
         out += v
     elif c == -1:
         out -= v
     else:
-        for lo in range(0, len(v), 1 << 14):
-            out[lo : lo + (1 << 14)] += scalar * v[lo : lo + (1 << 14)]
+        for lo in range(0, len(v), TILE):
+            out[lo : lo + TILE] += scalar * v[lo : lo + TILE]
 
 
 def tau_array(n: int) -> np.ndarray:

@@ -51,9 +51,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .characters import RealCharacter, ResiduePattern, l_one, l_one_derivative, residue_main_term
+from .characters import RealCharacter, l_one, l_one_derivative, residue_main_term
 from .monomials import Monomial, evaluate, mono, simplified_main_bound
-from .sieves import convolve, floor_div, mobius_array, primes_up_to, smallest_prime_factor
+from .sieves import TILE, convolve, floor_div, mobius_array, primes_up_to, smallest_prime_factor
 from .sieves import tau_array, von_mangoldt_window
 
 __all__ = [
@@ -95,25 +95,11 @@ MEMORY_RATES: Dict[str, int] = {
     "period_table": 70,  # one residue mod |d|: a character's tables, Gauss sum and moments
     "character": 245,  # one value of character --table --json
     "gauss": 440,  # one m of gauss --m lo..hi --json
-    "delta_sweep": 780,  # one grid point of delta-sweep
+    "delta_sweep": 400,  # one grid point of delta-sweep
     "expsum": 176,  # one term of expsum --range
 }
 _BYTES_PER_ENTRY = MEMORY_RATES["sieve_tables"]  # bench/run.py prints it in trace mode
 DEFAULT_MEMORY_BUDGET = 2 << 30
-
-#: Block ends per tile of lam_prime_summatory: its temporaries stay this
-#: size whatever z is.
-_QUOTIENT_TILE = 1 << 12
-
-#: n or l per tile of the float pass of _psi_star, the psi* kernel: its
-#: temporaries stay this size whatever x is.
-_WINDOW_TILE = 1 << 14
-
-#: n per block of _multiplicative_tables: its temporaries stay this size
-#: whatever N is.  With 2^17 (1 MB temporaries) they grew the heap, which
-#: stayed resident: the tables-build peak RSS rose by 2-3 MB (in-process
-#: replays of its ops); with 2^14 it is within 1.5 MB, at the same speed.
-_SPF_BLOCK = 1 << 14
 
 #: n per int32 chunk of _psi_star's coefficients A(n) (1 MB): their memory
 #: stays this size whatever x and C are.  With 2^20 (4 MB) psi-windows'
@@ -282,7 +268,7 @@ def _multiplicative_tables(N: int, chi_tab: np.ndarray):
     m[1] = 1
     lo = 2
     while lo <= N:
-        hi = min(2 * lo, lo + _SPF_BLOCK, N + 1)
+        hi = min(2 * lo, lo + TILE, N + 1)
         p = spf[lo:hi]
         q = floor_div(np.arange(lo, hi, dtype=np.float64), p)
         same = spf[q] == p
@@ -359,21 +345,25 @@ def asymptotic_residual(t: FunctionTable, f: str, x: float) -> AsymptoticReport:
     normalized by the error-term monomial at (D, x) with eps = 0.
 
     Main terms: lambda -> L(1,chi) x; lambda' -> L x log x + (L' - L) x;
-    rho -> L x log x + (L' + (2 gamma - 1) L) x.
+    rho -> L x log x + (L' + (2 gamma - 1) L) x.  Those of lambda and rho
+    are the residues of zeta L(s, chi) and zeta^2 L(s, chi), so at d = 1
+    they are the divisor-problem main terms of tau and d_3; lambda' has
+    none there (PoleError).
     """
+    zeta = RealCharacter(1)
     key = _canonical_name(f)
     if key not in ("lam", "lam_prime", "rho"):
         raise ValueError(f"asymptotics available for lambda, lambda_prime, rho; got {f}")
     chi = t.chi
     if key == "lam":
-        main = residue_main_term(ResiduePattern(1, (chi,)), x)
+        main = residue_main_term((zeta, chi), x)
         err = ERROR_MONOMIALS["lambda"]
     elif key == "lam_prime":
         L, Ld = l_one(chi), l_one_derivative(chi)
         main = L * x * math.log(x) + (Ld - L) * x
         err = ERROR_MONOMIALS["lambda_prime"]
     else:
-        main = residue_main_term(ResiduePattern(2, (chi,)), x)
+        main = residue_main_term((zeta, zeta, chi), x)
         err = ERROR_MONOMIALS["rho"]
     total = divisor_sum(t, key, x)
     residual = float(total) - main
@@ -399,7 +389,7 @@ def lam_prime_summatory(chi: RealCharacter, z: int) -> float:
     v < z // isqrt(z), downwards (a v that no k attains repeats the previous
     end).  With S = chi.partial_sum and k' the previous end (0 at first),
     each block adds [S(k) - S(k')] lgamma(z // k + 1).  The ends go in tiles
-    of _QUOTIENT_TILE, with one partial_sum call per tile, so memory does
+    of TILE, with one partial_sum call per tile, so memory does
     not grow with z; the nonzero parts of every tile feed one math.fsum, so
     the result is their correctly rounded sum.
 
@@ -416,13 +406,13 @@ def lam_prime_summatory(chi: RealCharacter, z: int) -> float:
     n = r + z // r - 1  # number of block ends
 
     def tile_parts(lo: int):
-        i = np.arange(lo - 1, min(lo + _QUOTIENT_TILE, n), dtype=np.int64)
+        i = np.arange(lo - 1, min(lo + TILE, n), dtype=np.int64)
         k = np.where(i < r, i + 1, z // (n - i))  # i = lo - 1: the end before the tile
         w = np.diff(chi.partial_sum(k))
         live = w != 0
         return (w[live] * _lgamma_plus_one(z // k[1:][live])).tolist()
 
-    return math.fsum(itertools.chain.from_iterable(map(tile_parts, range(0, n, _QUOTIENT_TILE))))
+    return math.fsum(itertools.chain.from_iterable(map(tile_parts, range(0, n, TILE))))
 
 
 def _stirling_tail(z: np.ndarray) -> np.ndarray:
@@ -524,14 +514,14 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
         A(n) = sum_{mk = n, k <= u_m} nu(m) chi(k)                  (int32)
         B(l) = sum_m nu(m) [S(z1 // l) - S(max(z0 // l, u_m))]      (int64)
 
-    one strided slice of A and slices of B in tiles of _WINDOW_TILE l per
+    one strided slice of A and slices of B in tiles of TILE l per
     bracket.  The quotients z // l there and x // n below are
     sieves.floor_div float divisions, exact as t + d <= 2 x1 < 2^53.  The
     float work then runs once per n and once per l,
 
         sum_n A(n) log(q1!/q0!) + sum_l B(l) log l,
 
-    in tiles of _WINDOW_TILE, dropping the parts with q1 = q0 or a zero
+    in tiles of TILE, dropping the parts with q1 = q0 or a zero
     coefficient; every part sums over pairs kl in a bracket's window, so
     the parts are of the windows' size.  All parts feed one _exact_sum,
     which returns their correctly rounded sum (the float math.fsum would),
@@ -556,8 +546,8 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
         if v and z1 != z0:
             u = math.isqrt(z1)
             L = z1 // (u + 1)
-            for j in range(1, L + 1, _WINDOW_TILE):
-                l = ls[j : min(j + _WINDOW_TILE, L + 1)]
+            for j in range(1, L + 1, TILE):
+                l = ls[j : min(j + TILE, L + 1)]
                 B[j : j + l.size] += v * (S(floor_div(z1, l)) - S(np.maximum(floor_div(z0, l), u)))
             live.append((m, v, u))
     if not live:
@@ -582,8 +572,8 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
             k0, k1 = -(-lo // m), min(u, (hi - 1) // m)
             if k0 <= k1:
                 A[k0 * m - lo : k1 * m - lo + 1 : m] += v * chi_tab[k0 : k1 + 1]
-        for j in range(0, A.size, _WINDOW_TILE):
-            i = j + np.flatnonzero(A[j : j + _WINDOW_TILE] != 0)
+        for j in range(0, A.size, TILE):
+            i = j + np.flatnonzero(A[j : j + TILE] != 0)
             n = (i + lo).astype(np.float64)
             q1, q0 = floor_div(x1, n), floor_div(x0, n)
             keep = np.flatnonzero(q1 != q0)
@@ -593,14 +583,14 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
             yield a * g  # |A(n)| < 2^31: exact as a float
 
     def l_tile(lo: int):
-        idx = lo + np.flatnonzero(B[lo : lo + _WINDOW_TILE] != 0)
+        idx = lo + np.flatnonzero(B[lo : lo + TILE] != 0)
         b, logs = B[idx], np.log(idx.astype(np.float64))
         tally(np.abs(b) * logs)
         return b * logs
 
     tiles = itertools.chain(
         itertools.chain.from_iterable(map(n_tiles, range(1, n_max + 1, _COEFF_CHUNK))),
-        map(l_tile, range(1, r + 1, _WINDOW_TILE)))
+        map(l_tile, range(1, r + 1, TILE)))
     return _exact_sum(tiles), weight  # tallies W on the way
 
 
@@ -831,11 +821,7 @@ def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int,
             f"Lambda = lam'*nu fails at n={bad}, prime {p}: "
             f"convolution {conv_c[bad // p]}, direct {direct_c[bad // p]}"
         )
-    star_c = np.zeros(top + 1, dtype=np.int64)
-    for m in range(1, min(t.cutoff, top) + 1):
-        c = int(t.nu[m])
-        if c:
-            star_c[m::m] += c * a_c[1 : top // m + 1]
+    star_c = convolve(t.nu, a_c, top, fmax=t.cutoff)  # the m <= C part of lam' * nu
     sub_c = direct_c - star_c  # exact integer complement (m > C part)
     return a_c, star_c, sub_c
 

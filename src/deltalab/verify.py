@@ -31,6 +31,7 @@ from . import exponents as ex
 from . import feasibility as fs
 from . import monomials as mo
 from . import tables as tb
+from .sieves import TILE
 
 __all__ = [
     "CheckResult", "run_suite", "format_report", "QUICK_LIMITS", "FULL_LIMITS", "TABLE_DISCS",
@@ -149,11 +150,6 @@ def _check_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([abs(seed), int(seed < 0), zlib.crc32(name.encode())])
 
 
-#: Entries per kronecker_array call of the multiplicativity check: each call
-#: takes whole discriminants, as many as fit.
-_KRONECKER_BLOCK = 1 << 17
-
-
 def _gauss_deviations(chi: ch.RealCharacter, m_cap: Optional[int]):
     """max ||G(m)| - sqrt q| and max |G(m) - chi(m) G(1)| over the first
     m_cap m in [1, q] coprime to q (all when m_cap is None), with every G
@@ -185,8 +181,8 @@ def _orthogonality_failures(discs: List[int]) -> List[int]:
 def _multiplicativity_failures(discs: List[int], draws: np.ndarray) -> int:
     """How many of the pairs (m, n) = draws[i] give (d|mn) != (d|m)(d|n)
     for d = discs[i]: three kronecker_array calls per block of whole
-    discriminants, at most _KRONECKER_BLOCK entries a block."""
-    rows = max(1, _KRONECKER_BLOCK // max(1, draws.shape[2]))
+    discriminants, at most TILE entries a block (one discriminant at least)."""
+    rows = max(1, TILE // max(1, draws.shape[2]))
     bad = 0
     for lo in range(0, len(discs), rows):
         d = np.array(discs[lo : lo + rows])[:, None]

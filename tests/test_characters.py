@@ -20,7 +20,6 @@ from deltalab.characters import (
     EULER_GAMMA,
     STIELTJES_GAMMA1,
     PoleError,
-    ResiduePattern,
     fundamental_discriminants,
     gauss_sum,
     gauss_sums,
@@ -139,9 +138,9 @@ def test_kronecker_array_scalar_shape_and_negative_bottom():
 
 @pytest.fixture
 def fresh_period_tables():
-    """Period tables are cached from kronecker_array; keep a patched one
-    from leaking into later tests."""
-    caches = (characters._period_array, characters._period_prefix)
+    """Period tables, and the L-values built from them, are cached from
+    kronecker_array; keep a patched one from leaking into later tests."""
+    caches = (characters._period_array, characters._period_prefix, l_one, l_one_derivative)
     for c in caches:
         c.cache_clear()
     yield
@@ -502,21 +501,23 @@ def test_stieltjes_literal_against_euler_maclaurin_and_mpmath():
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
 
 
-def test_residue_pattern_validation():
+ZETA = make_character(1)  # a trivial character is a zeta factor of a residue
+
+
+def test_residue_factor_count_validation():
     chi = make_character(-4)
     with pytest.raises(ValueError):
-        ResiduePattern(0, ())  # zero factors
+        residue_main_term((), 1e5)  # zero factors
     with pytest.raises(ValueError):
-        ResiduePattern(2, (chi, chi))  # four factors
-    with pytest.raises(ValueError):
-        ResiduePattern(1, (make_character(1),))  # trivial char in the list
-    p = ResiduePattern.from_characters([make_character(1), chi, make_character(1)])
-    assert p.zeta_multiplicity == 2 and p.characters == (chi,)
+        residue_main_term((ZETA, ZETA, chi, chi), 1e5)  # four factors
+    # a zeta factor counts wherever it stands
+    assert _bits(residue_main_term((ZETA, chi, ZETA), 1e5)) == _bits(
+        residue_main_term((ZETA, ZETA, chi), 1e5))
 
 
 def test_residue_no_zeta_factor_is_zero():
     chi1, chi2, chi3 = (make_character(d) for d in (-4, 5, -8))
-    assert residue_main_term(ResiduePattern(0, (chi1, chi2, chi3)), 1e5) == 0.0
+    assert residue_main_term((chi1, chi2, chi3), 1e5) == 0.0
 
 
 def test_residue_two_zeta_one_character_matches_formula():
@@ -524,7 +525,7 @@ def test_residue_two_zeta_one_character_matches_formula():
     x = 12345.0
     L, Ld = l_one(chi), l_one_derivative(chi)
     expect = L * x * math.log(x) + (Ld + (2 * EULER_GAMMA - 1) * L) * x
-    got = residue_main_term(ResiduePattern(2, (chi,)), x)
+    got = residue_main_term((ZETA, ZETA, chi), x)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -532,18 +533,18 @@ def test_residue_one_zeta_variants():
     chi = make_character(-4)
     chi5 = make_character(5)
     x = 999.0
-    assert residue_main_term(ResiduePattern(1, (chi,)), x) == pytest.approx(
+    assert residue_main_term((ZETA, chi), x) == pytest.approx(
         l_one(chi) * x, rel=1e-12
     )
-    assert residue_main_term(ResiduePattern(1, (chi, chi5)), x) == pytest.approx(
+    assert residue_main_term((ZETA, chi, chi5), x) == pytest.approx(
         l_one(chi) * l_one(chi5) * x, rel=1e-12
     )
-    assert residue_main_term(ResiduePattern(1, ()), x) == pytest.approx(x)
+    assert residue_main_term((ZETA,), x) == pytest.approx(x)
 
 
 def test_residue_zeta_squared_two_factor():
     x = 5000.0
-    got = residue_main_term(ResiduePattern(2, ()), x)
+    got = residue_main_term((ZETA, ZETA), x)
     assert got == pytest.approx(x * (math.log(x) + 2 * EULER_GAMMA - 1), rel=1e-12)
 
 
@@ -553,10 +554,10 @@ def test_residue_zeta_cubed_matches_piltz_polynomial():
     g = EULER_GAMMA
     g1 = STIELTJES_GAMMA1
     expect = x * (lx**2 / 2 + (3 * g - 1) * lx + (3 * g**2 - 3 * g1 - 3 * g + 1))
-    got = residue_main_term(ResiduePattern(3, ()), x)
+    got = residue_main_term((ZETA, ZETA, ZETA), x)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_residue_x_validation():
     with pytest.raises(ValueError):
-        residue_main_term(ResiduePattern(3, ()), 0.5)
+        residue_main_term((ZETA, ZETA, ZETA), 0.5)

@@ -132,6 +132,13 @@ def test_gauss_range(capsys):
     assert float(d["values"][0]["abs"]) == pytest.approx(5**0.5, rel=1e-9)
 
 
+def test_gauss_reversed_range_is_an_error(capsys):
+    assert run(["gauss", "--disc", "5", "--m", "5..1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --m 5..1: empty range [5, 1]\n"
+
+
 @pytest.mark.parametrize("d", [5, -163, 1429])
 def test_gauss_batched_output_matches_the_per_m_path(d, monkeypatch, capsys):
     """1429 > 2^14 / 300: gauss_sums takes its 300 m in several tiles."""
@@ -205,6 +212,21 @@ def test_divisor_sum(capsys):
     )
     assert f"sum = {brute}" in text
     assert "normalized =" in text
+
+
+def test_divisor_sum_residuals_at_the_trivial_character(capsys):
+    """--disc 1: lambda is tau and rho is d_3, with the divisor-problem main
+    terms; lambda' has no main term there, at the pole of zeta."""
+    assert run(["divisor-sum", "--f", "lambda", "--x", "1e6", "--disc", "1", "--residual"]) == 0
+    text = out_of(capsys)
+    assert "sum = 13970034\n" in text and "main = 13969941.8878\n" in text
+    assert run(["divisor-sum", "--f", "rho", "--x", "1e4", "--disc", "1", "--residual"]) == 0
+    assert "normalized =" in out_of(capsys)
+    assert run(["divisor-sum", "--f", "lambda_prime", "--x", "1e4", "--disc", "1",
+                "--residual"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: L(s, chi_1) is zeta; no finite value at s = 1\n"
 
 
 def test_psi_short(capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltalab import delta
+from deltalab import characters, delta
 from deltalab.characters import make_character
 from deltalab.delta import (
     BoundCheckReport,
@@ -330,14 +330,14 @@ def test_triple_raw_sums_empty():
 
 def test_triple_raw_sums_across_groups_and_small_tiles(monkeypatch):
     # 300 points near 1e6 have y = icbrt(x) summing past one group's
-    # _BLOCK_ELEMENTS rows; a 64-element block makes every tile boundary and
+    # TILE rows; a 64-element tile makes every tile boundary and
     # the b <= y / a <= s masks show up at small x as well.
     chis = [make_character(d) for d in (-4, 1, 5)]
     naive = naive_triple_raw_prefix(*chis, 10**6)
     rng = random.Random(13)
     xs = [rng.randrange(1, 10**6 + 1) for _ in range(300)]
     assert delta.triple_raw_sums(*chis, xs).tolist() == [int(naive[x]) for x in xs]
-    monkeypatch.setattr(delta, "_BLOCK_ELEMENTS", 64)
+    monkeypatch.setattr(delta, "TILE", 64)
     small = xs[:40] + list(range(1, 60))
     assert delta.triple_raw_sums(*chis, small).tolist() == [int(naive[x]) for x in small]
 
@@ -348,6 +348,14 @@ def test_triple_deltas_equal_one_at_a_time():
     assert batch == [triple_delta(TRIV, CHI5, CHI4, x) for x in xs]
     with pytest.raises(ValueError, match="cap"):
         delta.triple_deltas(TRIV, CHI5, CHI4, [10.0, 2e6], cap=10**6)
+
+
+def test_triple_deltas_pay_for_l_prime_once_per_grid():
+    """L'(1, chi) is cached per discriminant: 100 residues with two zeta
+    factors compute it once."""
+    characters.l_one_derivative.cache_clear()
+    delta.triple_deltas(TRIV, TRIV, CHI4, [1e3 + 10 * i for i in range(100)])
+    assert characters.l_one_derivative.cache_info().misses == 1
 
 
 def test_exp_sum_matches_mpmath_at_large_phases():
