@@ -18,9 +18,9 @@ checks; the tests pin the table and chi(n) to the scalar form.
 
 Floating-point contract: Gauss sums use compensated summation with an
 absolute error budget of about D * 2^-50.  L(1, chi), from the finite
-classical formulas, and L'(1, chi), from an accelerated Dirichlet series with
-mpmath's Hurwitz-zeta tails, are within 2e-15 of an independent 25-digit
-Laurent oracle in the tests (D in {-4, 5, -8, 12, 13}).
+classical formulas, is within 4 ulps of a digamma oracle on every fundamental
+|d| <= 200; L'(1, chi), from one Dirichlet series that also checks L(1, chi),
+is within 2e-15 of Hurwitz-zeta oracles, in the tests.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ EULER_GAMMA = float(np.euler_gamma)
 # with mpmath.stieltjes(1).
 STIELTJES_GAMMA1 = -0.0728158454836767
 
-#: Full periods K summed directly by l_one_series and l_one_derivative
-#: before their Hurwitz-zeta tails take over.
-_PERIODS = 64
+#: Full periods K summed term by term by the L-series (_log_series), and
+#: the order J of the Hurwitz-zeta moment tail that follows them.
+_PERIODS = 8
+_TAIL_ORDER = 19
 
 
 def kronecker(a: int, n: int) -> int:
@@ -327,11 +328,12 @@ def _unit_roots(q: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def l_one(chi: RealCharacter) -> float:
-    """L(1, chi) by the finite classical formulas (within 2e-15, tested).
+    """L(1, chi) by the finite classical formulas, within 4 ulps (tested).
 
     Odd chi: -pi * sum a*chi(a) / D^(3/2); even chi: the character-weighted
-    log-sine sum over a period scaled by 1/sqrt(D).  Cross-check against
-    l_one_series in the test suite.
+    log-sine sum over a period scaled by 1/sqrt(D), each sine at
+    min(a, D - a) as chi(D - a) = chi(a): near pi, rounding pi a/D costs
+    about D ulps of the sine.  l_one_series is its oracle.
     """
     if chi.is_trivial:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
@@ -339,8 +341,8 @@ def l_one(chi: RealCharacter) -> float:
     if chi.parity == "odd":
         return -math.pi * _power_moments(chi, 1)[1] / q**1.5
     s = math.fsum(chain.from_iterable(
-        memoryview(c * np.fromiter((math.log(math.sin(math.pi * a / q)) for a in memoryview(n)),
-                                   np.float64, len(n)))
+        memoryview(c * np.fromiter((math.log(math.sin(math.pi * a / q))
+                                    for a in memoryview(np.minimum(n, q - n))), np.float64, len(n)))
         for c, n in _nonzero_tiles(chi, 1, q)))
     return -s / math.sqrt(q)
 
@@ -367,65 +369,55 @@ def _power_moments(chi: RealCharacter, j_max: int) -> list:
     return moments
 
 
-def l_one_series(chi: RealCharacter) -> float:
-    """L(1, chi) from the truncated Dirichlet series over _PERIODS = K full
-    periods plus the exact partial-summation tail.
+def _log_series(chi: RealCharacter, e: int) -> float:
+    """sum_{n>=1} chi(n) log(n)^e / n, e = 0 (L(1, chi)) or 1 (-L'(1, chi)):
+    the terms over K = _PERIODS periods and the moment tail to order
+    J = _TAIL_ORDER in one math.fsum.
 
-    Tail: sum_{n > Kq} chi(n)/n = sum_{k>=2} (-1)^(k-1) A_{k-1} q^-k zeta(k, K)
-    with A_j the character power moments and zeta(.,.) the Hurwitz zeta;
-    truncation error below K^-(k_max) = 2^-84 at k_max = 14.
+    Tail: for n = qk + a > Kq, u = a/(qk) < 1/K and log(n)^e / n =
+    (1/(qk)) sum_j (-u)^j (log(qk) - H_j)^e, H_j harmonic.  Over a and k,
+    term j is T_j = (-1)^j A_j q^-(j+1) zeta(j+1, K) for e = 0, or with
+    (log q - H_j) zeta(j+1, K) - zeta'(j+1, K) for e = 1 (A_0 = 0).  Bound:
+    chi(q) = 0, so |A_j| <= q^(j+1)/(j+1), and against integrals
+    sum_{k>=K} k^-s (log(qk) + H_j)^e <= K^(1-s) (1/K + 1/(s-1))
+    (log(qK) + H_j + 1/(s-1))^e; so |T_{J+1}| <= K^-(J+1) (1/K + 1/(J+1))
+    (log(qK) + 4)^e / (J+2), and each later bound is under 1/K of the last.
+    At K = 8, J = 19 the omitted tail is below 2^-60 (log(qK) + 4)^e / 100,
+    1.7e-19 at q = 400009.
     """
     if chi.is_trivial:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
-    partial = math.fsum(chain.from_iterable(
-        memoryview(c / n) for c, n in _nonzero_tiles(chi, 1, _PERIODS * q)))
-    k_max = 14
-    moments = _power_moments(chi, k_max - 1)
-    tail = math.fsum(
-        (-1) ** (k - 1) * (moments[k - 1] / q**k) * _hurwitz_zeta_pair(k)[0]
-        for k in range(2, k_max + 1)
-    )
-    return partial + tail
+    moments = _power_moments(chi, _TAIL_ORDER)
+    logq, harmonic, tail = math.log(q), 0.0, []
+    for j in range(1, _TAIL_ORDER + 1):
+        harmonic += 1.0 / j
+        z, zp = _hurwitz_zeta_pair(j + 1)
+        tail.append((-1) ** j * (moments[j] / q ** (j + 1)) * ((logq - harmonic) * z - zp if e else z))
+    partial = (c * np.fromiter(map(math.log, memoryview(n)), np.float64, len(n)) / n if e else c / n
+               for c, n in _nonzero_tiles(chi, 1, _PERIODS * q))
+    return math.fsum(chain(chain.from_iterable(map(memoryview, partial)), tail))
+
+
+def l_one_series(chi: RealCharacter) -> float:
+    """L(1, chi) from the Dirichlet series, l_one's oracle in verify-all."""
+    return _log_series(chi, 0)
 
 
 @lru_cache(maxsize=256)
 def l_one_derivative(chi: RealCharacter) -> float:
-    """L'(1, chi) = -sum chi(n) log(n)/n via cutoff plus accelerated tail.
-
-    The series is cut after _PERIODS full periods.  The tail expands
-    log(t)/t around each period block to order j_max = 16 and sums exactly
-    in Hurwitz zeta values and their s-derivatives; within 2e-15 against
-    the Laurent oracle in the tests.
-    """
-    if chi.is_trivial:
-        raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
-    q = chi.conductor
-    partial = math.fsum(chain.from_iterable(
-        memoryview(c * np.fromiter(map(math.log, memoryview(n)), np.float64, len(n)) / n)
-        for c, n in _nonzero_tiles(chi, 2, _PERIODS * q)))
-    j_max = 16
-    moments = _power_moments(chi, j_max)
-    logq = math.log(q)
-    tail_terms = []
-    harmonic = 0.0
-    for j in range(1, j_max + 1):
-        harmonic += 1.0 / j
-        z, zp = _hurwitz_zeta_pair(j + 1)
-        tail_terms.append(
-            (-1) ** j * (moments[j] / q ** (j + 1)) * ((logq - harmonic) * z - zp)
-        )
-    return -(partial + math.fsum(tail_terms))
+    """L'(1, chi) = -sum chi(n) log(n)/n, from the Dirichlet series."""
+    return -_log_series(chi, 1)
 
 
 @lru_cache(maxsize=1024)
 def _hurwitz_zeta_pair(s: int) -> Tuple[float, float]:
-    """(zeta(s, K), d/ds zeta(s, K)) at K = _PERIODS for both L-series
-    tails, rounded once to float and cached.  mpmath's error does not shrink
-    with the pair, which is about K^(1-s) (at K = 64 it stays near
-    10^-(dps + 9)), so the digits grow with (s - 1) log10 K, whatever the
-    caller's context.  At s = 17, against 150 digits, 53 bits is off by
-    2.3e-8 relative, 30 digits by 7.4e-10 and these 49 digits by 3e-29."""
+    """(zeta(s, K), d/ds zeta(s, K)) at K = _PERIODS for the L-series
+    tail, rounded once to float and cached.  mpmath's error does not shrink
+    with the pair, which is about K^(1-s), so the digits grow with
+    (s - 1) log10 K, whatever the caller's context: 38 at s = 20.  There,
+    against 150 digits, 53 bits is off by 4.7e-15 relative, 30 digits by
+    1.3e-19 and these 38 digits by 5.4e-28."""
     import mpmath as mp
 
     K = _PERIODS

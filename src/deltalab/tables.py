@@ -95,7 +95,7 @@ MEMORY_RATES: Dict[str, int] = {
     "period_table": 70,  # one residue mod |d|: a character's tables, Gauss sum and moments
     "character": 245,  # one value of character --table --json
     "gauss": 440,  # one m of gauss --m lo..hi --json
-    "delta_sweep": 400,  # one grid point of delta-sweep
+    "delta_sweep": 470,  # one grid point of delta-sweep
     "expsum": 176,  # one term of expsum --range
 }
 _BYTES_PER_ENTRY = MEMORY_RATES["sieve_tables"]  # bench/run.py prints it in trace mode

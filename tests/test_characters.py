@@ -7,6 +7,7 @@ import math
 import random
 import re
 from collections import Counter
+from functools import lru_cache
 from math import gcd
 
 import mpmath as mp
@@ -337,34 +338,29 @@ def _moments(chi, j_max):
     return [sum(int(per[a]) * a**j for a in range(1, q)) for j in range(j_max + 1)]
 
 
-def _l_one_series_loop(chi, K=64, k_max=14):
-    q = chi.conductor
-    tab = chi.value_table(K * q)
-    partial = math.fsum(int(tab[n]) / n for n in range(1, K * q + 1) if tab[n])
-    moments = _moments(chi, k_max - 1)
-    tail = math.fsum(
-        (-1) ** (k - 1) * (moments[k - 1] / q**k) * float(hurwitz_zeta(k, K))
-        for k in range(2, k_max + 1)
-    )
-    return partial + tail
+@lru_cache(maxsize=None)
+def _zeta_pair_40_digits(s, K):
+    """zeta(s, K) and zeta'(s, K) rounded from 40 digits: mpmath's default
+    15 digits, or scipy's zeta, miss them by ulps at K = 8."""
+    with mp.workdps(40):
+        return float(mp.zeta(s, K)), float(mp.zeta(s, K, 1))
 
 
-def _l_one_derivative_loop(chi, K=64, j_max=16):
+def _l_series_loop(chi, e, K=8, J=19):
+    """sum chi(n) log(n)^e / n, term by term over K periods, plus the
+    moment tail to order J, in one fsum."""
     q = chi.conductor
     tab = chi.value_table(K * q)
-    partial = math.fsum(int(tab[n]) * math.log(n) / n for n in range(2, K * q + 1) if tab[n])
-    moments = _moments(chi, j_max)
+    moments = _moments(chi, J)
     logq = math.log(q)
-    tail_terms = []
+    terms = [int(tab[n]) * math.log(n) ** e / n for n in range(1, K * q + 1) if tab[n]]
     harmonic = 0.0
-    for j in range(1, j_max + 1):
+    for j in range(1, J + 1):
         harmonic += 1.0 / j
-        z = float(hurwitz_zeta(j + 1, K))
-        zp = float(mp.zeta(j + 1, K, 1))
-        tail_terms.append(
-            (-1) ** j * (moments[j] / q ** (j + 1)) * ((logq - harmonic) * z - zp)
-        )
-    return -(partial + math.fsum(tail_terms))
+        z, zp = _zeta_pair_40_digits(j + 1, K)
+        factor = (logq - harmonic) * z - zp if e else z
+        terms.append((-1) ** j * (moments[j] / q ** (j + 1)) * factor)
+    return math.fsum(terms)
 
 
 def _bits(z):
@@ -379,8 +375,17 @@ def test_array_passes_bit_identical_to_the_loops():
         ms = (0, 1, 2, -5, q - 1, q, 3 * q + 2, 10**6 + 3)
         for m, g in zip(ms, gauss_sums(ms, chi)):
             assert _bits(gauss_sum(m, chi)) == _bits(g) == _bits(_gauss_sum_loop(m, chi)), (d, m)
-        assert _bits(l_one_series(chi)) == _bits(_l_one_series_loop(chi)), d
-        assert _bits(l_one_derivative(chi)) == _bits(_l_one_derivative_loop(chi)), d
+        assert _bits(l_one_series(chi)) == _bits(_l_series_loop(chi, 0)), d
+        assert _bits(l_one_derivative(chi)) == _bits(-_l_series_loop(chi, 1)), d
+
+
+def test_tail_hurwitz_zetas_against_scipy():
+    """zeta(s, K) at every s the L-series tail reads, against scipy's
+    Hurwitz zeta, which shares no code with mpmath's (and is within a few
+    ulps, not correctly rounded, so the pin above reads mpmath's)."""
+    K = characters._PERIODS
+    for s in range(2, characters._TAIL_ORDER + 2):
+        assert characters._hurwitz_zeta_pair(s)[0] == pytest.approx(hurwitz_zeta(s, K), rel=2e-15), s
 
 
 def test_power_moments_equal_their_definition_over_three_tiles():
@@ -463,8 +468,8 @@ def test_l_values_against_the_hurwitz_laurent_oracle(d):
     # 1/(s-1) - psi(t) - gamma_1(t) (s-1) + ...; the poles cancel as
     # sum chi(a) = 0, so L(1) = -(1/q) sum chi(a) psi(a/q) and
     # L'(1) = (1/q) [log q sum chi(a) psi(a/q) - sum chi(a) gamma_1(a/q)]
-    # (Apostol, ch. 12).  The largest deviation seen is 5.0e-16, by l_one at
-    # D = 13; l_one_derivative's is 1.9e-16, also at D = 13.
+    # (Apostol, ch. 12).  The largest deviation seen is 1.1e-16, by l_one at
+    # D = 12; l_one_derivative's is 1.9e-16, at D = 13.
     chi = make_character(d)
     q = chi.conductor
     with mp.workdps(25):
@@ -474,6 +479,36 @@ def test_l_values_against_the_hurwitz_laurent_oracle(d):
         L, Ld = -digammas / q, (mp.log(q) * digammas - stieltjes) / q
     assert abs(l_one(chi) - L) <= 2e-15, d
     assert abs(l_one_derivative(chi) - Ld) <= 2e-15, d
+
+
+def test_l_one_within_4_ulps_of_the_digamma_oracle():
+    """L(1) = -(1/q) sum chi(a) psi(a/q) at 25 digits, as above, on every
+    fundamental |d| <= 200.  Even chi's sines taken near pi, without the
+    reflection a -> q - a, are 25 ulps off at d = 173."""
+    for d in fundamental_discriminants(200):
+        chi = make_character(d)
+        q = chi.conductor
+        with mp.workdps(25):
+            L = float(-mp.fsum(kronecker(d, a) * mp.digamma(mp.mpf(a) / q)
+                               for a in range(1, q) if gcd(a, q) == 1) / q)
+        for got in (l_one(chi), l_one_series(chi)):
+            assert abs(got - L) <= 4 * math.ulp(L), (d, got, L)
+
+
+@pytest.mark.parametrize("d", [-163, 152, 173])
+def test_l_one_derivative_against_the_near_pole_hurwitz_oracle(d):
+    # L'(s) = q^-s [-log q sum chi(a) zeta(s, a/q) + sum chi(a) zeta'(s, a/q)]
+    # at s = 1 + 10^-30: the poles 1/(s-1) and -1/(s-1)^2 of each zeta and
+    # zeta' cancel exactly, as sum chi(a) = 0, and 90 digits keep 30 past
+    # the 10^60 of zeta'.  mp.stieltjes, above, is too slow at these q.
+    q = abs(d)
+    with mp.workdps(90):
+        s = 1 + mp.mpf(10) ** -30
+        ts = [(kronecker(d, a), mp.mpf(a) / q) for a in range(1, q) if gcd(a, q) == 1]
+        zetas = mp.fsum(c * mp.zeta(s, t) for c, t in ts)
+        derivatives = mp.fsum(c * mp.zeta(s, t, 1) for c, t in ts)
+        Ld = float(q**-s * (derivatives - mp.log(q) * zetas))
+    assert abs(l_one_derivative(make_character(d)) - Ld) <= 2e-15, d
 
 
 def test_l_one_derivative_sign_against_finite_difference():

@@ -863,7 +863,7 @@ def _character_kernels(d):
     chi = make_character(d)
     chi.partial_sum(1)
     characters.gauss_sum(1, chi)
-    characters._power_moments(chi, 16)
+    characters._power_moments(chi, characters._TAIL_ORDER)
 
 
 #: Per MEMORY_RATES key: two sizes n1 < n2, both past every fixed tile or
@@ -884,8 +884,9 @@ RATE_CASES = {
     # 2^14 // 17 = 963 m per tile of gauss_sums
     "gauss": (4_000, 7_000, lambda n: _quiet_run("gauss", "--disc", "17", "--m", f"1..{n}",
                                                   "--json")),
-    # past the raw-sum kernel's peak, which below about 5000 points is the larger
-    "delta_sweep": (5_000, 8_000, lambda n: _quiet_run(
+    # past the raw-sum kernel's fixed peak, which hides the per-point cost
+    # below about 16000 points
+    "delta_sweep": (16_000, 32_000, lambda n: _quiet_run(
         "delta-sweep", "--d1", "-4", "--d2", "5", "--d3", "-3", "--x-grid",
         f"1e3:1e4:linear:{n}", "--out", "samples.csv")),
     # exp_sum itself: its rate is exact, and the CLI's parser adds a few KB of noise
@@ -924,10 +925,10 @@ def test_memory_rate(key, tmp_path, monkeypatch):
 
 
 def test_l_series_sums_stay_flat_past_a_tile():
-    """64q spans 8 and 32 tiles of the walk over chi at these conductors:
-    each L-series sum's peak grows by at most the period_table rate per
-    residue between them (whole-range arrays grew by about 3 KB)."""
-    c1, c2 = make_character(2001), make_character(8005)
+    """Kq = 8q spans 16 and 64 tiles of the walk over chi at these
+    conductors: each L-series sum's peak grows by at most the period_table
+    rate per residue between them (whole-range arrays grew by about 3 KB)."""
+    c1, c2 = make_character(-32771), make_character(-131071)
     rate = tables.MEMORY_RATES["period_table"]
     for fn in (characters.l_one_series, l_one_derivative):
         fn(c1), fn(c2)  # untraced: the period tables and Hurwitz-zeta values are cached
