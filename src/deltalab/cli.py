@@ -380,6 +380,9 @@ def _cmd_tables(args, config):
 
 
 def _cmd_divisor_sum(args, config):
+    if args.x < 1:
+        raise ValueError(f"--x must be >= 1, got {_fmt(args.x)}")
+    check_memory_budget(f"--x {_fmt(args.x)}", int(args.x), "sieve_tables", "--x")
     chi = make_character(args.disc)
     t = sieve_tables(int(args.x), chi)
     val = divisor_sum(t, args.f, args.x)

@@ -13,12 +13,15 @@ plus the splits at the cutoff C (default D^2): rho = rho* + rho_*,
 Lambda = Lambda* + Lambda_* according to m <= C versus m > C, where a
 table's rho_* and Lambda_* are its views rho - rho* and Lambda - Lambda*.
 lam, nu and rho are multiplicative, so they are built from their values at
-prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2), by one
-recurrence on the smallest prime factor over doubling blocks of n;
-verify_table_identities checks them against the convolutions that define
-them.  rho*, lam' and Lambda* are
-sieves.convolve calls, which split the divisor pairs at sqrt(N): about
-2 sqrt(N) numpy passes per table.
+prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2):
+f(n) = f(n / pe(n)) f(pe(n)), with pe(n) the full power of the smallest
+prime of n, over doubling blocks of n; verify_table_identities checks them
+against the convolutions that define them.  pe and the prime powers with
+their logs do not depend on chi: they are held for the last limit only (4
+bytes per entry plus O(pi(N))), so tables for several characters at one N
+share them.  lam' and Lambda* are sieves.convolve calls, which split the
+divisor pairs at sqrt(N): about 2 sqrt(N) numpy passes each.  rho* is one
+too while C <= sqrt(N); above, it is rho - rho_*, with N // (C + 1) passes.
 
 lam' and Lambda are integer combinations of logarithms of primes.  The
 float arrays evaluate those combinations against the shared correctly
@@ -87,11 +90,11 @@ class IdentityCheckError(AssertionError):
 #: by tracemalloc, rounded up; check_memory_budget reads them by key, and
 #: test_memory_rate re-measures each at two sizes.  An entry is:
 MEMORY_RATES: Dict[str, int] = {
-    "sieve_tables": 66,  # one n <= limit of sieve_tables' seven stored arrays
+    "sieve_tables": 64,  # one n <= limit of sieve_tables' seven stored arrays and pe
     "psi_counts": 24,  # one of psi_counts' isqrt(x) + 1 entries of B, l and the chi table
     "tau_moment": 32,  # one d <= cap of tau_moment_bound
     "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
-    "verify_tables": 152,  # one n <= table_limit of verify-all's convolution-identities check
+    "verify_tables": 158,  # one n <= table_limit of verify-all's convolution-identities check
     "period_table": 70,  # one residue mod |d|: a character's tables, Gauss sum and moments
     "character": 245,  # one value of character --table --json
     "gauss": 440,  # one m of gauss --m lo..hi --json
@@ -240,62 +243,122 @@ def check_memory_budget(what: str, N: int, rate: str, name: str, hint: str = "")
         )
 
 
-def _multiplicative_tables(N: int, chi_tab: np.ndarray):
-    """lam, nu and rho on [0, N] (entry 0 is 0), and Lambda, which is
-    log p at the prime powers p^e and 0 elsewhere.
+@dataclass(frozen=True)
+class _Skeleton:
+    """The chi-free part of the tables at limit N: pe[n] = p^e, the full
+    power of the smallest prime p of n (int32, pe[1] = 1), and the prime
+    powers q = p^e <= N with their p, e and math.log(p)."""
 
-    One recurrence on the smallest prime factor p of n, a blocked linear
-    sieve (Gries and Misra, CACM 21, 1978): with q = n / p, the exponent
-    e(n) = v_p(n) and the cofactor m(n) = n / p^e(n) are e(q) + 1 and m(q)
-    when p divides q, else 1 and q; then f(n) = f(m(n)) f(p^e(n)).  Every
-    read is at q <= n / 2, so over a block [lo, hi) with hi <= 2 lo it falls
-    below lo, and the block is a few whole-array numpy passes.
+    limit: int
+    pe: np.ndarray
+    powers: np.ndarray
+    primes: np.ndarray
+    exps: np.ndarray
+    logs: np.ndarray
 
-    The four outputs are allocated before the scratch arrays spf, e and m,
-    and nothing that outlives the call after them, so the freed scratch
-    leaves no hole below a live table in the heap."""
-    rules = (_lam_at_prime_power, _nu_at_prime_power, _rho_at_prime_power)
-    E = N.bit_length()  # every e with 2^e <= N is below E
-    # values[(chi(p) + 1) * E + e] = f(p^e)
-    values = [np.array([rule(c, e) for c in (-1, 0, 1) for e in range(E)]) for rule in rules]
-    lam, nu, rho = tabs = [np.empty(N + 1, dtype=np.int64) for _ in rules]
-    for f in tabs:
-        f[:2] = (0, 1)
-    Lam = np.zeros(N + 1, dtype=np.float64)
-    spf = smallest_prime_factor(N)
-    e = np.zeros(N + 1, dtype=np.int8)
-    m = np.zeros(N + 1, dtype=np.int32)
-    m[1] = 1
+
+#: The skeleton of the last limit sieve_tables was called at (_skeleton).
+_SKELETON: Optional[_Skeleton] = None
+
+
+def _skeleton(N: int) -> _Skeleton:
+    """The chi-free part of every table at limit N, held for the last N
+    only: 4 bytes per entry plus O(pi(N)).  The old one is dropped before
+    a new one is built, so two are never alive at once."""
+    global _SKELETON
+    if _SKELETON is None or _SKELETON.limit != N:
+        _SKELETON = None
+        _SKELETON = _build_skeleton(N)
+    return _SKELETON
+
+
+def _build_skeleton(N: int) -> _Skeleton:
+    """pe by one recurrence on the smallest prime factor p of n, a blocked
+    linear sieve (Gries and Misra, CACM 21, 1978): with q = n / p,
+    pe(n) = p pe(q) when p divides q, else p.  Every read is at q <= n / 2,
+    so over a block [lo, hi) with hi <= 2 lo it falls below lo, and the
+    block is a few whole-array numpy passes.  The recurrence overwrites the
+    smallest prime factors in place, which leaves no freed array behind:
+    below lo, p divides q exactly when it divides pe(q), a power of the
+    smallest prime of q.  The primes are the n with p = n; their powers
+    follow by one pass per exponent."""
+    pe = smallest_prime_factor(N)
+    primes, logs = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
     lo = 2
     while lo <= N:
         hi = min(2 * lo, lo + TILE, N + 1)
-        p = spf[lo:hi]
-        q = floor_div(np.arange(lo, hi, dtype=np.float64), p)
-        same = spf[q] == p
-        e_n = np.where(same, e[q] + 1, 1)
-        m_n = np.where(same, m[q], q)
-        e[lo:hi], m[lo:hi] = e_n, m_n
-        k = (chi_tab[p] + 1).astype(np.intp)
-        k *= E
-        k += e_n
-        for f, v in zip(tabs, values):
-            np.multiply(f[m_n], v[k], out=f[lo:hi])
-        # Lambda at the prime powers n (m(n) = 1) from math.log(p), the
-        # shared correctly rounded table: one log per prime n, then one
-        # gather, as p < lo when n = p^e with e > 1
-        pp = np.flatnonzero(m_n == 1)
-        base, pp = p[pp], pp + lo
-        primes = pp[pp == base]
-        Lam[primes] = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
-        Lam[pp] = Lam[base]
+        n = np.arange(lo, hi, dtype=np.int32)
+        p = pe[lo:hi]  # not yet overwritten: the smallest prime factors
+        ps = n[p == n]
+        primes.append(ps)
+        logs.append(np.fromiter(map(math.log, ps.tolist()), dtype=np.float64, count=len(ps)))
+        pe_q = pe[floor_div(n, p)]
+        pe[lo:hi] = np.where(pe_q % p == 0, p * pe_q, p)
+        lo = hi
+    p = q = np.concatenate(primes)
+    logs = np.concatenate(logs)
+    parts = []
+    for e in range(1, N.bit_length() + 1):  # the powers q = p^e <= N
+        parts.append((q, p, np.full(len(p), e, dtype=np.int8), logs))
+        more = q <= N // p
+        p, q, logs = p[more], q[more] * p[more], logs[more]
+    powers, bases, exps, base_logs = map(np.concatenate, zip(*parts))
+    return _Skeleton(limit=N, pe=pe, powers=powers, primes=bases, exps=exps, logs=base_logs)
+
+
+def _multiplicative_tables(N: int, chi: RealCharacter):
+    """lam, nu and rho on [0, N] (entry 0 is 0), and Lambda, which is
+    log p at the prime powers p^e and 0 elsewhere.
+
+    f(p^e) comes from the rules at (chi(p), e) over the skeleton's prime
+    powers; then f(n) = f(n / pe(n)) f(pe(n)), block by block over the same
+    doubling blocks as the skeleton: both factors are at most n / 2, so
+    they fall in earlier blocks.  Lambda is one scatter of the skeleton's
+    logs.
+
+    The skeleton comes before the four outputs are allocated, so the
+    scratch of its build leaves no hole below a live table in the heap."""
+    sk = _skeleton(N)
+    rules = (_lam_at_prime_power, _nu_at_prime_power, _rho_at_prime_power)
+    E = N.bit_length()  # every e with 2^e <= N is below E
+    # rule values at k = (chi(p) + 1) * E + e give f(p^e)
+    k = (chi.values(sk.primes) + 1) * E + sk.exps
+    lam, nu, rho = tabs = [np.empty(N + 1, dtype=np.int64) for _ in rules]
+    for f, rule in zip(tabs, rules):
+        f[:2] = (0, 1)
+        f[sk.powers] = np.array([rule(c, e) for c in (-1, 0, 1) for e in range(E)])[k]
+    Lam = np.zeros(N + 1, dtype=np.float64)
+    Lam[sk.powers] = sk.logs
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, lo + TILE, N + 1)
+        pe = sk.pe[lo:hi].astype(np.intp)  # converted once for the three gathers
+        m = floor_div(np.arange(lo, hi, dtype=np.float64), pe)
+        for f in tabs:
+            np.multiply(f.take(m), f.take(pe), out=f[lo:hi])
         lo = hi
     return lam, nu, rho, Lam
 
 
+def _rho_star(lam: np.ndarray, rho: np.ndarray, N: int, C: int) -> np.ndarray:
+    """rho* = sum_{dm = n, d <= C} lam(d), from the side of the split with
+    fewer passes: convolve's about 2 isqrt(N) when C <= isqrt(N), else
+    rho - rho_* with rho_* from one strided pass per m <= N // (C + 1),
+    over d in (C, N // m].  Integers, so either side gives the same array."""
+    if C <= math.isqrt(N):
+        one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
+        return convolve(lam, one, N, fmax=C)
+    rho_star = rho.copy()
+    for m in range(1, N // (C + 1) + 1):
+        rho_star[m * (C + 1) :: m] -= lam[C + 1 : N // m + 1]
+    return rho_star
+
+
 def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> FunctionTable:
     """Build the seven stored arrays on [1, N]: lam, nu, rho and Lambda from
-    their values at prime powers, rho*, lam' and Lambda* by square-root-split
-    convolutions (rho_* and Lambda_* are views of these).
+    their values at prime powers, rho* from the short side of its split,
+    and lam' and Lambda* by square-root-split convolutions (rho_* and
+    Lambda_* are views of these).
 
     cutoff defaults to D^2 and must be >= 1.  Raises MemoryBudgetError with
     a suggested smaller limit when the arrays would not fit
@@ -307,9 +370,8 @@ def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> Fu
     check_memory_budget(f"limit {N}", N, "sieve_tables", "limit",
                         " or psi_counts, which streams segmented sieves")
     C = _cutoff(chi, cutoff)
-    lam, nu, rho, Lam = _multiplicative_tables(N, chi.value_table(N))
-    one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
-    rho_star = convolve(lam, one, N, fmax=C)
+    lam, nu, rho, Lam = _multiplicative_tables(N, chi)
+    rho_star = _rho_star(lam, rho, N, C)
     lam_prime = convolve(Lam, lam, N)
     Lam_star = convolve(nu, lam_prime, N, fmax=C)
     for arr in (lam, nu, rho, rho_star, lam_prime, Lam, Lam_star):

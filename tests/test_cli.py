@@ -229,6 +229,25 @@ def test_divisor_sum_residuals_at_the_trivial_character(capsys):
     assert err == "error: L(s, chi_1) is zeta; no finite value at s = 1\n"
 
 
+@pytest.mark.parametrize("x, message", [
+    ("0.99", "--x must be >= 1, got 0.99"),
+    ("0", "--x must be >= 1, got 0"),
+    ("-3", "--x must be >= 1, got -3"),
+    ("1e9", f"--x 1000000000 needs ~{10**9 * deltalab.tables.MEMORY_RATES['sieve_tables'] >> 20} "
+            f"MiB > budget 2048 MiB; use --x <= "
+            f"{deltalab.tables.DEFAULT_MEMORY_BUDGET // deltalab.tables.MEMORY_RATES['sieve_tables']}"),
+])
+def test_divisor_sum_names_x_when_it_rejects_it(x, message, monkeypatch, capsys):
+    """divisor-sum's table has floor(x) entries: an x below 1 or over the
+    budget exits 1 with a message about --x, not the table's limit, before
+    any table is built."""
+    monkeypatch.setattr(deltalab.cli, "sieve_tables", lambda *a, **k: pytest.fail("table built"))
+    assert run(["divisor-sum", "--f", "rho", "--x", x, "--disc", "-4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_psi_short(capsys):
     assert run(["psi-short", "--x", "100", "--y", "10", "--disc", "-4"]) == 0
     text = out_of(capsys)

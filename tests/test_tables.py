@@ -299,6 +299,81 @@ def test_smallest_prime_factor_recurrence_matches_divisor_sums(d):
             assert (t.lam[n], t.nu[n], t.rho[n], t.Lam[n]) == (lam, nu_value(chi, n), rho, Lam), (N, n)
 
 
+def _cold(fn):
+    """fn with the held chi-free skeleton of the tables dropped first, so
+    that every call builds its own and its peak counts it."""
+    def cold(n):
+        tables._SKELETON = None
+        return fn(n)
+    return cold
+
+
+_ARRAYS = ("lam", "nu", "rho", "rho_star", "lam_prime", "Lam", "Lam_star")
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 1 << 16, (1 << 16) + 1, (1 << 20) + 1])
+def test_tables_on_the_held_skeleton_equal_cold_builds(N):
+    """All seven arrays, byte for byte, of a cold build, of a build on the
+    skeleton another character left at N, and of a build after a table at
+    another limit in between."""
+    cold = _cold(lambda chi: sieve_tables(N, chi))
+    for d in (1, -4, 5, -199):
+        chi = make_character(d)
+        want = cold(chi)
+        sieve_tables(N, CHI13)
+        warm = sieve_tables(N, chi)
+        sieve_tables(N + 1, CHI13)
+        again = sieve_tables(N, chi)
+        for name in _ARRAYS:
+            a = getattr(want, name)
+            for t in (warm, again):
+                b = getattr(t, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (N, d, name)
+
+
+@pytest.mark.parametrize("d", [1, -4, 5, -199])
+def test_rho_star_matches_the_divisor_sum_on_both_sides_of_its_split(d):
+    """rho*(n) = sum_{m | n, m <= C} lam(m) with lam by divisor enumeration,
+    at cutoffs on both sides of isqrt(N), where sieve_tables turns from the
+    convolution to rho - rho_*, and at C = 1, N - 1, N and 10 N."""
+    N = 53 * 59
+    chi = make_character(d)
+    lam = _brute_multiplicative(chi, N)["lam"]
+    r = math.isqrt(N)
+    for C in (r - 1, r, r + 1, N - 1, N, 10 * N, 1):
+        want = [0] * (N + 1)
+        for m in range(1, min(C, N) + 1):
+            for n in range(m, N + 1, m):
+                want[n] += lam[m]
+        assert sieve_tables(N, chi, cutoff=C).rho_star.tolist() == want, (d, C)
+
+
+def test_one_skeleton_at_a_time():
+    """A table at a new limit frees the held skeleton before it builds its
+    own.  After a table at n1, its skeleton is all the traced memory held,
+    and more than the whole peak of a cold table at n2 < n1; a table at n2
+    then peaks at most 64 KiB above the larger of the two.  Were the old
+    skeleton alive while the new one is built, the build's scratch (about
+    1 MB here) would come on top of it."""
+    n1, n2 = 1 << 20, 1 << 16
+
+    def build(n):
+        return sieve_tables(n, CHI13)
+
+    cold = _traced_peak(_cold(build), n2)
+    tracemalloc.start()
+    try:
+        build(n1)  # the table is dropped, its skeleton held
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build(n2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held > cold, (held, cold)
+    assert peak <= max(held, cold) + (64 << 10), (peak, held, cold)
+
+
 def test_floor_div_exact_while_t_plus_d_below_2_53():
     # the hardest t are one below a multiple of d: t/d is then closest to
     # the next integer
@@ -869,14 +944,14 @@ def _character_kernels(d):
 #: Per MEMORY_RATES key: two sizes n1 < n2, both past every fixed tile or
 #: chunk of the path, and the call that allocates n entries.
 RATE_CASES = {
-    "sieve_tables": (1 << 15, 1 << 17, lambda n: sieve_tables(n, CHI13)),
+    "sieve_tables": (1 << 15, 1 << 17, _cold(lambda n: sieve_tables(n, CHI13))),
     # x = (n - 1)^2, so isqrt(x) + 1 = n
     "psi_counts": (1 << 16, 1 << 18, lambda n: psi_counts((n - 1) ** 2, CHI4, (n - 1) ** 2, 1000,
                                                           cutoff=16)),
     "tau_moment": (1 << 15, 1 << 17, lambda n: tau_moment_bound(n, 1.5)),
     "convolution_oracle": (1 << 15, 1 << 17, lambda n: delta.naive_triple_raw_prefix(
         *map(make_character, (-163, 5, 1)), n)),
-    "verify_tables": (20_000, 40_000, lambda n: verify._check_tables({"table_limit": n})),
+    "verify_tables": (20_000, 40_000, _cold(lambda n: verify._check_tables({"table_limit": n}))),
     # n is the discriminant
     "period_table": (100_001, 400_009, _character_kernels),
     "character": (5_000, 20_000, lambda n: _quiet_run("character", "--disc", "-4", "--table",
