@@ -25,10 +25,12 @@ too while C <= sqrt(N); above, it is rho - rho_*, with N // (C + 1) passes.
 
 lam' and Lambda are integer combinations of logarithms of primes.  The
 float arrays evaluate those combinations against the shared correctly
-rounded math.log values; the identity checks in verify_table_identities
-compare the integer coefficient vectors themselves (prime by prime up to
-sqrt(N), and once for all larger primes, whose vectors depend on p only
-through N // p), so they are exact and immune to float accumulation.
+rounded math.log values; verify_table_identities checks the integer
+coefficient vectors themselves, exactly.  Those of log p on the multiples
+n = jp are p-adic sums T_p f(j) = sum_{p^i | j} f(j / p^i) of two global
+arrays, as T_p f = f * [n is a power of p] commutes with every Dirichlet
+convolution: a few strided adds per prime p <= sqrt(N) and one build for
+all larger primes, O(sqrt(N)) numpy passes in all.
 
 psi_counts needs no table: psi comes from a segmented sieve, and psi*, the
 m <= C part, is sum_m nu(m) [F(x // m) - F((x - y) // m)] with F the
@@ -48,7 +50,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, Optional
 
@@ -94,7 +98,7 @@ MEMORY_RATES: Dict[str, int] = {
     "psi_counts": 24,  # one of psi_counts' isqrt(x) + 1 entries of B, l and the chi table
     "tau_moment": 32,  # one d <= cap of tau_moment_bound
     "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
-    "verify_tables": 158,  # one n <= table_limit of verify-all's convolution-identities check
+    "verify_tables": 132,  # one n <= table_limit of verify-all's convolution-identities check
     "period_table": 70,  # one residue mod |d|: a character's tables, Gauss sum and moments
     "character": 245,  # one value of character --table --json
     "gauss": 440,  # one m of gauss --m lo..hi --json
@@ -233,14 +237,15 @@ def nu_value(chi: RealCharacter, m: int) -> int:
 
 def check_memory_budget(what: str, N: int, rate: str, name: str, hint: str = "") -> None:
     """Raise MemoryBudgetError, with the largest N that fits, when N entries
-    of MEMORY_RATES[rate] bytes each exceed DEFAULT_MEMORY_BUDGET."""
+    of MEMORY_RATES[rate] bytes each exceed DEFAULT_MEMORY_BUDGET.  A number
+    of more than 15 digits in the message is rounded to 4 significant ones,
+    so that a count of 1e300 still gives one short line."""
     bytes_per_entry = MEMORY_RATES[rate]
     need = N * bytes_per_entry
     if need > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"{what} needs ~{need >> 20} MiB > budget {DEFAULT_MEMORY_BUDGET >> 20} MiB; "
-            f"use {name} <= {DEFAULT_MEMORY_BUDGET // bytes_per_entry}{hint}"
-        )
+        message = (f"{what} needs ~{need >> 20} MiB > budget {DEFAULT_MEMORY_BUDGET >> 20} MiB; "
+                   f"use {name} <= {DEFAULT_MEMORY_BUDGET // bytes_per_entry}{hint}")
+        raise MemoryBudgetError(re.sub(r"\d{16,}", lambda m: f"{Decimal(m[0]):.3e}", message))
 
 
 @dataclass(frozen=True)
@@ -810,10 +815,11 @@ class TableCheckReport:
 class ChiFreeArrays:
     """What verify_table_identities needs at limit N that does not depend
     on chi: mu, the primes <= N (the first n_small of them <= isqrt(N)),
-    the bound tau(n) log n (log 1 at n = 0), log p for the primes above
-    isqrt(N) as a column, and for each of the first n_small + 1 primes p
-    the int8 vectors w[j] = v_p(j p) and direct[j] = [j is a power of p]
-    on 0 <= j <= N // p.  Built by chi_free_arrays(N)."""
+    the bound tau(n) log n (log 1 at n = 0), and log p for the primes above
+    isqrt(N) as a column.  No per-prime vector is held: each prime's
+    coefficient vectors are p-adic sums of two arrays that depend on chi
+    (_log_coefficients), a few strided adds each.  Built by
+    chi_free_arrays(N)."""
 
     limit: int
     mu: np.ndarray
@@ -821,7 +827,6 @@ class ChiFreeArrays:
     n_small: int
     tau_log: np.ndarray
     large_logs: np.ndarray
-    prime_vectors: tuple
 
 
 def chi_free_arrays(N: int) -> ChiFreeArrays:
@@ -829,18 +834,6 @@ def chi_free_arrays(N: int) -> ChiFreeArrays:
     caller that checks several characters at the same N."""
     primes = primes_up_to(N)
     n_small = int(np.searchsorted(primes, math.isqrt(N), side="right"))
-    vectors = []
-    for p in primes[: n_small + 1].tolist():
-        top = N // p
-        w = np.ones(top + 1, dtype=np.int8)  # w[j] = v_p(j*p): l = j*p
-        direct = np.zeros(top + 1, dtype=np.int8)
-        direct[1] = 1
-        stride = p  # p^k in compressed coordinates
-        while stride <= top:
-            w[stride::stride] += 1
-            direct[stride] = 1
-            stride *= p
-        vectors.append((w, direct))
     n_arr = np.arange(N + 1, dtype=np.float64)
     n_arr[0] = 1.0
     large = primes[n_small:]
@@ -851,64 +844,79 @@ def chi_free_arrays(N: int) -> ChiFreeArrays:
         n_small=n_small,
         tau_log=tau_array(N) * np.log(n_arr),
         large_logs=np.array([math.log(p) for p in large.tolist()])[:, None],
-        prime_vectors=tuple(vectors),
     )
 
 
-def _prime_coefficients(t: FunctionTable, chi_np: np.ndarray, p: int,
-                        w: np.ndarray, direct_c: np.ndarray):
+def _p_adic_sum(f: np.ndarray, p: int, top: int) -> np.ndarray:
+    """T_p f on [0, top]: entry j is the sum of f(j / p^i) over the i >= 0
+    with p^i | j, by one strided add per power p^i <= top.  T_p f is the
+    Dirichlet convolution of f with P_p, the indicator of the powers of p."""
+    out = f[: top + 1].copy()
+    q = p
+    while q <= top:
+        out[q::q] += f[1 : top // q + 1]
+        q *= p
+    return out
+
+
+def _log_coefficients(lam: np.ndarray, E: np.ndarray, p: int, N: int):
     """The exact log p coefficient vectors of lam', Lambda* and Lambda_* on
-    the multiples n = j*p <= N, indexed by j; raises IdentityCheckError
-    unless the definition and convolution routes of lam' agree and
-    lam' * nu is the indicator direct_c of the powers of p.  w[j] is
-    v_p(j*p)."""
-    N = t.limit
+    the multiples n = j*p <= N, indexed by j: T_p lam, T_p E and
+    P_p - T_p E (see verify_table_identities)."""
     top = N // p
-    b_c = np.zeros(top + 1, dtype=np.int64)  # b_c[j] = coeff at n = j*p
-    stride = 1  # p^(k-1) in compressed coordinates
-    while stride <= top:
-        b_c[stride::stride] += t.lam[1 : top // stride + 1]
-        stride *= p
-    a_c = convolve(w, chi_np, top)
-    if not np.array_equal(a_c, b_c):
-        bad = int(np.flatnonzero(a_c != b_c)[0]) * p
+    star = _p_adic_sum(E, p, top)
+    sub = -star
+    q = 1
+    while q <= top:
+        sub[q] += 1
+        q *= p
+    return _p_adic_sum(lam, p, top), star, sub
+
+
+def _first_mismatch(name: str, got: np.ndarray, ref: np.ndarray) -> None:
+    """Raise IdentityCheckError naming the first n >= 1 where got != ref."""
+    if not np.array_equal(got[1:], ref[1:]):
+        bad = int(np.flatnonzero(got[1:] != ref[1:])[0]) + 1
         raise IdentityCheckError(
-            f"lam' = lam*Lambda fails at n={bad}, prime {p}: "
-            f"definition {a_c[bad // p]}, convolution {b_c[bad // p]}"
+            f"{name} fails first at n={bad}: table {got[bad]}, reference {ref[bad]}"
         )
-    conv_c = convolve(a_c, t.nu, top)
-    if not np.array_equal(conv_c, direct_c):
-        bad = int(np.flatnonzero(conv_c != direct_c)[0]) * p
-        raise IdentityCheckError(
-            f"Lambda = lam'*nu fails at n={bad}, prime {p}: "
-            f"convolution {conv_c[bad // p]}, direct {direct_c[bad // p]}"
-        )
-    star_c = convolve(t.nu, a_c, top, fmax=t.cutoff)  # the m <= C part of lam' * nu
-    sub_c = direct_c - star_c  # exact integer complement (m > C part)
-    return a_c, star_c, sub_c
 
 
 def verify_table_identities(t: FunctionTable, shared: Optional[ChiFreeArrays] = None) -> TableCheckReport:
     """Exact verification of every convolution identity.
 
     lam, nu and rho are compared with their defining convolutions 1*chi,
-    mu*(mu chi) and 1*lam; lam' and Lambda are checked prime by prime on
-    their integer log-coefficient vectors (the primes above isqrt(N) at once):
+    mu*(mu chi) and 1*lam, and lam*nu with the unit [n = 1]: it is
+    (1*mu)*(chi*(mu chi)), and chi is completely multiplicative.  lam' and Lambda are
+    integer combinations of the log p, checked on their coefficient vectors
+    over the multiples n = j*p, indexed by j.  Lambda(jp) = log p P_p(j),
+    with P_p the indicator of the powers of p, and Dirichlet convolution is
+    associative and commutative (Apostol, Introduction to Analytic Number
+    Theory, ch. 2), so with T_p f = f * P_p (_p_adic_sum) and one
+    E = nu_{m <= C} * lam for all p:
 
-        definition route   a_p(d) = sum_{kl=d} chi(k) v_p(l)
-        convolution route  b_p(d) = sum_k lam(d / p^k)
-        Lambda route       (a_p * nu)(d) == [d is a power of p]
+        lam'     = lam * Lambda          a_p    = T_p lam
+        Lambda*  = nu_{m <= C} * lam'    star_p = T_p E
+        Lambda_* = Lambda - Lambda*      sub_p  = P_p - T_p E
 
-    plus the cutoff splits and 0 <= lam'(d) <= tau(d) log d (float check
-    with absolute slack _FLOAT_SLACK), on the exact-coefficient evaluation
-    and, for 0 <= lam', on the table's own array.  Raises IdentityCheckError
-    on any mismatch.
+    The Lambda route, a_p * nu = P_p for every p, is T_p applied to
+    lam * nu = [n = 1], which the unit check covers at once, and a_p is T_p
+    of the lam already checked against 1*chi.  So the five
+    convolutions make about 2 sqrt(N) numpy passes each, and the primes
+    p <= isqrt(N) about 2 log(N) / log(p) strided adds each, O(sqrt(N)) in
+    all.  A prime p > isqrt(N) has N // p < p, so T_p is the identity on
+    [0, N // p]: its vectors are prefixes of lam, E and P_p - E, and one
+    build serves every such prime.
+
+    Also checked: the cutoff splits and 0 <= lam'(d) <= tau(d) log d (float
+    check with absolute slack _FLOAT_SLACK), on the exact-coefficient
+    evaluation and, for 0 <= lam', on the table's own array.  Raises
+    IdentityCheckError on any mismatch.
 
     shared holds the arrays that do not depend on chi (mu, the primes,
-    tau log n, the large primes' logs, each prime's v_p and power
-    indicator); pass chi_free_arrays(t.limit) to check several characters
-    at one limit without rebuilding them.  By default they are built here.
-    The report is the same either way.
+    tau log n and the large primes' logs); pass chi_free_arrays(t.limit) to
+    check several characters at one limit without rebuilding them.  By
+    default they are built here.  The report is the same either way.
     """
     N, C = t.limit, t.cutoff
     if shared is None:
@@ -921,53 +929,47 @@ def verify_table_identities(t: FunctionTable, shared: Optional[ChiFreeArrays] = 
     one = np.broadcast_to(np.int64(1), (N + 1,))  # zero-stride constant 1
     mu = shared.mu
     lam_ref = convolve(chi_np, one, N)
-    for name, got, ref in (
-        ("lambda = 1*chi", t.lam, lam_ref),
-        ("nu = mu*(mu chi)", t.nu, convolve(mu * chi_np, mu, N)),
-        ("rho = 1*lambda", t.rho, convolve(lam_ref, one, N)),
-    ):
-        if not np.array_equal(got[1:], ref[1:]):
-            bad = int(np.flatnonzero(got[1:] != ref[1:])[0]) + 1
-            raise IdentityCheckError(
-                f"{name} fails first at n={bad}: table {got[bad]}, reference {ref[bad]}"
-            )
-    if np.any(t.rho_substar[1 : min(C, N) + 1] != 0):
+    _first_mismatch("lambda = 1*chi", t.lam, lam_ref)
+    _first_mismatch("nu = mu*(mu chi)", t.nu, convolve(mu * chi_np, mu, N))
+    del chi_np  # the references go as they are checked, before the per-prime pass
+    _first_mismatch("rho = 1*lambda", t.rho, convolve(lam_ref, one, N))
+    head = min(C, N) + 1
+    if np.any(t.rho[1:head] != t.rho_star[1:head]):
         raise IdentityCheckError("rho_*(n) != 0 for some n <= cutoff")
+    unit = convolve(lam_ref, t.nu, N)
+    unit[1] -= 1  # lam*nu - [n = 1]
+    if unit[1:].any():
+        bad = int(np.flatnonzero(unit[1:])[0]) + 1
+        raise IdentityCheckError(f"lambda*nu = [n = 1] fails first at n={bad}: off by {unit[bad]}")
+    del unit
+    E = convolve(t.nu, lam_ref, N, fmax=C)
+    del lam_ref  # t.lam equals it on [1, N], and both are 0 at 0
 
-    # Per-prime exact coefficient checks and the shared-log float build.
-    # Coefficient vectors of log p live on multiples of p, so each prime
-    # works on the compressed array indexed by j = n/p (length N//p).
-    lamp_float = np.zeros(N + 1, dtype=np.float64)
-    star_float = np.zeros(N + 1, dtype=np.float64)
-    sub_float = np.zeros(N + 1, dtype=np.float64)
+    # The exact coefficient vectors and the shared-log float build of lam',
+    # Lambda* and Lambda_*, one prime at a time by increasing p.
+    lamp_float, _, _ = floats = [np.zeros(N + 1) for _ in range(3)]
     primes, n_small = shared.primes, shared.n_small
-    for p, (w, direct_c) in zip(primes[:n_small].tolist(), shared.prime_vectors):
-        a_c, star_c, sub_c = _prime_coefficients(t, chi_np, p, w, direct_c)
+    for p in primes[:n_small].tolist():
         lp = math.log(p)
-        lamp_float[p :: p] += lp * a_c[1:]
-        star_float[p :: p] += lp * star_c[1:]
-        sub_float[p :: p] += lp * sub_c[1:]
+        for out, v in zip(floats, _log_coefficients(t.lam, E, p, N)):
+            out[p :: p] += lp * v[1:]
 
-    # A prime p > isqrt(N) has top = N // p < p, so no p^2 enters its
-    # vectors: they depend on p only through top, and each is a prefix of
-    # those of the smallest such prime, so one check covers them all.  The
-    # float build goes once per class of equal top, as one fancy-indexed
-    # add over all its primes: the indices p*j are distinct, since n has at
-    # most one prime factor above isqrt(N).  That factor is n's largest, so
-    # this add comes last for n, as in a build by increasing p, and the
-    # float arrays are the same bit for bit.
+    # The primes above isqrt(N): the float build goes once per class of
+    # equal top = N // p, as one fancy-indexed add over all its primes.  The
+    # indices p*j are distinct, since n has at most one prime factor above
+    # isqrt(N).  That factor is n's largest, so this add comes last for n,
+    # as in a build by increasing p, and the float arrays are the same bit
+    # for bit.
     large = primes[n_small:]
     if len(large):
-        a_c, star_c, sub_c = _prime_coefficients(t, chi_np, int(large[0]),
-                                                 *shared.prime_vectors[n_small])
-        logs = shared.large_logs
+        vectors = _log_coefficients(t.lam, E, int(large[0]), N)
         tops, firsts, counts = np.unique(N // large, return_index=True, return_counts=True)
         for top, lo, k in zip(tops.tolist(), firsts.tolist(), counts.tolist()):
             idx = large[lo : lo + k, None] * np.arange(1, top + 1)
-            lp = logs[lo : lo + k]
-            lamp_float[idx] += lp * a_c[1 : top + 1]
-            star_float[idx] += lp * star_c[1 : top + 1]
-            sub_float[idx] += lp * sub_c[1 : top + 1]
+            lp = shared.large_logs[lo : lo + k]
+            for out, v in zip(floats, vectors):
+                out[idx] += lp * v[1 : top + 1]
+    del E
 
     # lam'(1) = 0 and the inequality 0 <= lam' <= tau log with slack.
     upper = shared.tau_log
@@ -979,11 +981,8 @@ def verify_table_identities(t: FunctionTable, shared: Optional[ChiFreeArrays] = 
         bad = int(np.flatnonzero(t.lam_prime < -_FLOAT_SLACK)[0])
         raise IdentityCheckError(f"table lam' < 0 at n={bad}")
 
-    devs = [
-        float(np.max(np.abs(t.lam_prime - lamp_float))),
-        float(np.max(np.abs(t.Lam_star - star_float))),
-        float(np.max(np.abs(t.Lam_substar - sub_float))),
-    ]
+    devs = [float(np.max(np.abs(t.array(f) - built)))  # the Lam_substar view only in its turn
+            for f, built in zip(("lam_prime", "Lam_star", "Lam_substar"), floats)]
     if max(devs) > _FLOAT_SLACK:
         raise IdentityCheckError(
             f"float tables deviate from exact-coefficient evaluation by {max(devs)}"

@@ -4,6 +4,7 @@ the output-directory environment override.  All in-process via cli.run."""
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,7 +18,7 @@ import deltalab.characters
 import deltalab.cli
 import deltalab.tables
 from deltalab.characters import gauss_sum, kronecker, make_character
-from deltalab.cli import build_parser, finite, run
+from deltalab.cli import build_parser, count, finite, run
 from deltalab.exponents import MAX_ORDER
 from deltalab.tables import sieve_tables
 
@@ -602,6 +603,51 @@ def test_non_finite_float_rejected(command, key, template, value, form, tmp_path
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: " in err and "Traceback" not in err
+
+
+#: Every count flag at 1e300, with the exit code of the run: a cap bounds x
+#: and takes any value, and a size is checked against the memory budget first.
+_HUGE_COUNTS = [
+    ("character", "table", "1e300", 1),
+    ("tables", "limit", "1e300", 1),
+    ("delta", "cap", "1e300", 0),
+    ("delta-sweep", "cap", "1e300", 0),
+    ("tau-moment", "cap", "1e300", 1),
+    ("verify-all", "table_limit", "1e300", 1),
+    ("verify-all", "delta_limit", "1e300", 1),
+]
+
+
+def test_huge_counts_cover_every_count_flag():
+    flags = {(command, a.dest) for command, sub in build_parser().commands.items()
+             for a in sub._actions if a.type is count}
+    assert flags == {(command, key) for command, key, _, _ in _HUGE_COUNTS}
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command,key,value,code", _HUGE_COUNTS + [
+    ("expsum", "range", "1:1e300", 1),  # two counts
+    ("divisor-sum", "x", "1e300", 1),  # a float that sizes a table
+])
+def test_huge_count_gives_one_short_error_line(command, key, value, code, form, tmp_path,
+                                                monkeypatch, capsys):
+    """A count of 1e300 has 301 digits; an error line names it in four."""
+    monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
+    argv = [command, *_BASE_ARGV[command]]  # a later flag replaces a base one
+    if form == "flag":
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+        return
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert not re.search(r"\d{16}", err) and "Traceback" not in err
 
 
 def test_count_flag_reads_exponent_form(capsys):

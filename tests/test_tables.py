@@ -517,6 +517,101 @@ def test_identity_checker_counts_every_prime():
         assert verify_table_identities(sieve_tables(N, CHI13)).primes_checked == pi
 
 
+def _old_route_vectors(t, p):
+    """The log p coefficient vectors of lam', Lambda* and Lambda_* on
+    n = j*p <= N by the per-prime convolutions: a_p = w_p * chi with
+    w_p(j) = v_p(j p), star_p = nu_{m <= C} * a_p, sub_p = P_p - star_p."""
+    top = t.limit // p
+    w = np.ones(top + 1, dtype=np.int64)
+    direct = np.zeros(top + 1, dtype=np.int64)
+    direct[1] = 1
+    q = p
+    while q <= top:
+        w[q::q] += 1
+        direct[q] = 1
+        q *= p
+    a = convolve(w, t.chi.value_table(top).astype(np.int64), top)
+    star = convolve(t.nu, a, top, fmax=t.cutoff)
+    return a, star, direct - star
+
+
+@pytest.mark.parametrize("N", [2000, 10**4])
+@pytest.mark.parametrize("d", [-4, 13])
+def test_checker_vectors_equal_the_per_prime_convolutions(N, d, monkeypatch):
+    """The checker's p-adic sums T_p lam, T_p E and P_p - T_p E against the
+    per-prime convolutions they replace, for every p <= isqrt(N) and the
+    first prime above, at cutoffs below, at and above isqrt(N)."""
+    chi = make_character(d)
+    r = math.isqrt(N)
+    primes = list(sympy.primerange(2, sympy.nextprime(r) + 1))
+    seen = {}
+    coefficients = tables._log_coefficients
+
+    def recorded(lam, E, p, n):
+        seen[p] = coefficients(lam, E, p, n)
+        return seen[p]
+
+    monkeypatch.setattr(tables, "_log_coefficients", recorded)
+    for C in (1, chi.conductor**2, r, r + 1, N):
+        seen.clear()
+        t = sieve_tables(N, chi, cutoff=C)
+        verify_table_identities(t)
+        assert sorted(seen) == primes, (N, d, C)
+        for p, got in seen.items():
+            for name, g, want in zip(("a", "star", "sub"), got, _old_route_vectors(t, p)):
+                assert np.array_equal(g, want), (N, d, C, p, name)
+
+
+#: max_float_deviation.hex() of the five TABLE_DISCS, recorded from the
+#: per-prime convolution checker that the p-adic sums replaced.
+_PINNED_DEVIATIONS = {
+    10**5: ["0x1.4000000000000p-45", "0x1.0000000000000p-46", "0x1.0000000000000p-44",
+            "0x1.0000000000000p-45", "0x1.4000000000000p-45"],
+    (1 << 20) + 1: ["0x1.8000000000000p-44", "0x1.0000000000000p-45", "0x1.8000000000000p-42",
+                    "0x1.0000000000000p-44", "0x1.0000000000000p-43"],
+}
+
+
+@pytest.mark.parametrize("N,passes", [(10**5, 8_000), ((1 << 20) + 1, 25_000)])
+def test_checker_reports_pinned_bits_in_o_sqrt_n_passes(N, passes, monkeypatch):
+    """The reports are the recorded ones to the last bit, and the numpy
+    passes of sieves.convolve grow like sqrt(N): 7,380 for the five
+    characters at 1e5 and 23,130 at 2^20 + 1 (the per-prime convolutions
+    took 44,604 and 192,710)."""
+    calls = 0
+    add_scaled = sieves._add_scaled
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        add_scaled(*args)
+
+    shared = chi_free_arrays(N)
+    got = []
+    for d in verify.TABLE_DISCS:
+        t = sieve_tables(N, make_character(d))
+        monkeypatch.setattr(sieves, "_add_scaled", counted)
+        rep = verify_table_identities(t, shared)
+        monkeypatch.setattr(sieves, "_add_scaled", add_scaled)
+        assert rep.primes_checked == len(shared.primes)
+        got.append(rep.max_float_deviation.hex())
+    assert got == _PINNED_DEVIATIONS[N]
+    assert calls <= passes
+
+
+def test_unit_check_catches_a_nu_from_a_mismatched_mu():
+    """nu rebuilt from mu with mu(94) = 0 passes the nu check against that
+    mu, but it is no longer the inverse of lam: lam*nu = [n = 1] fails at
+    94 = 2*47, 47 > isqrt(2000)."""
+    t = sieve_tables(2000, CHI13)
+    shared = chi_free_arrays(2000)
+    mu = shared.mu.copy()
+    mu[94] = 0
+    nu = convolve(mu * CHI13.value_table(2000).astype(np.int64), mu, 2000)
+    with pytest.raises(IdentityCheckError, match=re.escape("lambda*nu = [n = 1] fails first at n=94")):
+        verify_table_identities(dataclasses.replace(t, nu=nu), dataclasses.replace(shared, mu=mu))
+
+
 def test_every_array_field_is_a_function_name(table4):
     names = [f.name for f in dataclasses.fields(table4)
              if isinstance(getattr(table4, f.name), np.ndarray)]
