@@ -247,6 +247,12 @@ class RealCharacter:
         # through a fast path that its remainder lacks
         return _period_prefix(self.discriminant)[t - t // q * q]
 
+    def float_prefix(self) -> np.ndarray:
+        """S(0..q-1) as float64 (read-only, cached per discriminant), for a
+        nontrivial character: S(t) is its entry t % q, as in partial_sum,
+        and is exact, as |S(t)| <= q."""
+        return _float_period_prefix(self.discriminant)
+
     def __str__(self) -> str:
         return f"chi_{self.discriminant} (conductor {self.conductor}, {self.parity})"
 
@@ -264,6 +270,13 @@ def _period_array(disc: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _period_prefix(disc: int) -> np.ndarray:
     arr = np.cumsum(_period_array(disc), dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=256)
+def _float_period_prefix(disc: int) -> np.ndarray:
+    arr = np.cumsum(_period_array(disc), dtype=np.float64)
     arr.setflags(write=False)
     return arr
 

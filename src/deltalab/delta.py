@@ -7,17 +7,15 @@ The raw triple sum
 
 is computed in exact integer arithmetic (character values lie in -1,0,1):
 the production path is triple_raw_sums, the three-variable Dirichlet
-hyperbola with y = icbrt(x) run for many x at once: about 7 x^(2/3)
-quotient entries per x, with the rows of all x stacked into int64 numpy
-passes over tiles of fixed size (about 100 tiles at x = 1e8, 470 at 1e9),
-exact for x < 5e15 and within the tile size for x < 4.4e12.
-triple_raw_sum is its one-element case, and triple_deltas / triple_delta
-sit on top of it.  All its quotient tiles go through one kernel, _row_sums,
-with S(v) = sum_{k<=v} chi(k) from one RealCharacter.partial_sum call per
-tile and character.  Its oracle is the coefficient convolution
-chi1 * chi2 * chi3 summed to every x <= N (naive_triple_raw_prefix), which
-shares no code with it.  Only the residue of the L-product is floating
-point, so delta = raw - residue carries a single rounding.
+hyperbola with y = icbrt(x) run for many x at once, exact below
+EXACT_X_LIMIT (about 8.4e14), with triple_raw_sum, triple_deltas and
+triple_delta on top of it.  Its one kernel, _row_sums, computes each
+hyperbola row's quotients once (under 2 x^(2/3) + 2 x^(1/3) per x) and
+S(v) = sum_{k<=v} chi(k) once per character, for all three pair sums and
+the middle term.  Its oracle, the coefficient convolution chi1 * chi2 * chi3
+summed to every x <= N (naive_triple_raw_prefix), shares no code with it.
+Only the residue of the L-product is floating point, so delta carries a
+single rounding.
 
 Empirical comparisons against the symbolic bounds are report-only: the
 suite asserts oracle equality and hard invariants, never that an asymptotic
@@ -58,10 +56,20 @@ __all__ = [
     "exponent_fit",
     "bound_check",
     "DEFAULT_RAW_CAP",
+    "EXACT_X_LIMIT",
 ]
 
 #: Default brute-force cap for the (hyperbola-assisted) raw sum.
 DEFAULT_RAW_CAP = 10**9
+
+#: The raw sums are exact below this x, about 8.41e14 (see triple_raw_sums).
+EXACT_X_LIMIT = int(2**53 / (1 + math.log(TILE)))
+
+
+def _exact_x(x):
+    if x >= EXACT_X_LIMIT:
+        raise ValueError(f"x = {x:g} is past the exact range x < {EXACT_X_LIMIT:.4g}")
+    return x
 
 
 def _icbrt(n: np.ndarray) -> np.ndarray:
@@ -80,49 +88,49 @@ def _isqrt(t: np.ndarray) -> np.ndarray:
     return s
 
 
-def _row_sums(t: np.ndarray, bound: np.ndarray, terms) -> list:
-    """Per term (cv, cs) of terms, the row sums of cv(a) S_cs(t // a) over
-    a <= bound, for nonempty int64 arrays t >= 0 and bound >= 0 (bound
-    non-increasing): (rows x a) tiles of at most TILE entries, in
-    chunks of as many a, with rows as wide as a tile's first, the widest,
-    and the mask a <= bound only past its last, the narrowest."""
-    cvs = {cv.discriminant: cv for cv, _ in terms}  # distinct characters, by discriminant
-    css = {cs.discriminant: (cs, {}) for _, cs in terms}  # S_cs, and its row sums per cv
-    for cv, cs in terms:
-        css[cs.discriminant][1][cv.discriminant] = np.zeros(len(t), np.int64)
-    tf, width = t.astype(np.float64), int(bound[0])
-    for a0 in range(1, width + 1, TILE):
-        a = np.arange(a0, min(a0 + TILE, width + 1), dtype=np.int64)
-        vals = {d: c.values(a) for d, c in cvs.items()}
-        a, lo = a.astype(np.float64), 0  # the tiles need the columns as floats only
-        while lo < len(t) and bound[lo] >= a0:  # rows with bound >= a0 come first
-            w = min(int(bound[lo]) + 1 - a0, len(a))
-            hi = min(lo + max(1, TILE // w), len(t))
-            q = floor_div(tf[lo:hi, None], a[:w])
-            m = max(int(bound[hi - 1]) + 1 - a0, 0)
-            q[:, m:] *= a[m:w] <= bound[lo:hi, None]  # S(0) = 0 drops the entries with a > bound
-            for cs, rows in css.values():
-                s = cs.partial_sum(q)  # one S_cs tile alive at a time
-                for dv, row in rows.items():
-                    row[lo:hi] += s @ vals[dv][:w]
-            lo = hi
-    return [css[cs.discriminant][1][cv.discriminant] for cv, cs in terms]
-
-
-def _pair_sums(c1: RealCharacter, c2: RealCharacter, t: np.ndarray) -> np.ndarray:
-    """P(t) = sum_{ab <= t} chi1(a) chi2(b) for every entry of the
-    non-increasing int64 array t >= 0, by the two-factor hyperbola with
-    s = isqrt(t):
-
-        P(t) = sum_{a <= s} [chi1(a) S2(t // a) + chi2(a) S1(t // a)] - S1(s) S2(s)."""
-    s = _isqrt(t)
-    r12, r21 = _row_sums(t, s, ((c1, c2), (c2, c1)))
-    return r12 + r21 - c1.partial_sum(s) * c2.partial_sum(s)
+def _row_sums(chars, M: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R[k, r, j] = sum_{a <= s_r} chi_j(a) S_k(M_r // a) and R[k, r, K + j] over
+    a <= y_r, in int64, for the K distinct characters chars and rows with M
+    non-increasing, s = isqrt(M) and y <= s.  Per block of rows, as wide as its
+    first (S(0) = 0 past a row's width) and of TILE entries over all K: one
+    M // a tile, one S_k gather per character (take's "clip" mode writes
+    unbuffered; indices are in range), one float64 product with [V | V at a <= y]."""
+    K, R, trivial = len(chars), len(M), [k for k, c in enumerate(chars) if c.conductor == 1]
+    out = np.zeros((K, R, 2 * K), dtype=np.int64)
+    qtype = np.int32 if R and M[0] < 2**31 else np.int64  # int32 divides by q 3x as fast
+    gathers = [(k, c.float_prefix(), qtype(c.conductor)) for k, c in enumerate(chars) if k not in trivial]
+    Mf, top = M.astype(np.float64), int(s[0]) if R else 0
+    for a0 in range(1, top + 1, TILE):
+        a = np.arange(a0, min(a0 + TILE, top + 1), dtype=np.int64)
+        V = np.stack([c.values(a) for c in chars], axis=1).astype(np.float64)
+        V2, masked, acc, lo = np.hstack((V, 0 * V)), 0, np.zeros((K, R, 2 * K)), 0
+        af, widths = a.astype(np.float64), np.minimum(s + 1 - a0, len(a)).tolist()
+        ends = np.clip(y + 1 - a0, 0, len(a)).tolist()  # each row's middle-term columns
+        while lo < R and widths[lo] > 0:
+            w, hi = widths[lo], min(lo + max(1, TILE // (K * widths[lo])), R)
+            rows, h, m, p = slice(lo, hi), hi - lo, max(widths[hi - 1], 0), max(ends[lo:hi])
+            q = floor_div(Mf[rows, None], af[:w], qtype)
+            q[:, m:] *= a[m:w] <= s[rows, None]
+            S = np.empty((K, h, w))
+            for k, table, c in gathers:
+                table.take(q - q // c * c, out=S[k], mode="clip")
+            S[trivial] = q  # S(t) = t
+            if p != masked:
+                V2[:, K:], masked = V * (a < a0 + p)[:, None], p
+            res = S.reshape(K * h, w) @ V2[:w]
+            if min(ends[lo:hi]) < p:  # rows of smaller y: take off their a in (y, p]
+                res[:, K:] -= (S[:, :, :p] * (a[:p] > y[rows, None])).reshape(K * h, p) @ V[:p]
+            acc[:, rows], lo = res.reshape(K, h, 2 * K), hi
+        out += acc.astype(np.int64)
+    return out
 
 
 def pair_summatory(c1: RealCharacter, c2: RealCharacter, t: int) -> int:
-    """Exact sum of chi1(a) chi2(b) over ab <= t, O(sqrt t)."""
-    return int(_pair_sums(c1, c2, np.array([max(int(t), 0)], dtype=np.int64))[0])
+    """Exact sum of chi1(a) chi2(b) over ab <= t, O(sqrt t): P_12(t) of triple_raw_sums."""
+    t, chars = _exact_x(max(int(t), 0)), list(dict.fromkeys((c1, c2)))
+    i, j, s = chars.index(c1), chars.index(c2), math.isqrt(t)
+    r = _row_sums(chars, np.array([t]), np.array([s]), np.zeros(1, dtype=np.int64))[:, 0]
+    return int(r[j, i] + r[i, j]) - int(c1.partial_sum(s)) * int(c2.partial_sum(s))
 
 
 def triple_raw_sums(
@@ -139,33 +147,30 @@ def triple_raw_sums(
       - sum_{i<j} sum_{a,b<=y} chi_i(a) chi_j(b) S_k(N // ab)
       + S_1(y) S_2(y) S_3(y),
 
-    where the last term needs no product condition because y^3 <= N.
+    where the last term needs no product condition because y^3 <= N, and
+    P_jk(M) = sum_{a <= isqrt(M)} [chi_j(a) S_k(M // a) + chi_k(a) S_j(M // a)]
+    - S_j(isqrt(M)) S_k(isqrt(M)).
 
     The N are taken in decreasing order and in groups whose y sum to at
-    most TILE, so one group's rows (N, n <= y) fit in one tile.
-    Each pair-sum term stacks the group's rows into one t = N // n array
-    and hands its distinct values, non-increasing, to one _pair_sums call
-    (nearby N share most of them); a term whose character repeats an
-    earlier one equals that term and is counted, not recomputed.  The
-    middle term's rows go to the same kernel, _row_sums, with b <= y.  Row
-    results are reduced per N by np.add.reduceat.  The pair sums touch
-    about 2 x^(2/3) entries each per x and the middle term y^2; every tile
-    holds at most TILE entries, and every row array too while
-    y <= TILE, i.e. x < 4.4e12.
+    most TILE, one row per (N, n <= y) with M = N // n; rows with equal
+    (M, y) are merged, as nearby N share most of them.  One _row_sums pass
+    gives each row's sums over a <= isqrt(M), for the pair sums, and over
+    its prefix b <= y (M >= y^2), for the middle term (N // ab = M // b),
+    from each row's isqrt(M) quotients (under 2 x^(2/3) + 2 x^(1/3) per x)
+    in tiles as wide as their widest row, the rest masked, of at most TILE
+    entries, as is every row array while y <= TILE (x < 4.4e12).
 
-    Exact int64: every partial sum, and every product of character sums,
-    is at most the number of lattice points (n1, n2, n3) under the
-    hyperbola n1 n2 n3 <= x, below x (log x)^2, which is under 2^63 for
-    x < 5e15.
-    """
+    Exact below EXACT_X_LIMIT, ValueError from there on: a float64 row sum
+    is exact below 2^53, and one over a chunk of TILE columns is at most
+    x (1 + ln TILE), at the trivial character (S(t) = t)."""
+    _exact_x(max(xs, default=0))
     Ns = np.array([math.floor(x) for x in xs], dtype=np.int64)
     out = np.zeros(len(Ns), dtype=np.int64)
     order = np.flatnonzero(Ns >= 1)
     order = order[np.argsort(-Ns[order], kind="stable")]
     N = Ns[order]  # non-increasing, so y is too
     y = _icbrt(N)
-    ends = np.cumsum(y)
-    lo = 0
+    ends, lo = np.cumsum(y), 0
     while lo < len(N):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - y[lo] + TILE, "right")))
         out[order[lo:hi]] = _hyperbola((c1, c2, c3), N[lo:hi], y[lo:hi])
@@ -174,32 +179,27 @@ def triple_raw_sums(
 
 
 def _hyperbola(chis, N: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The three-variable hyperbola of triple_raw_sums for a group of
-    decreasing N >= 1 with y = icbrt(N): one row per (N, n <= y)."""
-    starts = np.cumsum(y) - y
-    owner = np.repeat(np.arange(len(N)), y)
+    """triple_raw_sums' hyperbola for decreasing N >= 1 with y = icbrt(N)."""
+    chars = list(dict.fromkeys(chis))  # distinct, so each S_k is gathered once
+    ix, K = [chars.index(c) for c in chis], len(chars)
+    starts, owner = np.cumsum(y) - y, np.repeat(np.arange(len(N)), y)
     n = np.arange(1, len(owner) + 1, dtype=np.int64) - starts[owner]
-    vals = [c.values(n) for c in chis]
-    M = N[owner] // n  # N // n; N // ab = M // b
-    total = chis[0].partial_sum(y) * chis[1].partial_sum(y) * chis[2].partial_sum(y)
-    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        if chis[i] in chis[:i]:
-            continue  # P_jk is symmetric, so chi_i = chi_j gives term i = term j
-        live = vals[i] != 0
-        t, back = np.unique(M[live], return_inverse=True)  # nearby N share most t
-        p = _pair_sums(chis[j], chis[k], t[::-1])[::-1][back]
-        # chi_i(1) = 1 keeps every N's first row, so its run starts there
-        runs = np.cumsum(live)[starts] - 1
-        total += chis.count(chis[i]) * np.add.reduceat(vals[i][live] * p, runs)
-    c1, c2, c3 = chis  # middle term: sum_{i<j} chi_i rjk, rjk = sum_{b<=y} chi_j(b) S_k(M // b)
-    r23, r32, r31 = _row_sums(M, y[owner], ((c2, c3), (c3, c2), (c3, c1)))
-    return total - np.add.reduceat(vals[0] * (r23 + r32) + vals[1] * r31, starts)
+    M, ym = N[owner] // n, y[owner]
+    key, merged = np.unique(-M + 1j * ym, return_inverse=True)  # by -M, then y; equal (M, y) merged
+    M, ym = (-key.real).astype(np.int64), key.imag.astype(np.int64)
+    s = _isqrt(M)
+    sums, Ss = _row_sums(chars, M, s, ym), np.stack([c.partial_sum(s) for c in chars])
+    j, k = [ix[1], ix[0], ix[0]], [ix[2], ix[2], ix[1]]  # term i's pair (j, k)
+    pair = sums[k, :, j] + sums[j, :, k] - Ss[j] * Ss[k]  # P_jk(M)
+    # the middle term's sum_{b<=y} chi_j(b) S_k(M // b), weighted by chi_1, chi_1, chi_2
+    terms = np.concatenate((pair, -sums[[ix[2], ix[1], ix[0]], :, [K + ix[1], K + ix[2], K + ix[2]]]))
+    vals = np.stack([c.values(n) for c in chars])[[ix[i] for i in (0, 1, 2, 0, 0, 1)]]
+    row = (vals * terms[:, merged]).sum(axis=0)
+    return np.prod([c.partial_sum(y) for c in chis], axis=0) + np.add.reduceat(row, starts)
 
 
 def triple_raw_sum(c1: RealCharacter, c2: RealCharacter, c3: RealCharacter, x: float) -> int:
-    """Exact raw triple sum at one x: the one-element case of
-    triple_raw_sums, exact in int64 for x < 5e15, with tiles of at most
-    TILE entries for x < 4.4e12."""
+    """Exact raw triple sum at one x: the one-element case of triple_raw_sums."""
     return int(triple_raw_sums(c1, c2, c3, [x])[0])
 
 
@@ -210,7 +210,7 @@ def naive_triple_raw_prefix(
     Dirichlet series is L(s,chi1) L(s,chi2) L(s,chi3), so its coefficients
     are the convolution chi1 * chi2 * chi3 (Tenenbaum, I.3): two
     sieves.convolve calls, then a prefix sum.  Exact int64, O(N log N), and
-    no code shared with the production hyperbola (_pair_sums, partial_sum).
+    no code shared with the production hyperbola (_row_sums, partial_sum).
 
     Its peak is MEMORY_RATES["convolution_oracle"] bytes per entry; raises
     MemoryBudgetError when N of them exceed DEFAULT_MEMORY_BUDGET."""

@@ -27,13 +27,14 @@ TILE = 1 << 14
 _STRIDED_FROM = 16
 
 
-def floor_div(t, d) -> np.ndarray:
+def floor_div(t, d, dtype=np.int64) -> np.ndarray:
     """t // d for float64 arrays (or ints) holding integers t >= 0 and
-    d >= 1 (broadcast), as int64, by one float division.  Exact while
-    t + d < 2^53: a non-integral t/d lies at least 1/d below the next
-    integer k + 1, and rounding moves it by at most (k + 1) 2^-53 < 1/d.
-    int64 division has no SIMD path and costs about twice as much."""
-    return (t / d).astype(np.int64)
+    d >= 1 (broadcast), as int64 (or as dtype, if that holds every
+    quotient), by one float division.  Exact while t + d < 2^53: a
+    non-integral t/d lies at least 1/d below the next integer k + 1, and
+    rounding moves it by at most (k + 1) 2^-53 < 1/d.  int64 division has
+    no SIMD path and costs about twice as much."""
+    return (t / d).astype(dtype)
 
 
 def prime_mask(n: int) -> np.ndarray:

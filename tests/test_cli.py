@@ -315,6 +315,17 @@ def test_delta_cap_exit(capsys):
                 "--cap", "1e6"]) == 1
 
 
+def test_delta_at_the_exactness_limit_exits_1(capsys):
+    """Past the cap, x at delta.EXACT_X_LIMIT (about 8.41e14) is refused
+    before any work, with one error line."""
+    import deltalab.delta
+
+    x = str(deltalab.delta.EXACT_X_LIMIT)
+    assert run(["delta", "--d1", "1", "--d2", "1", "--d3", "1", "--x", x, "--cap", "1e15"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "exact" in err
+
+
 def test_delta_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run(["delta-sweep", "--d1", "1", "--d2", "1", "--d3", "-4",

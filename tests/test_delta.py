@@ -372,3 +372,67 @@ def test_exp_sum_matches_mpmath_at_large_phases():
         got = exp_sum(n1, n2, chi3, (lo, hi), x, D, m, sign)
         want = _exp_sum_oracle(n1, n2, chi3.conductor, lo, hi, x, D, m, sign)
         assert abs(got - want) <= (hi - lo + 1) * 2.0**-50
+
+
+# Triples with 0, 1, 2 and 3 trivial slots, and with a repeated character.
+SMALL_TILE_MULTISETS = ((-4, 5, -3), (1, 5, -3), (1, 1, -4), (1, 1, 1), (-4, -4, 5), (1, 8, 8))
+
+
+@pytest.mark.parametrize("tile", [64, 256])
+def test_triple_raw_sums_around_cubes_with_small_tiles(tile, monkeypatch):
+    """y^3 - 1 has icbrt y - 1 and y^3, y^3 + 1 have y, so with small tiles a
+    row block holds rows of different y and the per-row a <= y mask is used."""
+    monkeypatch.setattr(delta, "TILE", tile)
+    xs = [y**3 + e for y in range(2, 41) for e in (-1, 0, 1)]
+    for discs in SMALL_TILE_MULTISETS:
+        naive = naive_triple_raw_prefix(*map(make_character, discs), xs[-1])
+        want = [int(naive[x]) for x in xs]
+        for order in sorted(set(itertools.permutations(discs))):
+            got = delta.triple_raw_sums(*map(make_character, order), xs)
+            assert got.tolist() == want, (tile, order)
+
+
+@pytest.mark.parametrize("x, d3", [(10**6, 106030594), (10**7, 1421760251)])
+def test_quotient_entries_per_x(x, d3, monkeypatch):
+    """One x computes each hyperbola row's isqrt(x // n) quotients M // a once,
+    for the three pair sums and the middle term alike: under 2 x^(2/3) +
+    2 x^(1/3) of them (the kernel with one tile per pair sum and per middle
+    term computed about 6.8 x^(2/3)).  A tile is as wide as its widest row,
+    and the rest of it is masked to 0, as M // a >= 1 for a <= isqrt(M).  The
+    trivial triple keeps every row; d3 is its raw sum (see
+    test_d3_summatory_pins)."""
+    tiles = []
+    orig = delta.floor_div
+
+    def kept(*args):
+        tiles.append(orig(*args))
+        return tiles[-1]
+
+    monkeypatch.setattr(delta, "floor_div", kept)
+    assert triple_raw_sum(TRIV, TRIV, TRIV, x) == d3
+    y = round(x ** (1 / 3))
+    assert y**3 <= x < (y + 1) ** 3
+    used = sum(math.isqrt(x // n) for n in range(1, y + 1))
+    assert sum(np.count_nonzero(q) for q in tiles) == used <= 2 * x ** (2 / 3) + 2 * x ** (1 / 3)
+    assert sum(q.size for q in tiles) < 2 * used
+
+
+def test_triple_raw_sums_refuse_x_at_the_exactness_limit(monkeypatch):
+    """A tile's float64 row sum is at most x (1 + ln TILE), at the trivial
+    character, and every x < EXACT_X_LIMIT keeps that below 2^53.  Below the
+    limit the kernel runs (here a stub); at or above it nothing runs."""
+    limit = delta.EXACT_X_LIMIT
+    growth = 1 + math.log(delta.TILE)
+    assert (limit - 1) * growth < 2**53 <= (limit + 1) * growth
+    ran = []
+    monkeypatch.setattr(delta, "_hyperbola", lambda chis, N, y: ran.append(N.tolist()) or N)
+    assert delta.triple_raw_sums(TRIV, TRIV, TRIV, [limit - 0.5]).tolist() == [limit - 1]
+    assert ran == [[limit - 1]]
+    for xs in ([limit], [10, float(limit)], [limit + 0.5, 3]):
+        with pytest.raises(ValueError, match="exact"):
+            delta.triple_raw_sums(TRIV, TRIV, CHI4, xs)
+    with pytest.raises(ValueError, match="exact"):
+        triple_delta(TRIV, TRIV, TRIV, limit, cap=10**15)
+    assert ran == [[limit - 1]]
+    with pytest.raises(ValueError, match="exact"):
+        delta.pair_summatory(TRIV, TRIV, limit)
