@@ -18,9 +18,9 @@ alone, as do tuple's --eps without --eval-M and --eval-T, feasibility's
 csv; psi-short takes exactly one of --y and --alpha.
 psi-short with an end of the window at 1, and tau-moment with a log power
 or ratio outside the float range, exit 1 rather than print inf.  Every array
-or list whose size a flag sets, a character's tables included, is
-checked against the memory budget before it is allocated, and any
-MemoryError exits 1.
+or list whose size a flag sets, a character's tables included, is checked
+against the memory budget before it is allocated, except psi-short's, which
+x < 2^52 bounds at under 3 bytes per isqrt(x) entry; any MemoryError exits 1.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.

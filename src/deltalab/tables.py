@@ -43,7 +43,8 @@ window's size: the stated bound psi_star_err on psi*'s rounding follows
 the window, not x.  The parts' sum is exact up to one final rounding
 (_exact_sum: integer limbs per exponent, binned by numpy), and the
 quotients x // n and z // l are float divisions, exact for x < 2^52
-(sieves.floor_div).
+(sieves.floor_div).  A and B are built a chunk or tile at a time, where
+they are summed: only the sieve's base primes grow like sqrt(x).
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class IdentityCheckError(AssertionError):
 #: test_memory_rate re-measures each at two sizes.  An entry is:
 MEMORY_RATES: Dict[str, int] = {
     "sieve_tables": 64,  # one n <= limit of sieve_tables' seven stored arrays and pe
-    "psi_counts": 24,  # one of psi_counts' isqrt(x) + 1 entries of B, l and the chi table
     "tau_moment": 32,  # one d <= cap of tau_moment_bound
     "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
     "verify_tables": 132,  # one n <= table_limit of verify-all's convolution-identities check
@@ -575,14 +575,15 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
         sum_{l <= z1 // (u + 1)} nu(m) [S(z1 // l) - S(max(z0 // l, u))] log l.
 
     The first log depends on m and k only through n = mk, the second on l
-    alone.  So the loop over the brackets does integer work only: it adds
-    to the coefficients
+    alone.  So the brackets add up integer coefficients
 
         A(n) = sum_{mk = n, k <= u_m} nu(m) chi(k)                  (int32)
         B(l) = sum_m nu(m) [S(z1 // l) - S(max(z0 // l, u_m))]      (int64)
 
-    one strided slice of A and slices of B in tiles of TILE l per
-    bracket.  The quotients z // l there and x // n below are
+    each built where it is summed, from the live brackets' records
+    (m, nu(m), u_m, L_m = z1 // (u_m + 1)): a chunk of A takes a strided slice
+    per bracket that reaches it, a tile of TILE l of B a slice per bracket
+    with L_m in or past it.  The quotients z // l there and x // n below are
     sieves.floor_div float divisions, exact as t + d <= 2 x1 < 2^53.  The
     float work then runs once per n and once per l,
 
@@ -595,34 +596,28 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
     and W is one left-to-right np.cumsum over n, then l: both are
     bit-identical whatever the chunk and tile sizes.
 
-    The coefficient arrays do not grow with C.  A is built in int32 chunks
-    of _COEFF_CHUNK n (chunk [lo, hi) takes a slice of every m < hi with
-    m u_m >= lo), and |A(n)| <= sum_{m | n} |nu(m)| <= 4^omega(n)
-    <= 4^15 < 2^31 for n < 2^63, as nu(p) = -1 - chi(p), nu(p^2) = chi(p)
-    and nu(p^e) = 0 for e > 2.  B and the float l have isqrt(x1) + 1
-    entries (see MEMORY_RATES["psi_counts"]).  Each of B's
-    S-differences is at most the number of multiples of ml in (x0, x1], so
-    |B(l)| <= 4^15 ((x1 - x0) / l + 1) < 2^63."""
-    r = math.isqrt(x1)
-    S = chi.partial_sum
-    ls = np.arange(r + 1, dtype=np.float64)  # l as a float, for floor_div
-    B = np.zeros(r + 1, dtype=np.int64)
-    live = []  # (m, nu(m), u_m) of the brackets with a nonzero window
+    The coefficient arrays have fixed sizes whatever x and C are.  A is built
+    in int32 chunks of _COEFF_CHUNK n (chunk [lo, hi) takes a slice of every
+    m < hi with m u_m >= lo), and |A(n)| <= sum_{m | n} |nu(m)|
+    <= 4^omega(n) <= 4^15 < 2^31 for n < 2^63, as nu(p) = -1 - chi(p),
+    nu(p^2) = chi(p) and nu(p^e) = 0 for e > 2.  A slice reads chi(k) at
+    k mod q (q the conductor, chi's period) from an int32 table (nu(m) chi(k)
+    outgrows int8) of chi(0..min(max u_m, q + _COEFF_CHUNK)), as it spans at
+    most _COEFF_CHUNK k.  Each of B's S-differences is at most the number of
+    multiples of ml in (x0, x1], so |B(l)| <= 4^15 ((x1 - x0) / l + 1) < 2^63."""
+    S, q = chi.partial_sum, chi.conductor
+    live = []  # (m, nu(m), u_m, L_m) of the brackets with a nonzero window
     for m, v in brackets:
-        z1, z0 = x1 // m, x0 // m
-        if v and z1 != z0:
+        z1 = x1 // m
+        if v and z1 != x0 // m:
             u = math.isqrt(z1)
-            L = z1 // (u + 1)
-            for j in range(1, L + 1, TILE):
-                l = ls[j : min(j + TILE, L + 1)]
-                B[j : j + l.size] += v * (S(floor_div(z1, l)) - S(np.maximum(floor_div(z0, l), u)))
-            live.append((m, v, u))
+            live.append((m, v, u, z1 // (u + 1)))
     if not live:
         return 0.0, 0.0
-    ms, _, us = map(np.array, zip(*live))
+    ms, _, us, Ls = map(np.array, zip(*live))
     ends = ms * us  # the largest n = mk of each bracket
-    n_max = int(ends.max())
-    chi_tab = chi.value_table(r).astype(np.int32)  # nu(m) chi(k) outgrows int8
+    n_max, l_max = int(ends.max()), int(Ls.max())
+    chi_tab = chi.value_table(min(int(us.max()), q + _COEFF_CHUNK)).astype(np.int32)
     weight = 0.0
 
     def tally(mags: np.ndarray) -> None:
@@ -635,10 +630,10 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
         hi = min(lo + _COEFF_CHUNK, n_max + 1)
         A = np.zeros(hi - lo, dtype=np.int32)
         for i in np.flatnonzero((ms < hi) & (ends >= lo)).tolist():
-            m, v, u = live[i]
+            m, v, u, _ = live[i]
             k0, k1 = -(-lo // m), min(u, (hi - 1) // m)
             if k0 <= k1:
-                A[k0 * m - lo : k1 * m - lo + 1 : m] += v * chi_tab[k0 : k1 + 1]
+                A[k0 * m - lo : k1 * m - lo + 1 : m] += v * chi_tab[k0 % q : k0 % q + k1 - k0 + 1]
         for j in range(0, A.size, TILE):
             i = j + np.flatnonzero(A[j : j + TILE] != 0)
             n = (i + lo).astype(np.float64)
@@ -649,15 +644,21 @@ def _psi_star(chi: RealCharacter, x1: int, x0: int, brackets):
             tally(np.abs(a) * mag)
             yield a * g  # |A(n)| < 2^31: exact as a float
 
-    def l_tile(lo: int):
-        idx = lo + np.flatnonzero(B[lo : lo + TILE] != 0)
-        b, logs = B[idx], np.log(idx.astype(np.float64))
+    def l_tile(lo: int):  # B on [lo, lo + TILE), then its float pass
+        l = np.arange(lo, min(lo + TILE, l_max + 1), dtype=np.float64)
+        B = np.zeros(l.size, dtype=np.int64)
+        for i in np.flatnonzero(Ls >= lo).tolist():
+            m, v, u, L = live[i]
+            z1, z0, t = x1 // m, x0 // m, l[: L - lo + 1]
+            B[: t.size] += v * (S(floor_div(z1, t)) - S(np.maximum(floor_div(z0, t), u)))
+        i = np.flatnonzero(B)
+        b, logs = B[i], np.log(l[i])
         tally(np.abs(b) * logs)
         return b * logs
 
     tiles = itertools.chain(
         itertools.chain.from_iterable(map(n_tiles, range(1, n_max + 1, _COEFF_CHUNK))),
-        map(l_tile, range(1, r + 1, TILE)))
+        map(l_tile, range(1, l_max + 1, TILE)))
     return _exact_sum(tiles), weight  # tallies W on the way
 
 
@@ -716,10 +717,10 @@ def psi_counts(
     psi_star + psi_substar (equal to the sieve value up to one rounding).
     cutoff C defaults to D^2 and must be >= 1; y must be below 2^32, which
     keeps psi*'s coefficients within int64, and x below 2^52, which keeps
-    its float quotients exact.  Its arrays of isqrt(x) + 1 entries must fit
-    DEFAULT_MEMORY_BUDGET, checked before any is allocated.  Neither end of
-    the window may be 1: the Li window diverges there (its principal value
-    exists only when 1 is strictly inside).
+    its float quotients exact, and the sieve's base primes, under 3 bytes
+    per isqrt(x) entry, under 192 MiB.  Neither end of the window may be 1:
+    the Li window diverges there (its principal value exists only when 1 is
+    strictly inside).
 
     psi_star_err = 2^-48 W bounds the rounding error of psi_star, where
     W = sum_n |A(n)| M(n) + sum_l |B(l)| log l over the live parts of
@@ -753,7 +754,6 @@ def psi_counts(
         raise ValueError(f"need x < 2^52, which keeps psi*'s float quotients exact, got x={x}")
     C = _cutoff(chi, cutoff)
     xi, xmy = math.floor(x), math.floor(x - y)
-    check_memory_budget(f"x = {x}", math.isqrt(xi) + 1, "psi_counts", "isqrt(x)")
 
     psi_sieve, pi_cnt = von_mangoldt_window(xmy, xi)
 
