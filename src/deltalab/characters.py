@@ -29,8 +29,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Iterator, Sequence, Tuple
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -312,7 +312,7 @@ def gauss_sum(m: int, chi: RealCharacter) -> complex:
     return next(gauss_sums([m], chi))
 
 
-def gauss_sums(ms: Sequence[int], chi: RealCharacter) -> Iterator[complex]:
+def gauss_sums(ms: Iterable[int], chi: RealCharacter) -> Iterator[complex]:
     """G(m, chi) for each m in ms, in order, from gathers of the cached roots
     of unity in tiles of about TILE terms (at least one m each).
 
@@ -324,9 +324,9 @@ def gauss_sums(ms: Sequence[int], chi: RealCharacter) -> Iterator[complex]:
     k = np.flatnonzero(per != 0)  # the k of chi(k) != 0, as residues mod q
     c = per[k]
     roots = _unit_roots(q)
-    step = max(1, TILE // q)
-    for lo in range(0, len(ms), step):
-        z = roots[np.array([m % q for m in ms[lo : lo + step]], dtype=np.int64)[:, None] * k % q]
+    ms = iter(ms)  # no len: a range of m may be longer than an index reaches
+    while block := [m % q for m in islice(ms, max(1, TILE // q))]:
+        z = roots[np.array(block, dtype=np.int64)[:, None] * k % q]
         for re, im in zip(c * z.real, c * z.imag):
             yield complex(math.fsum(memoryview(re)), math.fsum(memoryview(im)))
 

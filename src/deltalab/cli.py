@@ -17,10 +17,12 @@ alone, as do tuple's --eps without --eval-M and --eval-T, feasibility's
 --minimal with --r, --claim-x or --claim-D, and tables' --json with --dump
 csv; psi-short takes exactly one of --y and --alpha.
 psi-short with an end of the window at 1, and tau-moment with a log power
-or ratio outside the float range, exit 1 rather than print inf.  Every array
-or list whose size a flag sets, a character's tables included, is checked
-against the memory budget before it is allocated, except psi-short's, which
-x < 2^52 bounds at under 3 bytes per isqrt(x) entry; any MemoryError exits 1.
+or ratio outside the float range, exit 1 rather than print inf.  character,
+gauss and expsum write their output a tile at a time, bounded by arithmetic
+alone: --table n < 2^63 (int64 tiles), expsum's n1 n2 hi < 2^53 (exact
+phases).  Any other array or list a flag sizes, a character's tables
+included, is checked against the memory budget first, except psi-short's
+(x < 2^52 bounds it); a MemoryError, or a stdout closed early, exits 1.
 Floats print at 12 significant digits; CSV is comma-separated with a header
 row and no quoting (numeric fields only).  The DELTALAB_OUT environment
 variable overrides the default output directory for relative output paths.
@@ -35,7 +37,9 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .characters import gauss_sums, l_one, l_one_derivative, make_character
@@ -44,7 +48,6 @@ from .delta import (
     OracleMismatchError,
     bound_check,
     exp_sum,
-    exp_sum_max_sign,
     exponent_fit,
     triple_delta,
     triple_deltas,
@@ -191,20 +194,27 @@ def _emit(payload: dict, as_json: bool, config: ExperimentConfig) -> None:
                 print(f"{k} = {_fmt(v)}")
 
 
+def _write_joined(head: str, sep: str, pieces: Iterable[str], tail: str) -> None:
+    """Write head + sep.join(pieces) + tail to stdout one piece at a time."""
+    sys.stdout.write(head)
+    for i, piece in enumerate(pieces):
+        sys.stdout.write(sep + piece if i else piece)
+    sys.stdout.write(tail)
+
+
 def _parse_range(spec: str):
     """lo:hi  -> inclusive integer interval."""
     lo, hi = spec.split(":")
     return count(lo), count(hi)
 
 
-def _parse_mspec(spec: str) -> List[int]:
-    """m values: '3', '1..4', or '1,2,5'."""
+def _parse_mspec(spec: str) -> Sequence[int]:
+    """m values: '3', '1..4' (a range, so no list of them), or '1,2,5'."""
     if ".." in spec:
         lo, hi = (int(v) for v in spec.split(".."))
         if hi < lo:
             raise ValueError(f"--m {spec}: empty range [{lo}, {hi}]")
-        check_memory_budget(f"--m {spec}", hi - lo + 1, "gauss", "the number of m")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if "," in spec:
         return [int(s) for s in spec.split(",")]
     return [int(spec)]
@@ -304,18 +314,24 @@ def _cmd_compare(args, config):
 def _cmd_character(args, config):
     chi = make_character(args.disc)
     n = args.table
-    if n < 1:
-        raise ValueError(f"--table must be >= 1, got {n}")
-    check_memory_budget(f"--table {n}", n, "character", "--table")
-    values = dict(enumerate(chi.value_table(n)[1:].tolist(), start=1))
-    if args.json:
-        print(json.dumps({"discriminant": chi.discriminant, "conductor": chi.conductor,
-                          "parity": chi.parity, "values": values}, indent=2))
+    if not 1 <= n < 1 << 63:  # n indexes its tiles in int64
+        raise ValueError(f"--table must be >= 1 and below 2^63, got {n:.4g}")
+
+    def tiles():  # (k, chi(k)) as lists, for each tile of the k in 1..n
+        for lo in range(1, n + 1, TILE):
+            k = np.arange(lo, min(lo + TILE, n + 1), dtype=np.int64)
+            yield k.tolist(), chi.values(k).tolist()
+
+    if args.json:  # the text json.dumps(indent=2) gives, written one tile at a time
+        _write_joined(f'{{\n  "discriminant": {chi.discriminant},\n  "conductor": {chi.conductor},'
+                      f'\n  "parity": "{chi.parity}",\n  "values": {{\n', ",\n",
+                      (",\n".join(f'    "{k}": {v}' for k, v in zip(*tile)) for tile in tiles()),
+                      "\n  }\n}\n")
         return 0
     print(config.echo())
     print(f"character: {chi}")
-    print("n: " + " ".join(f"{k}" for k in values))
-    print("chi: " + " ".join(f"{v}" for v in values.values()))
+    _write_joined("n: ", " ", (" ".join(map(str, ks)) for ks, _ in tiles()), "\n")
+    _write_joined("chi: ", " ", (" ".join(map(str, vs)) for _, vs in tiles()), "\n")
     return 0
 
 
@@ -323,11 +339,10 @@ def _cmd_gauss(args, config):
     chi = make_character(args.disc)
     ms = _parse_mspec(args.m)
     gs = zip(ms, gauss_sums(ms, chi))
-    if args.json:  # json.dump writes its chunks as it goes, not one string of them all
-        json.dump({"discriminant": chi.discriminant,
-                   "values": [{"m": m, "re": _fmt(g.real), "im": _fmt(g.imag), "abs": _fmt(abs(g))}
-                              for m, g in gs]}, sys.stdout, indent=2)
-        print()
+    if args.json:  # the text json.dump(indent=2) gives, written one m at a time
+        _write_joined(f'{{\n  "discriminant": {chi.discriminant},\n  "values": [\n', ",\n", (
+            f'    {{\n      "m": {m},\n      "re": "{_fmt(g.real)}",\n      "im": "{_fmt(g.imag)}",'
+            f'\n      "abs": "{_fmt(abs(g))}"\n    }}' for m, g in gs), "\n  ]\n}\n")
         return 0
     print(config.echo())
     print(f"sqrt(D) = {_fmt(math.sqrt(chi.conductor))}")
@@ -463,12 +478,8 @@ def _cmd_expsum(args, config):
         args.D = float(chi3.conductor)
         config.params["D"] = args.D
     lo, hi = _parse_range(args.range)
-    check_memory_budget(f"--range {args.range}", hi - lo + 1, "expsum", "the range length")
-    if args.sign == "max":
-        val, sig = exp_sum_max_sign(args.n1, args.n2, chi3, (lo, hi), args.x, args.D, args.m)
-    else:
-        sig = int(args.sign)
-        val = exp_sum(args.n1, args.n2, chi3, (lo, hi), args.x, args.D, args.m, sign=sig)
+    sig = int(args.sign)
+    val = exp_sum(args.n1, args.n2, chi3, (lo, hi), args.x, args.D, args.m, sign=sig)
     _emit({
         "n1": args.n1, "n2": args.n2, "d3": args.d3, "m": args.m, "sign": sig,
         "range": f"{lo}:{hi}", "length": hi - lo + 1,
@@ -617,7 +628,7 @@ def build_parser() -> _Parser:
                     help="modulus product in the phase; defaults to the d3 conductor")
     sp.add_argument("--range", required=True, help="lo:hi inclusive")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--sign", default="1", choices=("1", "-1", "max"))
+    sp.add_argument("--sign", default="1", choices=("1", "-1"))
 
     sp = add("feasibility", _cmd_feasibility, "exact (theta, r) condition", json_output=False)
     sp.add_argument("--theta", required=True)
@@ -668,7 +679,13 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:  # the reader has gone: the rest of stdout goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

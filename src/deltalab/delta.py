@@ -25,6 +25,7 @@ meaningless at desk scale).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -52,7 +53,6 @@ __all__ = [
     "pair_summatory",
     "theorem_bound_value",
     "exp_sum",
-    "exp_sum_max_sign",
     "exponent_fit",
     "bound_check",
     "DEFAULT_RAW_CAP",
@@ -398,11 +398,12 @@ def exp_sum(
 
     The phase is taken mod 1 before the exponential, since a float phase
     near 1e5 alone is off by about 1e-11.  u = n1 n2 n3 x / D is formed in
-    double-double (exact while n1 n2 n3 < 2^53), cbrt(u) by one Newton step
-    from the float cube root, also in double-double (relative error about
-    2^-100), and m n3 mod D3 in integers.  So each reduced phase in
-    [-1/2, 1/2] is within about 2^-52 of the exact one, and each term
-    within about 2 pi 2^-52 plus the error of cos and sin."""
+    double-double (exact while n1 n2 n3 < 2^53, so n1 n2 hi >= 2^53 raises
+    ValueError), cbrt(u) by one Newton step from the float cube root, also
+    in double-double (relative error about 2^-100), and m n3 mod D3 in
+    integers.  So each reduced phase in [-1/2, 1/2] is within about 2^-52
+    of the exact one, and each term within about 2 pi 2^-52 plus the error
+    of cos and sin."""
     lo, hi = int(n3_range[0]), int(n3_range[1])
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
@@ -410,30 +411,28 @@ def exp_sum(
         raise ValueError("n1, n2, range and x, D must be positive")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    q3 = chi3.conductor
-    n3 = np.arange(lo, hi + 1, dtype=np.int64)
-    D = float(D)
-    ph, pl = _two_prod(n1 * n2 * n3.astype(np.float64), float(x))
-    uh = ph / D
-    th, tl = _two_prod(uh, D)
-    ul = (((ph - th) - tl) + pl) / D  # u = uh + ul
-    v = np.cbrt(uh)
-    sh, sl = _two_prod(v, v)
-    ch, cl = _two_prod(sh, v)  # v^3 = ch + cl + sl v
-    dv = ((uh - ch) + (ul - cl - sl * v)) / (3.0 * sh)  # cbrt(u) = v + dv
-    w, we = _two_prod(np.full_like(v, 3.0), v)  # 3 v = w + we
-    f = (w - np.rint(w)) - ((m * n3) % q3) / q3
-    f = (f - np.rint(f)) + (we + 3.0 * dv)
-    arg = (2.0 * math.pi * sign) * (f - np.rint(f))
-    return complex(math.fsum(np.cos(arg).tolist()), math.fsum(np.sin(arg).tolist()))
+    if n1 * n2 * hi >= 2**53:
+        raise ValueError("n1 * n2 * n3 must stay below 2^53, where u is exact")
+    q3, D, x = chi3.conductor, float(D), float(x)
 
+    def arg(start):  # 2 pi sign times the reduced phases of one tile of n3
+        n3 = np.arange(start, min(start + TILE, hi + 1), dtype=np.int64)
+        ph, pl = _two_prod(n1 * n2 * n3.astype(np.float64), x)
+        uh = ph / D
+        th, tl = _two_prod(uh, D)
+        ul = (((ph - th) - tl) + pl) / D  # u = uh + ul
+        v = np.cbrt(uh)
+        sh, sl = _two_prod(v, v)
+        ch, cl = _two_prod(sh, v)  # v^3 = ch + cl + sl v
+        dv = ((uh - ch) + (ul - cl - sl * v)) / (3.0 * sh)  # cbrt(u) = v + dv
+        w, we = _two_prod(np.full_like(v, 3.0), v)  # 3 v = w + we
+        f = (w - np.rint(w)) - ((m % q3) * (n3 % q3) % q3) / q3  # below q3^2: no int64 wrap
+        f = (f - np.rint(f)) + (we + 3.0 * dv)
+        return (2.0 * math.pi * sign) * (f - np.rint(f))
 
-def exp_sum_max_sign(n1, n2, chi3, n3_range, x, D, m) -> Tuple[complex, int]:
-    """Both sign choices; returns (value, sign) of the larger modulus,
-    matching the choose-the-maximal-modulus convention."""
-    plus = exp_sum(n1, n2, chi3, n3_range, x, D, m, sign=1)
-    minus = exp_sum(n1, n2, chi3, n3_range, x, D, m, sign=-1)
-    return (plus, 1) if abs(plus) >= abs(minus) else (minus, -1)
+    starts = range(lo, hi + 1, TILE)  # one fsum per part rounds the exact sum once, in any order
+    return complex(*(math.fsum(itertools.chain.from_iterable(fn(arg(s)).tolist() for s in starts))
+                     for fn in (np.cos, np.sin)))
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,7 @@ MEMORY_RATES: Dict[str, int] = {
     "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
     "verify_tables": 132,  # one n <= table_limit of verify-all's convolution-identities check
     "period_table": 70,  # one residue mod |d|: a character's tables, Gauss sum and moments
-    "character": 245,  # one value of character --table --json
-    "gauss": 440,  # one m of gauss --m lo..hi --json
     "delta_sweep": 470,  # one grid point of delta-sweep
-    "expsum": 176,  # one term of expsum --range
 }
 _BYTES_PER_ENTRY = MEMORY_RATES["sieve_tables"]  # bench/run.py prints it in trace mode
 DEFAULT_MEMORY_BUDGET = 2 << 30

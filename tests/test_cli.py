@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -345,6 +347,31 @@ def test_expsum_default_modulus(capsys):
     assert "abs =" in text
 
 
+def test_expsum_at_m_past_int64_is_the_sum_at_m_mod_d3(capsys):
+    argv = ["expsum", "--n1", "3", "--n2", "7", "--d3", "5", "--x", "1e6", "--range", "1:1000"]
+    assert run([*argv, "--m", "2"]) == 0
+    want = out_of(capsys).split("\n", 1)[1]  # past the config echo, which names m
+    for m in (2 + 5 * 2**60, 2 + 5 * 2**62):  # m n3 wrapped in int64; m >= 2^63
+        assert run([*argv, "--m", str(m)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.split("\n", 1)[1] == want.replace("m = 2\n", f"m = {m}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauss", "--disc", "5", "--m", "1..200000"],
+    ["character", "--disc", "-4", "--table", "1e6", "--json"],
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    """A reader that stops after one line, as | head -1 does."""
+    with subprocess.Popen([sys.executable, "-m", "deltalab.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        code = child.wait(timeout=60)
+        err = child.stderr.read().decode()
+    assert (code, err) == (1, ""), err[-500:]
+
+
 def test_feasibility_check_and_minimal(capsys):
     assert run(["feasibility", "--theta", "0.4923", "--r", "433433"]) == 0
     assert "= True" in out_of(capsys)
@@ -617,7 +644,8 @@ def test_non_finite_float_rejected(command, key, template, value, form, tmp_path
 
 
 #: Every count flag at 1e300, with the exit code of the run: a cap bounds x
-#: and takes any value, and a size is checked against the memory budget first.
+#: and takes any value, and a size is checked against the memory budget, or
+#: against the bound of its arithmetic (character --table < 2^63), first.
 _HUGE_COUNTS = [
     ("character", "table", "1e300", 1),
     ("tables", "limit", "1e300", 1),
@@ -695,18 +723,20 @@ def test_cutoff_below_one_rejected(capsys):
     ["verify-all", "--quick", "--table-limit", "1e9"],
     ["verify-all", "--quick", "--delta-limit", "1e9"],
     ["tau-moment", "--cap", "1e12", "--A", "1"],
-    ["expsum", "--n1", "1", "--n2", "1", "--d3", "5", "--x", "1e6", "--range", "1:1e12", "--m", "1"],
-    ["gauss", "--disc", "5", "--m", "1..100000000"],
+    ["expsum", "--n1", "1", "--n2", "1", "--d3", "5", "--x", "1e6", "--range", "1:1e16", "--m", "1"],
+    ["expsum", "--n1", "100000000", "--n2", "100000000", "--d3", "5", "--x", "1e6", "--range",
+     "1:1000", "--m", "1"],
     ["delta-sweep", "--d1", "1", "--d2", "1", "--d3", "1", "--x-grid", "1:10:linear:100000000"],
-    ["character", "--disc", "5", "--table", "100000000000"],
+    ["character", "--disc", "5", "--table", "1e19"],
     ["tuple", "--order", "7143"],
 ])
 def test_failing_run_exits_1_with_message(argv, tmp_path, monkeypatch, capsys):
     """Over the memory budget (tables, verify-all's two limits before any
     check runs, the --naive-check oracle, and every array or list whose size
     a flag sets), a geometric grid from 0, a Li window with an end at t = 1
-    (it diverges), a log power (log 2)^(2^A + 1) that underflows to 0, and
-    an order past the cap."""
+    (it diverges), a log power (log 2)^(2^A + 1) that underflows to 0, an
+    expsum with n1 n2 hi >= 2^53 (past its exact phases), a character table
+    past 2^63, and an order past the cap."""
     monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
     assert run(argv) == 1
     out, err = capsys.readouterr()

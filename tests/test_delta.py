@@ -6,6 +6,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from deltalab.delta import (
     DeltaSample,
     bound_check,
     exp_sum,
-    exp_sum_max_sign,
     exponent_fit,
     hyperbola_raw_prefix,
     naive_triple_raw,
@@ -238,11 +238,37 @@ def test_exp_sum_validation_and_signs():
         exp_sum(3, 7, CHI5, (10, 5), 1e6, 20.0, 2)
     with pytest.raises(ValueError):
         exp_sum(3, 7, CHI5, (5, 10), 1e6, 20.0, 2, sign=2)
-    v, s = exp_sum_max_sign(3, 7, CHI5, (100, 300), 1e6, 20.0, 2)
+    # sign -1 negates the whole phase: the sum is exactly the conjugate
     vp = exp_sum(3, 7, CHI5, (100, 300), 1e6, 20.0, 2, sign=1)
-    vm = exp_sum(3, 7, CHI5, (100, 300), 1e6, 20.0, 2, sign=-1)
-    assert abs(v) == max(abs(vp), abs(vm))
-    assert s in (1, -1)
+    assert exp_sum(3, 7, CHI5, (100, 300), 1e6, 20.0, 2, sign=-1) == vp.conjugate()
+
+
+def test_exp_sum_does_not_depend_on_its_tiles(monkeypatch):
+    """One fsum over every tile rounds the exact sum once, so a range of
+    one tile and of 429 tiles of 7 terms give the same bits."""
+    args = (3, 7, make_character(-163), (1000, 4_000), 1e9, 163.0, 5)
+    whole = exp_sum(*args)
+    monkeypatch.setattr(delta, "TILE", 7)
+    assert exp_sum(*args) == whole
+
+
+def test_exp_sum_takes_m_mod_d3_without_int64_wrap():
+    """m n3 mod D3 is (m mod D3)(n3 mod D3) mod D3: m + 5 * 2^60 (which
+    wrapped m n3 in int64) and m + 5 * 2^70 (past int64) give m's bits."""
+    args = (3, 7, CHI5, (1, 1000), 1e6, 20.0)
+    for m in (2, -3):
+        want = exp_sum(*args, m)
+        assert exp_sum(*args, m + 5 * 2**60) == want
+        assert exp_sum(*args, m + 5 * 2**70) == want
+
+
+def test_exp_sum_rejects_n1_n2_hi_from_2_53():
+    """u = n1 n2 n3 x / D is exact only while n1 n2 n3 < 2^53."""
+    assert exp_sum(1, 1, CHI5, (2**53 - 1, 2**53 - 1), 1e6, 20.0, 2) != 0
+    for n1, n2, hi in ((1, 1, 2**53), (2**26, 2**27, 1), (3, 7, 10**300)):
+        with pytest.raises(ValueError, match="2\\^53") as e:
+            exp_sum(n1, n2, CHI5, (1, hi), 1e6, 20.0, 2)
+        assert not re.search(r"\d{16}", str(e.value))
 
 
 def test_exp_sum_sweep_against_order5_bound():

@@ -1051,18 +1051,11 @@ RATE_CASES = {
     "verify_tables": (20_000, 40_000, _cold(lambda n: verify._check_tables({"table_limit": n}))),
     # n is the discriminant
     "period_table": (100_001, 400_009, _character_kernels),
-    "character": (5_000, 20_000, lambda n: _quiet_run("character", "--disc", "-4", "--table",
-                                                      str(n), "--json")),
-    # 2^14 // 17 = 963 m per tile of gauss_sums
-    "gauss": (4_000, 7_000, lambda n: _quiet_run("gauss", "--disc", "17", "--m", f"1..{n}",
-                                                  "--json")),
     # past the raw-sum kernel's fixed peak, which hides the per-point cost
     # below about 16000 points
     "delta_sweep": (16_000, 32_000, lambda n: _quiet_run(
         "delta-sweep", "--d1", "-4", "--d2", "5", "--d3", "-3", "--x-grid",
         f"1e3:1e4:linear:{n}", "--out", "samples.csv")),
-    # exp_sum itself: its rate is exact, and the CLI's parser adds a few KB of noise
-    "expsum": (1 << 14, 1 << 16, lambda n: delta.exp_sum(3, 5, CHI4, (1, n), 1e6, 4.0, 1)),
 }
 
 
@@ -1094,6 +1087,35 @@ def test_memory_rate(key, tmp_path, monkeypatch):
               f"marginal {marginal:.2f} B per entry, rate {rate}")
     assert 0.75 * rate <= marginal <= rate, report
     assert peak2 <= rate * n2 + (4 << 20), report
+
+
+#: Per command whose output is written a tile at a time: two sizes 4x apart,
+#: past two tiles, and its argv at n entries.
+STREAMED_OUTPUTS = {
+    "character": (1 << 15, 1 << 17, lambda n: ["character", "--disc", "-4", "--table", str(n),
+                                               "--json"]),
+    # 2^14 // 17 = 963 m per tile of gauss_sums
+    "gauss": (2_500, 10_000, lambda n: ["gauss", "--disc", "17", "--m", f"1..{n}", "--json"]),
+    "expsum": (1 << 14, 1 << 16, lambda n: ["expsum", "--n1", "3", "--n2", "5", "--d3", "-4",
+                                            "--x", "1e6", "--range", f"1:{n}", "--m", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STREAMED_OUTPUTS))
+def test_streamed_output_memory_stays_flat(command):
+    """The tracemalloc peak grows by under 4 B per entry between the two
+    sizes, where a list of one Python object per entry would take 36 B or
+    more: no list or array is as long as the output.  (A tile's strings
+    grow with the digits of n, and the parser's garbage is collected at
+    varying times, by tens of KB.)"""
+    n1, n2, argv = STREAMED_OUTPUTS[command]
+
+    def run(n):
+        _quiet_run(*argv(n))
+
+    run(n1)  # untraced: caches and imports are not counted
+    growth = (_traced_peak(run, n2) - _traced_peak(run, n1)) / (n2 - n1)
+    assert growth < 4, f"{command}: {growth:.2f} B per entry"
 
 
 def test_l_series_sums_stay_flat_past_a_tile():
