@@ -9,8 +9,10 @@ key=value lines (--config) overrides flags; each value is typed and checked
 as its flag would be, and unknown keys are rejected.  Every flag is read by
 its command: --seed exists on verify-all only (the echo prints seed=0
 elsewhere), and --json only on the commands that have a JSON form.
-Count flags (--limit, --cap, --table, --table-limit, --delta-limit) read 1e6
-but reject 2.7, inf and nan; float flags and --x-grid bounds must be finite.
+Count flags (--limit, --cap, --table, --table-limit, --delta-limit, expsum's
+--m, and the bounds and items of gauss's --m and expsum's --range) read 1e6,
+and 1e23 as exactly 10^23, but reject 2.7, inf and nan; float flags and
+--x-grid bounds must be finite.
 Flags that act only together (--eval-M with --eval-T, --claim-x with
 --claim-D, --ours with --theirs, --out with --dump csv) exit 1 when given
 alone, as do tuple's --eps without --eval-M and --eval-T, feasibility's
@@ -36,6 +38,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -128,13 +131,18 @@ def finite(raw: str) -> float:
 
 
 def count(raw: str) -> int:
-    """An integer flag value that may be written as 1e6; fractions, inf and
-    nan are invalid rather than truncated."""
+    """An integer flag value that may be written as 1e6, read exactly (1e23
+    is 10^23, not the float nearest it); fractions, inf, nan and values past
+    the float range are invalid rather than truncated."""
     try:
         return int(raw)
     except ValueError:
-        value = float(raw)
-    if not value.is_integer():
+        pass
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not value.is_finite() or value.adjusted() > 308 or value != value.to_integral_value():
         raise ValueError(f"not an integer: {raw!r}")
     return int(value)
 
@@ -209,15 +217,17 @@ def _parse_range(spec: str):
 
 
 def _parse_mspec(spec: str) -> Sequence[int]:
-    """m values: '3', '1..4' (a range, so no list of them), or '1,2,5'."""
-    if ".." in spec:
-        lo, hi = (int(v) for v in spec.split(".."))
-        if hi < lo:
-            raise ValueError(f"--m {spec}: empty range [{lo}, {hi}]")
-        return range(lo, hi + 1)
-    if "," in spec:
-        return [int(s) for s in spec.split(",")]
-    return [int(spec)]
+    """m values: '3', '1..4' (a range, so no list of them), or '1,2,5', each
+    bound or item a count (1e5 reads as 100000)."""
+    try:
+        if ".." in spec:
+            lo, hi = map(count, spec.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"empty range [{lo}, {hi}]")
+            return range(lo, hi + 1)
+        return list(map(count, spec.split(",")))
+    except ValueError as e:
+        raise ValueError(f"--m {spec}: {e}") from None
 
 
 def _parse_grid(spec: str) -> List[float]:
@@ -627,7 +637,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--D", type=finite, default=None,
                     help="modulus product in the phase; defaults to the d3 conductor")
     sp.add_argument("--range", required=True, help="lo:hi inclusive")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=count, required=True)
     sp.add_argument("--sign", default="1", choices=("1", "-1"))
 
     sp = add("feasibility", _cmd_feasibility, "exact (theta, r) condition", json_output=False)

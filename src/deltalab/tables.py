@@ -12,6 +12,9 @@ The functions, all attached to a real character chi of conductor D:
 plus the splits at the cutoff C (default D^2): rho = rho* + rho_*,
 Lambda = Lambda* + Lambda_* according to m <= C versus m > C, where a
 table's rho_* and Lambda_* are its views rho - rho* and Lambda - Lambda*.
+rho* and Lambda*, the only arrays that depend on C, are built on first
+read: the CLI's tables summary and divisor sums of unsplit functions never
+build them.
 lam, nu and rho are multiplicative, so they are built from their values at
 prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2):
 f(n) = f(n / pe(n)) f(pe(n)), with pe(n) the full power of the smallest
@@ -95,7 +98,7 @@ class IdentityCheckError(AssertionError):
 #: by tracemalloc, rounded up; check_memory_budget reads them by key, and
 #: test_memory_rate re-measures each at two sizes.  An entry is:
 MEMORY_RATES: Dict[str, int] = {
-    "sieve_tables": 64,  # one n <= limit of sieve_tables' seven stored arrays and pe
+    "sieve_tables": 64,  # one n <= limit of seven arrays, all read, and pe (the build: ~44)
     "tau_moment": 32,  # one d <= cap of tau_moment_bound
     "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
     "verify_tables": 132,  # one n <= table_limit of verify-all's convolution-identities check
@@ -132,9 +135,36 @@ ERROR_MONOMIALS: Dict[str, Monomial] = {
 }
 
 
+class _OnRead:
+    """A FunctionTable field given as None, built by build(table) on its
+    first read and then held read-only.  A data descriptor, so __init__ and
+    dataclasses.replace store through __set__; class access raises
+    AttributeError, so the field has no default."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, t, owner=None):
+        if t is None:
+            raise AttributeError(self.name)
+        arr = t.__dict__[self.name]
+        if arr is None:
+            arr = t.__dict__[self.name] = self.build(t)
+            arr.setflags(write=False)
+        return arr
+
+    def __set__(self, t, arr):
+        t.__dict__[self.name] = arr
+
+
 @dataclass(frozen=True)
 class FunctionTable:
-    """Arrays over n in [1, N] (index 0 unused), immutable after build."""
+    """Arrays over n in [1, N] (index 0 unused).  sieve_tables builds five,
+    read-only; rho* and Lambda*, the two that depend on the cutoff, are
+    built from them on first read (_OnRead), about 44 and 62 B per entry."""
 
     limit: int
     chi: RealCharacter
@@ -142,10 +172,10 @@ class FunctionTable:
     lam: np.ndarray
     nu: np.ndarray
     rho: np.ndarray
-    rho_star: np.ndarray
+    rho_star: np.ndarray = _OnRead(lambda t: _rho_star(t.lam, t.rho, t.limit, t.cutoff))
     lam_prime: np.ndarray
     Lam: np.ndarray
-    Lam_star: np.ndarray
+    Lam_star: np.ndarray = _OnRead(lambda t: convolve(t.nu, t.lam_prime, t.limit, fmax=t.cutoff))
 
     @property
     def rho_substar(self) -> np.ndarray:
@@ -357,10 +387,11 @@ def _rho_star(lam: np.ndarray, rho: np.ndarray, N: int, C: int) -> np.ndarray:
 
 
 def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> FunctionTable:
-    """Build the seven stored arrays on [1, N]: lam, nu, rho and Lambda from
-    their values at prime powers, rho* from the short side of its split,
-    and lam' and Lambda* by square-root-split convolutions (rho_* and
-    Lambda_* are views of these).
+    """The tables on [1, N]: lam, nu, rho and Lambda from their values at
+    prime powers and lam' by a square-root-split convolution, about 44 B
+    per entry; rho* (from the short side of its split) and Lambda* (a
+    convolution cut at C) on first read, to about 62 B in all (rate 64).
+    rho_* and Lambda_* are views.
 
     cutoff defaults to D^2 and must be >= 1.  Raises MemoryBudgetError with
     a suggested smaller limit when the arrays would not fit
@@ -373,13 +404,11 @@ def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> Fu
                         " or psi_counts, which streams segmented sieves")
     C = _cutoff(chi, cutoff)
     lam, nu, rho, Lam = _multiplicative_tables(N, chi)
-    rho_star = _rho_star(lam, rho, N, C)
     lam_prime = convolve(Lam, lam, N)
-    Lam_star = convolve(nu, lam_prime, N, fmax=C)
-    for arr in (lam, nu, rho, rho_star, lam_prime, Lam, Lam_star):
+    for arr in (lam, nu, rho, lam_prime, Lam):
         arr.setflags(write=False)
-    return FunctionTable(limit=N, chi=chi, cutoff=C, lam=lam, nu=nu, rho=rho, rho_star=rho_star,
-                         lam_prime=lam_prime, Lam=Lam, Lam_star=Lam_star)
+    return FunctionTable(limit=N, chi=chi, cutoff=C, lam=lam, nu=nu, rho=rho, rho_star=None,
+                         lam_prime=lam_prime, Lam=Lam, Lam_star=None)
 
 
 def divisor_sum(t: FunctionTable, f: str, x: float):

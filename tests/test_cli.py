@@ -644,8 +644,9 @@ def test_non_finite_float_rejected(command, key, template, value, form, tmp_path
 
 
 #: Every count flag at 1e300, with the exit code of the run: a cap bounds x
-#: and takes any value, and a size is checked against the memory budget, or
-#: against the bound of its arithmetic (character --table < 2^63), first.
+#: and takes any value, as does expsum's m (its phase takes m mod d3), and a
+#: size is checked against the memory budget, or against the bound of its
+#: arithmetic (character --table < 2^63), first.
 _HUGE_COUNTS = [
     ("character", "table", "1e300", 1),
     ("tables", "limit", "1e300", 1),
@@ -654,6 +655,7 @@ _HUGE_COUNTS = [
     ("tau-moment", "cap", "1e300", 1),
     ("verify-all", "table_limit", "1e300", 1),
     ("verify-all", "delta_limit", "1e300", 1),
+    ("expsum", "m", "1e300", 0),
 ]
 
 
@@ -703,9 +705,48 @@ def test_count_flag_reads_exponent_form(capsys):
         assert got == out_of(capsys)
 
 
+def test_count_is_exact_past_the_float_mantissa():
+    assert count("1e23") == 10**23  # float("1e23") is 99999999999999991611392
+    assert count("12345678901234567.89e2") == 1234567890123456789
+    assert count("-1e3") == -1000
+    for bad in ("1e-3", "2.5e0", "1e400", "sNaN", "x"):
+        with pytest.raises(ValueError):
+            count(bad)
+
+
+def test_m_flags_read_exponent_form(capsys):
+    for extra in ([], ["--json"]):
+        outs = []
+        for m in ("1..1e2", "1..100"):
+            assert run(["gauss", "--disc", "5", "--m", m, *extra]) == 0
+            outs.append(out_of(capsys))
+        if not extra:  # the config echo names the spec as given
+            outs = [out.split("\n", 1)[1] for out in outs]
+        assert outs[0] == outs[1]
+    assert run(["gauss", "--disc", "5", "--m", "2e0,3"]) == 0
+    assert "G(2) = " in out_of(capsys)
+    argv = ["expsum", "--n1", "3", "--n2", "7", "--d3", "5", "--x", "1e6", "--range", "1:100"]
+    assert run([*argv, "--m", "1e5"]) == 0
+    got = out_of(capsys)
+    assert run([*argv, "--m", "100000"]) == 0
+    assert got == out_of(capsys)
+
+
+@pytest.mark.parametrize("spec,why", [("1..1e5x", "not a number: '1e5x'"),
+                                      ("1..2.5", "not an integer: '2.5'"),
+                                      ("1..2..3", "not a number: '2..3'"),
+                                      ("1,x", "not a number: 'x'")])
+def test_bad_m_spec_names_the_flag(spec, why, capsys):
+    assert run(["gauss", "--disc", "5", "--m", spec]) == 1
+    assert capsys.readouterr() == ("", f"error: --m {spec}: {why}\n")
+
+
 def test_cutoff_below_one_rejected(capsys):
     assert run(["tables", "--disc", "-4", "--limit", "100", "--cutoff", "-1"]) == 1
     assert "cutoff must be >= 1" in capsys.readouterr().err
+    # sieve_tables checks C itself, though only rho* and Lambda* read it
+    assert run(["tables", "--disc", "-4", "--limit", "100", "--cutoff", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: cutoff must be >= 1, got 0\n")
     assert run(["psi-short", "--x", "100", "--y", "10", "--disc", "-4", "--cutoff", "0"]) == 1
     assert "cutoff must be >= 1" in capsys.readouterr().err
 

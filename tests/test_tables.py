@@ -2,6 +2,7 @@
 log-coefficient identity checker, split spot-checks, asymptotics against
 the residue formulas, and short-interval counts."""
 
+import collections
 import contextlib
 import dataclasses
 import itertools
@@ -346,6 +347,83 @@ def test_rho_star_matches_the_divisor_sum_on_both_sides_of_its_split(d):
             for n in range(m, N + 1, m):
                 want[n] += lam[m]
         assert sieve_tables(N, chi, cutoff=C).rho_star.tolist() == want, (d, C)
+
+
+@pytest.mark.parametrize("N,d,C", [
+    (1, -4, None), (1000, -4, None), (1000, -199, None),  # C = 16 <= isqrt(N) < C = 39601
+    ((1 << 14) + 1, 13, 128), ((1 << 14) + 1, 13, 129), (10**5, 5, 7), (10**5, -163, 999),
+])
+def test_deferred_arrays_equal_the_eager_build(N, d, C):
+    """rho* and Lambda*, read after tables at other limits have replaced
+    the held skeleton, in either order, have the bits of the build that
+    sieve_tables used to run for them before it returned."""
+    chi = make_character(d)
+    t = sieve_tables(N, chi, cutoff=C)
+    C = t.cutoff
+    want = {"rho_star": tables._rho_star(t.lam, t.rho, N, C),
+            "Lam_star": convolve(t.nu, t.lam_prime, N, fmax=C)}
+    for order in (("rho_star", "Lam_star"), ("Lam_star", "rho_star")):
+        t = sieve_tables(N, chi, cutoff=C)
+        sieve_tables(N + 1, CHI13)
+        for name in order:
+            got = getattr(t, name)
+            assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
+
+
+def test_deferred_arrays_are_built_once_and_read_only():
+    t = sieve_tables(2000, CHI13)
+    for name, alias in (("rho_star", "rho*"), ("Lam_star", "Lambda*")):
+        arr = getattr(t, name)
+        assert getattr(t, name) is arr and t.array(alias) is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.rho_star = t.rho
+    given = t.rho.copy()
+    assert dataclasses.replace(t, rho_star=given).rho_star is given
+
+
+@pytest.fixture
+def deferred_builds(monkeypatch):
+    """A Counter of the rho* and Lambda* builds from here on: calls of
+    tables._rho_star, and tables.convolve calls cut at fmax with a float g,
+    which only Lambda* makes (rho*'s convolution has g = 1, lam' no fmax)."""
+    built = collections.Counter()
+    rho_star, conv = tables._rho_star, tables.convolve
+
+    def counted_rho_star(*args):
+        built["rho*"] += 1
+        return rho_star(*args)
+
+    def counted_convolve(f, g, n, fmax=None):
+        if fmax is not None and g.dtype == np.float64:
+            built["Lambda*"] += 1
+        return conv(f, g, n, fmax)
+
+    monkeypatch.setattr(tables, "_rho_star", counted_rho_star)
+    monkeypatch.setattr(tables, "convolve", counted_convolve)
+    return built
+
+
+def test_only_readers_of_the_cutoff_split_build_it(deferred_builds):
+    assert cli.run(["tables", "--disc", "-4", "--limit", "5000"]) == 0
+    for d in (-4, -199):  # rho* by convolution, and as rho - rho_*
+        t = sieve_tables(5000, make_character(d))
+        for f in ("lambda", "lambda_prime", "rho"):
+            divisor_sum(t, f, 5000)
+            asymptotic_residual(t, f, 5000)
+    assert not deferred_builds
+    for f, built in (("rho*", {"rho*": 1}), ("rho_*", {"rho*": 1}),
+                     ("Lambda*", {"Lambda*": 1}), ("Lambda_*", {"Lambda*": 1})):
+        deferred_builds.clear()
+        assert cli.run(["divisor-sum", "--f", f, "--x", "5000", "--disc", "-4"]) == 0
+        assert deferred_builds == built, f
+    deferred_builds.clear()
+    t = sieve_tables(5000, CHI13)
+    for f in ("rho*", "rho_*", "Lambda*", "Lambda_*", "rho*"):
+        divisor_sum(t, f, 100)
+    assert deferred_builds == {"rho*": 1, "Lambda*": 1}
 
 
 def test_one_skeleton_at_a_time():
@@ -1041,10 +1119,17 @@ def _character_kernels(d):
     characters._power_moments(chi, characters._TAIL_ORDER)
 
 
+def _read_all(t):
+    """t after a read of rho* and Lambda*, the two arrays built on read."""
+    t.rho_star, t.Lam_star
+    return t
+
+
 #: Per MEMORY_RATES key: two sizes n1 < n2, both past every fixed tile or
 #: chunk of the path, and the call that allocates n entries.
 RATE_CASES = {
-    "sieve_tables": (1 << 15, 1 << 17, _cold(lambda n: sieve_tables(n, CHI13))),
+    # every array read, as tables --dump csv reads them
+    "sieve_tables": (1 << 15, 1 << 17, _cold(lambda n: _read_all(sieve_tables(n, CHI13)))),
     "tau_moment": (1 << 15, 1 << 17, lambda n: tau_moment_bound(n, 1.5)),
     "convolution_oracle": (1 << 15, 1 << 17, lambda n: delta.naive_triple_raw_prefix(
         *map(make_character, (-163, 5, 1)), n)),
