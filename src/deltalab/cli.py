@@ -9,10 +9,10 @@ key=value lines (--config) overrides flags; each value is typed and checked
 as its flag would be, and unknown keys are rejected.  Every flag is read by
 its command: --seed exists on verify-all only (the echo prints seed=0
 elsewhere), and --json only on the commands that have a JSON form.
-Count flags (--limit, --cap, --table, --table-limit, --delta-limit, expsum's
---m, and the bounds and items of gauss's --m and expsum's --range) read 1e6,
-and 1e23 as exactly 10^23, but reject 2.7, inf and nan; float flags and
---x-grid bounds must be finite.
+Count flags (--limit, --cutoff, --cap, --table, --table-limit,
+--delta-limit, expsum's --m, and the bounds and items of gauss's --m and
+expsum's --range) read 1e6, and 1e23 as exactly 10^23, but reject 2.7, inf
+and nan; float flags and --x-grid bounds must be finite.
 Flags that act only together (--eval-M with --eval-T, --claim-x with
 --claim-D, --ours with --theirs, --out with --dump csv) exit 1 when given
 alone, as do tuple's --eps without --eval-M and --eval-T, feasibility's
@@ -589,7 +589,7 @@ def build_parser() -> _Parser:
     sp = add("tables", _cmd_tables, "sieve the convolution-function tables")
     sp.add_argument("--disc", type=int, required=True)
     sp.add_argument("--limit", type=count, required=True)
-    sp.add_argument("--cutoff", type=int, default=None)
+    sp.add_argument("--cutoff", type=count, default=None)
     sp.add_argument("--dump", choices=("csv",), default=None)
     sp.add_argument("--out", default=None)
 
@@ -605,7 +605,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--alpha", type=finite, default=None)
     sp.add_argument("--y", type=finite, default=None)
     sp.add_argument("--disc", type=int, required=True)
-    sp.add_argument("--cutoff", type=int, default=None)
+    sp.add_argument("--cutoff", type=count, default=None)
 
     sp = add("delta", _cmd_delta, "triple character sum remainder at one x")
     sp.add_argument("--d1", type=int, required=True)

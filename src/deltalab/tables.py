@@ -17,14 +17,16 @@ read: the CLI's tables summary and divisor sums of unsplit functions never
 build them.
 lam, nu and rho are multiplicative, so they are built from their values at
 prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2):
-f(n) = f(n / pe(n)) f(pe(n)), with pe(n) the full power of the smallest
-prime of n, over doubling blocks of n; verify_table_identities checks them
-against the convolutions that define them.  pe and the prime powers with
-their logs do not depend on chi: they are held for the last limit only (4
-bytes per entry plus O(pi(N))), so tables for several characters at one N
-share them.  lam' and Lambda* are sieves.convolve calls, which split the
-divisor pairs at sqrt(N): about 2 sqrt(N) numpy passes each.  rho* is one
-too while C <= sqrt(N); above, it is rho - rho_*, with N // (C + 1) passes.
+f(n) = f(m) f(pe(n)), with pe(n) the full power of the smallest prime of n
+and m = n / pe(n), over doubling blocks of n; lam' = lam * Lambda comes in
+the same pass by the Leibniz rule lam'(n) = lam(m) lam'(pe(n))
++ lam(pe(n)) lam'(m).  verify_table_identities checks them against the
+convolutions that define them.  pe and the prime powers with their logs do
+not depend on chi: they are held for the last limit only (4 bytes per
+entry plus O(pi(N))), so tables for several characters at one N share
+them.  Lambda* is a sieves.convolve call, which splits the divisor pairs
+at sqrt(N): about 2 sqrt(N) numpy passes.  rho* is one too while
+C <= sqrt(N); above, it is rho - rho_*, with N // (C + 1) passes.
 
 lam' and Lambda are integer combinations of logarithms of primes.  The
 float arrays evaluate those combinations against the shared correctly
@@ -98,7 +100,7 @@ class IdentityCheckError(AssertionError):
 #: by tracemalloc, rounded up; check_memory_budget reads them by key, and
 #: test_memory_rate re-measures each at two sizes.  An entry is:
 MEMORY_RATES: Dict[str, int] = {
-    "sieve_tables": 64,  # one n <= limit of seven arrays, all read, and pe (the build: ~44)
+    "sieve_tables": 64,  # one n <= limit of seven arrays, all read, and pe (the build: ~46)
     "tau_moment": 32,  # one d <= cap of tau_moment_bound
     "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
     "verify_tables": 132,  # one n <= table_limit of verify-all's convolution-identities check
@@ -164,7 +166,7 @@ class _OnRead:
 class FunctionTable:
     """Arrays over n in [1, N] (index 0 unused).  sieve_tables builds five,
     read-only; rho* and Lambda*, the two that depend on the cutoff, are
-    built from them on first read (_OnRead), about 44 and 62 B per entry."""
+    built from them on first read (_OnRead), about 46 and 62 B per entry."""
 
     limit: int
     chi: RealCharacter
@@ -339,37 +341,45 @@ def _build_skeleton(N: int) -> _Skeleton:
 
 
 def _multiplicative_tables(N: int, chi: RealCharacter):
-    """lam, nu and rho on [0, N] (entry 0 is 0), and Lambda, which is
+    """lam, nu, rho and lam' on [0, N] (entry 0 is 0), and Lambda, which is
     log p at the prime powers p^e and 0 elsewhere.
 
     f(p^e) comes from the rules at (chi(p), e) over the skeleton's prime
-    powers; then f(n) = f(n / pe(n)) f(pe(n)), block by block over the same
-    doubling blocks as the skeleton: both factors are at most n / 2, so
-    they fall in earlier blocks.  Lambda is one scatter of the skeleton's
-    logs.
+    powers, with lam'(p^e) = sum_{k=1..e} lam(p^(e-k)) log p
+    = rho(p^(e-1)) log p; then, block by block over the same doubling
+    blocks as the skeleton, f(n) = f(m) f(pe) with pe = pe(n), m = n / pe,
+    and lam' = lam * Lambda by the Leibniz rule over that coprime split,
+    lam'(n) = lam(m) lam'(pe) + lam(pe) lam'(m): two products and one add,
+    each rounded, per level.  m and pe are at most n / 2, so they fall in
+    earlier blocks.  Lambda is one scatter of the skeleton's logs.
 
-    The skeleton comes before the four outputs are allocated, so the
+    The skeleton comes before the five outputs are allocated, so the
     scratch of its build leaves no hole below a live table in the heap."""
     sk = _skeleton(N)
-    rules = (_lam_at_prime_power, _nu_at_prime_power, _rho_at_prime_power)
+    rules = (_lam_at_prime_power, _nu_at_prime_power, _rho_at_prime_power,
+             lambda c, e: _rho_at_prime_power(c, e - 1))  # lam'(p^e) / log p
     E = N.bit_length()  # every e with 2^e <= N is below E
     # rule values at k = (chi(p) + 1) * E + e give f(p^e)
     k = (chi.values(sk.primes) + 1) * E + sk.exps
-    lam, nu, rho = tabs = [np.empty(N + 1, dtype=np.int64) for _ in rules]
+    lam, nu, rho, lam_prime = tabs = [np.empty(N + 1, dtype=t) for t in [np.int64] * 3 + [float]]
     for f, rule in zip(tabs, rules):
-        f[:2] = (0, 1)
+        f[:2] = (0, rule(0, 0))  # f(1) = f(p^0)
         f[sk.powers] = np.array([rule(c, e) for c in (-1, 0, 1) for e in range(E)])[k]
+    lam_prime[sk.powers] *= sk.logs
     Lam = np.zeros(N + 1, dtype=np.float64)
     Lam[sk.powers] = sk.logs
     lo = 2
     while lo <= N:
         hi = min(2 * lo, lo + TILE, N + 1)
-        pe = sk.pe[lo:hi].astype(np.intp)  # converted once for the three gathers
+        pe = sk.pe[lo:hi].astype(np.intp)  # converted once for the gathers
         m = floor_div(np.arange(lo, hi, dtype=np.float64), pe)
-        for f in tabs:
+        lam_m, lam_pe = lam.take(m), lam.take(pe)
+        np.add(lam_m * lam_prime.take(pe), lam_pe * lam_prime.take(m), out=lam_prime[lo:hi])
+        np.multiply(lam_m, lam_pe, out=lam[lo:hi])
+        for f in (nu, rho):
             np.multiply(f.take(m), f.take(pe), out=f[lo:hi])
         lo = hi
-    return lam, nu, rho, Lam
+    return lam, nu, rho, lam_prime, Lam
 
 
 def _rho_star(lam: np.ndarray, rho: np.ndarray, N: int, C: int) -> np.ndarray:
@@ -387,11 +397,11 @@ def _rho_star(lam: np.ndarray, rho: np.ndarray, N: int, C: int) -> np.ndarray:
 
 
 def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> FunctionTable:
-    """The tables on [1, N]: lam, nu, rho and Lambda from their values at
-    prime powers and lam' by a square-root-split convolution, about 44 B
-    per entry; rho* (from the short side of its split) and Lambda* (a
-    convolution cut at C) on first read, to about 62 B in all (rate 64).
-    rho_* and Lambda_* are views.
+    """The tables on [1, N]: lam, nu, rho, lam' and Lambda from their values
+    at prime powers, by one recurrence that rounds lam' by two products and
+    one add per level, about 46 B per entry; rho* (from the short side of
+    its split) and Lambda* (a convolution cut at C) on first read, to about
+    62 B in all (rate 64).  rho_* and Lambda_* are views.
 
     cutoff defaults to D^2 and must be >= 1.  Raises MemoryBudgetError with
     a suggested smaller limit when the arrays would not fit
@@ -403,8 +413,7 @@ def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> Fu
     check_memory_budget(f"limit {N}", N, "sieve_tables", "limit",
                         " or psi_counts, which streams segmented sieves")
     C = _cutoff(chi, cutoff)
-    lam, nu, rho, Lam = _multiplicative_tables(N, chi)
-    lam_prime = convolve(Lam, lam, N)
+    lam, nu, rho, lam_prime, Lam = _multiplicative_tables(N, chi)
     for arr in (lam, nu, rho, lam_prime, Lam):
         arr.setflags(write=False)
     return FunctionTable(limit=N, chi=chi, cutoff=C, lam=lam, nu=nu, rho=rho, rho_star=None,

@@ -650,6 +650,8 @@ def test_non_finite_float_rejected(command, key, template, value, form, tmp_path
 _HUGE_COUNTS = [
     ("character", "table", "1e300", 1),
     ("tables", "limit", "1e300", 1),
+    ("tables", "cutoff", "1e300", 0),
+    ("psi-short", "cutoff", "1e300", 0),
     ("delta", "cap", "1e300", 0),
     ("delta-sweep", "cap", "1e300", 0),
     ("tau-moment", "cap", "1e300", 1),
@@ -703,6 +705,17 @@ def test_count_flag_reads_exponent_form(capsys):
         got = out_of(capsys)
         assert run(["character", "--disc", "-4", "--table", "1000", *extra]) == 0
         assert got == out_of(capsys)
+
+
+@pytest.mark.parametrize("argv", [["tables", "--disc", "-4", "--limit", "100"],
+                                  ["psi-short", "--x", "1e4", "--y", "100", "--disc", "-4"]])
+def test_cutoff_reads_exponent_form(argv, capsys):
+    assert run([*argv, "--cutoff", "1e1"]) == 0
+    got = out_of(capsys)
+    assert run([*argv, "--cutoff", "10"]) == 0
+    assert got == out_of(capsys) and "cutoff=10 " in got
+    if argv[0] == "tables":
+        assert "cutoff = 10\n" in got
 
 
 def test_count_is_exact_past_the_float_mantissa():

@@ -5,6 +5,7 @@ the residue formulas, and short-interval counts."""
 import collections
 import contextlib
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -12,6 +13,7 @@ import re
 import struct
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -108,6 +110,91 @@ def test_lam_prime_by_definition_enumeration(table4):
             CHI4(n // l) * math.log(l) for l in divisors(n)
         )
         assert table4.lam_prime[n] == pytest.approx(expect, abs=1e-12), n
+
+
+def _factor(n):
+    """[(p, e)] with p^e || n, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _log30(p):
+    with mpmath.workdps(30):
+        return mpmath.log(p)
+
+
+def _lam_prime_closed_form(chi, n):
+    """lam'(n) = sum_{p^e || n} lam(n / p^e) rho(p^(e-1)) log p at 30
+    digits (call under workdps(30)), with lam(p^k) = sum_{j <= k} chi(p)^j
+    and rho(p^k) = sum_{j <= k} lam(p^j): the prime powers q dividing
+    n = p^e m divide p^e or m, and lam is multiplicative."""
+    fac = _factor(n)
+    lam = {p: [sum(chi(p) ** j for j in range(k + 1)) for k in range(e + 1)] for p, e in fac}
+    total = mpmath.mpf(0)
+    for p, e in fac:
+        lam_rest = math.prod(lam[q][k] for q, k in fac if q != p)
+        total += lam_rest * sum(lam[p][:e]) * _log30(p)
+    return total
+
+
+def _assert_lam_prime_within_4_ulps(t, ns):
+    with mpmath.workdps(30):
+        for n in ns:
+            want = _lam_prime_closed_form(t.chi, n)
+            got = float(t.lam_prime[n])
+            assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(float(want)), (n, got, want)
+
+
+@pytest.mark.parametrize("d", [1, -4, 5, -8, 193])
+def test_lam_prime_within_4_ulps_of_its_closed_form(d):
+    """Every n <= 2e4 and a seeded sample of n up to 1e6."""
+    N = 10**6
+    t = sieve_tables(N, make_character(d))
+    sample = np.random.default_rng(d % 1000).integers(20_001, N + 1, 2_000).tolist()
+    _assert_lam_prime_within_4_ulps(t, itertools.chain(range(1, 20_001), sample, [N]))
+
+
+@pytest.fixture
+def convolve_calls(monkeypatch):
+    """A list of the fmax of every sieves.convolve call from here on, under
+    both names it is bound to."""
+    calls, conv = [], sieves.convolve
+
+    def counted(f, g, n, fmax=None):
+        calls.append(fmax)
+        return conv(f, g, n, fmax)
+
+    monkeypatch.setattr(sieves, "convolve", counted)
+    monkeypatch.setattr(tables, "convolve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 1 << 14, (1 << 14) + 1, (1 << 20) + 1])
+def test_the_recurrence_builds_lam_prime_without_a_convolution(N, convolve_calls):
+    """At the block edges of the recurrence: the table and the divisor sums
+    of its unsplit functions make no convolve call, Lambda* makes one, and
+    lam' is within 4 ulps of its closed form at the first and last n of
+    every block, and at a seeded sample."""
+    starts = {1 << k for k in range(1, N.bit_length())} | set(range(sieves.TILE, N + 1, sieves.TILE))
+    sample = np.random.default_rng(N).integers(1, N + 1, 500).tolist()
+    ns = sorted({n for lo in starts for n in (lo - 1, lo)} | {1, N} | set(sample))
+    for d in (1, -4, 5, -8, 193):
+        t = sieve_tables(N, make_character(d))
+        for f in ("lambda", "lambda_prime", "rho"):
+            divisor_sum(t, f, N)
+        assert convolve_calls == [], d
+        t.Lam_star
+        assert convolve_calls == [t.cutoff], d
+        convolve_calls.clear()
+        _assert_lam_prime_within_4_ulps(t, ns)
 
 
 def test_Lambda_direct(table4):
@@ -388,7 +475,7 @@ def test_deferred_arrays_are_built_once_and_read_only():
 def deferred_builds(monkeypatch):
     """A Counter of the rho* and Lambda* builds from here on: calls of
     tables._rho_star, and tables.convolve calls cut at fmax with a float g,
-    which only Lambda* makes (rho*'s convolution has g = 1, lam' no fmax)."""
+    which only Lambda* makes (rho*'s convolution has g = 1)."""
     built = collections.Counter()
     rho_star, conv = tables._rho_star, tables.convolve
 
@@ -640,13 +727,14 @@ def test_checker_vectors_equal_the_per_prime_convolutions(N, d, monkeypatch):
                 assert np.array_equal(g, want), (N, d, C, p, name)
 
 
-#: max_float_deviation.hex() of the five TABLE_DISCS, recorded from the
-#: per-prime convolution checker that the p-adic sums replaced.
+#: max_float_deviation.hex() of the five TABLE_DISCS, recorded with lam'
+#: from the prime-power recurrence, whose entries
+#: test_lam_prime_within_4_ulps_of_its_closed_form checks against mpmath.
 _PINNED_DEVIATIONS = {
-    10**5: ["0x1.4000000000000p-45", "0x1.0000000000000p-46", "0x1.0000000000000p-44",
-            "0x1.0000000000000p-45", "0x1.4000000000000p-45"],
-    (1 << 20) + 1: ["0x1.8000000000000p-44", "0x1.0000000000000p-45", "0x1.8000000000000p-42",
-                    "0x1.0000000000000p-44", "0x1.0000000000000p-43"],
+    10**5: ["0x1.0000000000000p-45", "0x1.0000000000000p-46", "0x1.4000000000000p-44",
+            "0x1.0000000000000p-45", "0x1.0000000000000p-45"],
+    (1 << 20) + 1: ["0x1.0000000000000p-44", "0x1.0000000000000p-45", "0x1.0000000000000p-42",
+                    "0x1.0000000000000p-44", "0x1.4000000000000p-44"],
 }
 
 
