@@ -9,7 +9,8 @@ C0 - 511/1038 = 67/519000000 = -(C1 - 527/1038).  So the left side exceeds
 the same expression with (511/1038, 527/1038) in place of (C0, C1) by
 (67/519000000)(1 - 1/r) >= 0: the literal condition implies the derived one
 for every r >= 1.  The condition commits to the literals, and so do we.  All
-comparisons are exact Fraction arithmetic.
+comparisons are exact: Fraction arithmetic, and check's cross-multiplied
+Python ints.
 
 The constants are the paper's, not parameters.  LEAD = 5/2 is also the
 D-power of the range condition D^(5/2) x^(c0 + c1/r) < y that claim_report
@@ -47,13 +48,20 @@ PAPER_THETA = Fraction(4923, 10_000)
 PAPER_R = 433433
 
 
+#: The condition times Q r, Q the common denominator of the constants:
+#: (LEAD + C1) Q + C0 Q r <= theta Q r, all in integers.
+_Q = math.lcm(LEAD.denominator, C0.denominator, C1.denominator)
+_TOP, _SLOPE = int((LEAD + C1) * _Q), int(C0 * _Q)
+
+
 def check(theta, r: int) -> bool:
-    """Exact evaluation of LEAD/r + C0 + C1/r <= theta."""
+    """Exact evaluation of LEAD/r + C0 + C1/r <= theta, cross-multiplied
+    by Q r theta.denominator > 0 into one comparison of Python ints."""
     r = int(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     theta = as_fraction(theta)
-    return LEAD / r + C0 + C1 / r <= theta
+    return (_TOP + _SLOPE * r) * theta.denominator <= theta.numerator * _Q * r
 
 
 def minimal_r(theta) -> Optional[int]:

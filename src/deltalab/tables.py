@@ -12,21 +12,25 @@ The functions, all attached to a real character chi of conductor D:
 plus the splits at the cutoff C (default D^2): rho = rho* + rho_*,
 Lambda = Lambda* + Lambda_* according to m <= C versus m > C, where a
 table's rho_* and Lambda_* are its views rho - rho* and Lambda - Lambda*.
-rho* and Lambda*, the only arrays that depend on C, are built on first
-read: the CLI's tables summary and divisor sums of unsplit functions never
-build them.
+sieve_tables builds lam, rho and lam'; nu, rho* and Lambda* (the last two
+the only arrays that depend on C) are built on first read: the CLI's
+tables summary and divisor sums of lam, lam', rho and Lambda never build
+them.
 lam, nu and rho are multiplicative, so they are built from their values at
 prime powers (Apostol, Introduction to Analytic Number Theory, ch. 2):
 f(n) = f(m) f(pe(n)), with pe(n) the full power of the smallest prime of n
 and m = n / pe(n), over doubling blocks of n; lam' = lam * Lambda comes in
 the same pass by the Leibniz rule lam'(n) = lam(m) lam'(pe(n))
-+ lam(pe(n)) lam'(m).  verify_table_identities checks them against the
-convolutions that define them.  pe and the prime powers with their logs do
-not depend on chi: they are held for the last limit only (4 bytes per
-entry plus O(pi(N))), so tables for several characters at one N share
-them.  Lambda* is a sieves.convolve call, which splits the divisor pairs
-at sqrt(N): about 2 sqrt(N) numpy passes.  rho* is one too while
-C <= sqrt(N); above, it is rho - rho_*, with N // (C + 1) passes.
++ lam(pe(n)) lam'(m).  nu's first read runs the same recurrence for nu
+alone.  verify_table_identities checks them against the convolutions that
+define them.  pe and the prime powers with their logs do not depend on
+chi: this skeleton is held for the last limit only (4 bytes per entry plus
+O(pi(N))), so tables for several characters at one N share it; Lambda is
+one scatter of its logs.  Each table keeps the skeleton it was built from
+until it reads nu.  Lambda* is a sieves.convolve call, which
+splits the divisor pairs at sqrt(N): about 2 sqrt(N) numpy passes.  rho*
+is one too while C <= sqrt(N); above, it is rho - rho_*, with
+N // (C + 1) passes.
 
 lam' and Lambda are integer combinations of logarithms of primes.  The
 float arrays evaluate those combinations against the shared correctly
@@ -100,7 +104,7 @@ class IdentityCheckError(AssertionError):
 #: by tracemalloc, rounded up; check_memory_budget reads them by key, and
 #: test_memory_rate re-measures each at two sizes.  An entry is:
 MEMORY_RATES: Dict[str, int] = {
-    "sieve_tables": 64,  # one n <= limit of seven arrays, all read, and pe (the build: ~46)
+    "sieve_tables": 64,  # one n <= limit of seven arrays, all read, and pe (the build: ~31)
     "tau_moment": 32,  # one d <= cap of tau_moment_bound
     "convolution_oracle": 22,  # one n <= N of naive_triple_raw_prefix
     "verify_tables": 132,  # one n <= table_limit of verify-all's convolution-identities check
@@ -162,17 +166,30 @@ class _OnRead:
         t.__dict__[self.name] = arr
 
 
+def _nu(t: FunctionTable) -> np.ndarray:
+    """nu by the recurrence of the other multiplicative tables, on the
+    skeleton t was built from (sieve_tables holds it as t._skeleton), which
+    the table then lets go: nothing else of it is read, and its pe is freed
+    once _SKELETON holds another limit.  A table made another way must be
+    given its nu."""
+    sk = t.__dict__.pop("_skeleton", None)
+    if sk is None:
+        raise ValueError("nu is built on read only for a table from sieve_tables; pass nu")
+    return _multiplicative_tables(sk, t.chi, ("nu",))[0]
+
+
 @dataclass(frozen=True)
 class FunctionTable:
-    """Arrays over n in [1, N] (index 0 unused).  sieve_tables builds five,
-    read-only; rho* and Lambda*, the two that depend on the cutoff, are
-    built from them on first read (_OnRead), about 46 and 62 B per entry."""
+    """Arrays over n in [1, N] (index 0 unused).  sieve_tables builds lam,
+    rho, lam' and Lambda, read-only; nu, and rho* and Lambda*, the two that
+    depend on the cutoff, are built on first read (_OnRead): about 31 B
+    per entry for the build, 62 with all read."""
 
     limit: int
     chi: RealCharacter
     cutoff: int
     lam: np.ndarray
-    nu: np.ndarray
+    nu: np.ndarray = _OnRead(_nu)
     rho: np.ndarray
     rho_star: np.ndarray = _OnRead(lambda t: _rho_star(t.lam, t.rho, t.limit, t.cutoff))
     lam_prime: np.ndarray
@@ -281,7 +298,8 @@ def check_memory_budget(what: str, N: int, rate: str, name: str, hint: str = "")
 class _Skeleton:
     """The chi-free part of the tables at limit N: pe[n] = p^e, the full
     power of the smallest prime p of n (int32, pe[1] = 1), and the prime
-    powers q = p^e <= N with their p, e and math.log(p)."""
+    powers q = p^e <= N with their p, e and math.log(p): 4 bytes per entry
+    plus O(pi(N))."""
 
     limit: int
     pe: np.ndarray
@@ -296,9 +314,10 @@ _SKELETON: Optional[_Skeleton] = None
 
 
 def _skeleton(N: int) -> _Skeleton:
-    """The chi-free part of every table at limit N, held for the last N
-    only: 4 bytes per entry plus O(pi(N)).  The old one is dropped before
-    a new one is built, so two are never alive at once."""
+    """The chi-free part of every table at limit N, held here for the last
+    N only.  The old one is dropped before a new one is built, so this
+    holder never keeps two; a table whose nu is still unread keeps its own
+    alive."""
     global _SKELETON
     if _SKELETON is None or _SKELETON.limit != N:
         _SKELETON = None
@@ -340,46 +359,58 @@ def _build_skeleton(N: int) -> _Skeleton:
     return _Skeleton(limit=N, pe=pe, powers=powers, primes=bases, exps=exps, logs=base_logs)
 
 
-def _multiplicative_tables(N: int, chi: RealCharacter):
-    """lam, nu, rho and lam' on [0, N] (entry 0 is 0), and Lambda, which is
-    log p at the prime powers p^e and 0 elsewhere.
+#: The rule columns of _multiplicative_tables: dtype and f(p^e) as a
+#: function of (chi(p), e).  lam'(p^e) / log p = sum_{k=1..e} lam(p^(e-k))
+#: = rho(p^(e-1)).
+_RULES = {
+    "lam": (np.int64, _lam_at_prime_power),
+    "nu": (np.int64, _nu_at_prime_power),
+    "rho": (np.int64, _rho_at_prime_power),
+    "lam_prime": (np.float64, lambda c, e: _rho_at_prime_power(c, e - 1)),
+}
 
-    f(p^e) comes from the rules at (chi(p), e) over the skeleton's prime
-    powers, with lam'(p^e) = sum_{k=1..e} lam(p^(e-k)) log p
-    = rho(p^(e-1)) log p; then, block by block over the same doubling
-    blocks as the skeleton, f(n) = f(m) f(pe) with pe = pe(n), m = n / pe,
-    and lam' = lam * Lambda by the Leibniz rule over that coprime split,
-    lam'(n) = lam(m) lam'(pe) + lam(pe) lam'(m): two products and one add,
-    each rounded, per level.  m and pe are at most n / 2, so they fall in
-    earlier blocks.  Lambda is one scatter of the skeleton's logs.
 
-    The skeleton comes before the five outputs are allocated, so the
-    scratch of its build leaves no hole below a live table in the heap."""
-    sk = _skeleton(N)
-    rules = (_lam_at_prime_power, _nu_at_prime_power, _rho_at_prime_power,
-             lambda c, e: _rho_at_prime_power(c, e - 1))  # lam'(p^e) / log p
+def _multiplicative_tables(sk: _Skeleton, chi: RealCharacter, names) -> list:
+    """The named columns of _RULES on [0, N], N = sk.limit (entry 0 is 0),
+    in the order of names; lam_prime needs lam beside it.
+
+    f(p^e) comes from the rule at (chi(p), e) over the skeleton's prime
+    powers, times log p for lam'; then, block by block over the same
+    doubling blocks as the skeleton, f(n) = f(m) f(pe) with pe = pe(n),
+    m = n / pe, and lam' = lam * Lambda by the Leibniz rule over that
+    coprime split, lam'(n) = lam(m) lam'(pe) + lam(pe) lam'(m): two products
+    and one add, each rounded, per level, on the two lam gathers.  m and pe
+    are at most n / 2, so they fall in earlier blocks.  A column's bytes do
+    not depend on which others are built with it."""
+    N = sk.limit
     E = N.bit_length()  # every e with 2^e <= N is below E
     # rule values at k = (chi(p) + 1) * E + e give f(p^e)
     k = (chi.values(sk.primes) + 1) * E + sk.exps
-    lam, nu, rho, lam_prime = tabs = [np.empty(N + 1, dtype=t) for t in [np.int64] * 3 + [float]]
-    for f, rule in zip(tabs, rules):
+    cols = {}
+    for name in names:
+        dtype, rule = _RULES[name]
+        f = cols[name] = np.empty(N + 1, dtype=dtype)
         f[:2] = (0, rule(0, 0))  # f(1) = f(p^0)
         f[sk.powers] = np.array([rule(c, e) for c in (-1, 0, 1) for e in range(E)])[k]
-    lam_prime[sk.powers] *= sk.logs
-    Lam = np.zeros(N + 1, dtype=np.float64)
-    Lam[sk.powers] = sk.logs
+    lam_prime = cols.get("lam_prime")
+    if lam_prime is not None:
+        lam_prime[sk.powers] *= sk.logs
+        lam = cols["lam"]
+    plain = [f for name, f in cols.items()
+             if lam_prime is None or name not in ("lam", "lam_prime")]
     lo = 2
     while lo <= N:
         hi = min(2 * lo, lo + TILE, N + 1)
         pe = sk.pe[lo:hi].astype(np.intp)  # converted once for the gathers
         m = floor_div(np.arange(lo, hi, dtype=np.float64), pe)
-        lam_m, lam_pe = lam.take(m), lam.take(pe)
-        np.add(lam_m * lam_prime.take(pe), lam_pe * lam_prime.take(m), out=lam_prime[lo:hi])
-        np.multiply(lam_m, lam_pe, out=lam[lo:hi])
-        for f in (nu, rho):
+        if lam_prime is not None:
+            lam_m, lam_pe = lam.take(m), lam.take(pe)
+            np.add(lam_m * lam_prime.take(pe), lam_pe * lam_prime.take(m), out=lam_prime[lo:hi])
+            np.multiply(lam_m, lam_pe, out=lam[lo:hi])
+        for f in plain:
             np.multiply(f.take(m), f.take(pe), out=f[lo:hi])
         lo = hi
-    return lam, nu, rho, lam_prime, Lam
+    return [cols[name] for name in names]
 
 
 def _rho_star(lam: np.ndarray, rho: np.ndarray, N: int, C: int) -> np.ndarray:
@@ -397,11 +428,13 @@ def _rho_star(lam: np.ndarray, rho: np.ndarray, N: int, C: int) -> np.ndarray:
 
 
 def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> FunctionTable:
-    """The tables on [1, N]: lam, nu, rho, lam' and Lambda from their values
-    at prime powers, by one recurrence that rounds lam' by two products and
-    one add per level, about 46 B per entry; rho* (from the short side of
-    its split) and Lambda* (a convolution cut at C) on first read, to about
-    62 B in all (rate 64).  rho_* and Lambda_* are views.
+    """The tables on [1, N]: lam, rho and lam' from their values at prime
+    powers, by one recurrence that rounds lam' by two products and one add
+    per level, and Lambda, one scatter of the skeleton's logs; about 31 B
+    per entry.  nu (the
+    same recurrence, alone), rho* (from the short side of its split) and
+    Lambda* (a convolution cut at C) on first read, to about 62 B in all
+    (rate 64).  rho_* and Lambda_* are views.
 
     cutoff defaults to D^2 and must be >= 1.  Raises MemoryBudgetError with
     a suggested smaller limit when the arrays would not fit
@@ -413,11 +446,18 @@ def sieve_tables(N: int, chi: RealCharacter, cutoff: Optional[int] = None) -> Fu
     check_memory_budget(f"limit {N}", N, "sieve_tables", "limit",
                         " or psi_counts, which streams segmented sieves")
     C = _cutoff(chi, cutoff)
-    lam, nu, rho, lam_prime, Lam = _multiplicative_tables(N, chi)
-    for arr in (lam, nu, rho, lam_prime, Lam):
+    # The skeleton comes before the outputs are allocated, so the scratch
+    # of its build leaves no hole below a live table in the heap.
+    sk = _skeleton(N)
+    lam, rho, lam_prime = _multiplicative_tables(sk, chi, ("lam", "rho", "lam_prime"))
+    Lam = np.zeros(N + 1, dtype=np.float64)  # log p at p^e, 0 elsewhere
+    Lam[sk.powers] = sk.logs
+    for arr in (lam, rho, lam_prime, Lam):
         arr.setflags(write=False)
-    return FunctionTable(limit=N, chi=chi, cutoff=C, lam=lam, nu=nu, rho=rho, rho_star=None,
-                         lam_prime=lam_prime, Lam=Lam, Lam_star=None)
+    t = FunctionTable(limit=N, chi=chi, cutoff=C, lam=lam, nu=None, rho=rho, rho_star=None,
+                      lam_prime=lam_prime, Lam=Lam, Lam_star=None)
+    object.__setattr__(t, "_skeleton", sk)  # for nu, whatever limit _SKELETON moves to
+    return t
 
 
 def divisor_sum(t: FunctionTable, f: str, x: float):

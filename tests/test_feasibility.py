@@ -51,6 +51,33 @@ def test_published_point_holds():
     assert check(F(4923, 10**4), 429_673) is True
 
 
+def _check_in_fractions(theta, r):
+    """The condition as written, in Fraction arithmetic."""
+    return LEAD / r + C0 + C1 / r <= F(theta)
+
+
+def test_check_in_integers_equals_the_fraction_expression():
+    """check cross-multiplies into Python ints; it agrees with the Fraction
+    expression on a seeded grid of theta (decimal strings, Fractions with
+    large denominators, ints) and r, at the equality theta = C0 +
+    (LEAD + C1)/r and one step either side of it, and at the paper's
+    neighbours r = 429,672 and 429,673 at theta = 0.4923."""
+    rng = random.Random(34)
+    cases = [(PAPER_THETA, 429_672, False), (PAPER_THETA, 429_673, True),
+             ("0.4923", 429_672, False), ("0.4923", 429_673, True)]
+    for r in [1, 2, 3, 391, 429_672, 429_673, PAPER_R] + [rng.randrange(1, 10**12) for _ in range(200)]:
+        edge = C0 + (LEAD + C1) / r
+        step = F(1, 10**30 * edge.denominator)
+        cases += [(edge, r, True), (edge - step, r, False), (edge + step, r, True)]
+        cases.append((F(rng.randrange(-10**9, 2 * 10**9), rng.randrange(1, 10**9)), r, None))
+        cases.append((f"0.{rng.randrange(10**8):08d}", r, None))
+        cases.append((rng.randrange(-2, 3), r, None))
+    for theta, r, want in cases:
+        got = check(theta, r)
+        assert got is _check_in_fractions(theta, r), (theta, r)
+        assert want is None or got is want, (theta, r)
+
+
 def test_check_theta_at_c0_false():
     for r in (1, 10, 10**6, 10**9):
         assert check(C0, r) is False

@@ -6,6 +6,7 @@ import collections
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -459,7 +460,7 @@ def test_deferred_arrays_equal_the_eager_build(N, d, C):
 
 def test_deferred_arrays_are_built_once_and_read_only():
     t = sieve_tables(2000, CHI13)
-    for name, alias in (("rho_star", "rho*"), ("Lam_star", "Lambda*")):
+    for name, alias in (("nu", "nu"), ("rho_star", "rho*"), ("Lam_star", "Lambda*")):
         arr = getattr(t, name)
         assert getattr(t, name) is arr and t.array(alias) is arr
         assert not arr.flags.writeable
@@ -473,11 +474,22 @@ def test_deferred_arrays_are_built_once_and_read_only():
 
 @pytest.fixture
 def deferred_builds(monkeypatch):
-    """A Counter of the rho* and Lambda* builds from here on: calls of
-    tables._rho_star, and tables.convolve calls cut at fmax with a float g,
-    which only Lambda* makes (rho*'s convolution has g = 1)."""
+    """A Counter of the builds on read from here on: "rho*", calls of
+    tables._rho_star; "Lambda*", tables.convolve calls cut at fmax with a
+    float g, which only Lambda* makes (rho*'s convolution has g = 1); "nu",
+    tables._multiplicative_tables calls that build nu; and "skeleton",
+    calls of tables._build_skeleton."""
     built = collections.Counter()
     rho_star, conv = tables._rho_star, tables.convolve
+    columns, skeleton = tables._multiplicative_tables, tables._build_skeleton
+
+    def counted_columns(sk, chi, names):
+        built["nu"] += "nu" in names
+        return columns(sk, chi, names)
+
+    def counted_skeleton(N):
+        built["skeleton"] += 1
+        return skeleton(N)
 
     def counted_rho_star(*args):
         built["rho*"] += 1
@@ -490,27 +502,97 @@ def deferred_builds(monkeypatch):
 
     monkeypatch.setattr(tables, "_rho_star", counted_rho_star)
     monkeypatch.setattr(tables, "convolve", counted_convolve)
+    monkeypatch.setattr(tables, "_multiplicative_tables", counted_columns)
+    monkeypatch.setattr(tables, "_build_skeleton", counted_skeleton)
     return built
 
 
 def test_only_readers_of_the_cutoff_split_build_it(deferred_builds):
+    """The tables summary and the tables-build op's readers (divisor sums and
+    residuals of lambda, lambda' and rho, and Lambda) build none of nu, rho*
+    and Lambda*; Lambda* reads nu."""
+    sieve_tables(5000, CHI13)  # the skeleton at 5000 is held from here on
+    deferred_builds.clear()
     assert cli.run(["tables", "--disc", "-4", "--limit", "5000"]) == 0
     for d in (-4, -199):  # rho* by convolution, and as rho - rho_*
         t = sieve_tables(5000, make_character(d))
         for f in ("lambda", "lambda_prime", "rho"):
             divisor_sum(t, f, 5000)
             asymptotic_residual(t, f, 5000)
-    assert not deferred_builds
+        divisor_sum(t, "Lambda", 5000)
+    assert not +deferred_builds
     for f, built in (("rho*", {"rho*": 1}), ("rho_*", {"rho*": 1}),
-                     ("Lambda*", {"Lambda*": 1}), ("Lambda_*", {"Lambda*": 1})):
+                     ("Lambda*", {"Lambda*": 1, "nu": 1}), ("Lambda_*", {"Lambda*": 1, "nu": 1})):
         deferred_builds.clear()
         assert cli.run(["divisor-sum", "--f", f, "--x", "5000", "--disc", "-4"]) == 0
-        assert deferred_builds == built, f
+        assert +deferred_builds == built, f
     deferred_builds.clear()
     t = sieve_tables(5000, CHI13)
-    for f in ("rho*", "rho_*", "Lambda*", "Lambda_*", "rho*"):
+    for f in ("rho*", "rho_*", "Lambda*", "Lambda_*", "rho*", "nu"):
         divisor_sum(t, f, 100)
-    assert deferred_builds == {"rho*": 1, "Lambda*": 1}
+    assert +deferred_builds == {"rho*": 1, "Lambda*": 1, "nu": 1}
+
+
+def test_each_reader_of_nu_builds_it_once_on_the_table_skeleton(deferred_builds, tmp_path,
+                                                                 monkeypatch, capsys):
+    """verify_table_identities, Lambda*, tables --dump csv and divisor-sum
+    --f nu each build nu exactly once, and none builds a skeleton: each
+    table reads nu on the skeleton it was built from, here held by the
+    module too."""
+    monkeypatch.setenv("DELTALAB_OUT", str(tmp_path))
+    sieve_tables(2000, CHI13)
+    readers = {
+        "verify_table_identities": lambda: verify_table_identities(sieve_tables(2000, CHI13)),
+        "Lam_star": lambda: sieve_tables(2000, CHI13).Lam_star,
+        "tables --dump csv": lambda: cli.run(["tables", "--disc", "13", "--limit", "2000",
+                                              "--dump", "csv"]),
+        "divisor-sum --f nu": lambda: cli.run(["divisor-sum", "--f", "nu", "--x", "2000",
+                                               "--disc", "13"]),
+    }
+    for name, read in readers.items():
+        deferred_builds.clear()
+        read()
+        assert deferred_builds["nu"] == 1 and deferred_builds["skeleton"] == 0, name
+    capsys.readouterr()
+
+
+#: sha256 over (N, d) of nu, read after a table at limit 1 replaced the
+#: held skeleton, then Lambda, for the grid of
+#: test_nu_on_read_and_Lambda_have_the_eager_bits, as the eager
+#: build of lam, nu, rho, lam' and Lambda in one pass wrote them.
+_NU_LAM_SHA256 = "b73cd29797b1be5283efeab6ad528f7280501f23a061c4b35d466a1530bd7cfd"
+
+
+def test_nu_on_read_and_Lambda_have_the_eager_bits(deferred_builds):
+    h = hashlib.sha256()
+    for N in (1, 2, 3, 1000, 1 << 14, (1 << 14) + 1, 10**5, (1 << 20) + 1):
+        for d in (1, -4, 5, -8, 13, 193, -199):
+            t = sieve_tables(N, make_character(d))
+            sieve_tables(1, CHI13)
+            deferred_builds.clear()
+            h.update(t.nu.tobytes())
+            assert deferred_builds == {"nu": 1}, (N, d)  # on the table's skeleton
+            h.update(t.Lam.tobytes())
+    assert h.hexdigest() == _NU_LAM_SHA256
+
+
+def test_Lambda_is_per_table_and_only_sieve_tables_leaves_nu_unbuilt():
+    """Each table holds its own read-only Lambda, and Lam_substar and
+    dataclasses.replace work as before.  A table made another way has no
+    skeleton to build nu on: given nu None, its read raises."""
+    a, b = sieve_tables(3000, CHI4), sieve_tables(3000, CHI13)
+    assert a.Lam is not b.Lam and a.Lam.tobytes() == b.Lam.tobytes()
+    assert not a.Lam.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.Lam[2] = 0
+    assert np.array_equal(a.Lam_substar, a.Lam - a.Lam_star)
+    same = dataclasses.replace(a)
+    assert same.Lam is a.Lam and same.nu is a.nu and same.Lam_star is a.Lam_star
+    given = a.Lam.copy()
+    moved = dataclasses.replace(a, Lam=given)
+    assert moved.Lam is given and np.array_equal(moved.Lam_substar, given - a.Lam_star)
+    with pytest.raises(ValueError, match="pass nu"):
+        dataclasses.replace(b, nu=None).nu
 
 
 def test_one_skeleton_at_a_time():
@@ -1208,8 +1290,9 @@ def _character_kernels(d):
 
 
 def _read_all(t):
-    """t after a read of rho* and Lambda*, the two arrays built on read."""
-    t.rho_star, t.Lam_star
+    """t after a read of nu, rho* and Lambda*, the three arrays built on
+    read."""
+    t.nu, t.rho_star, t.Lam_star
     return t
 
 
