@@ -47,6 +47,7 @@ __all__ = [
     "gauss_sums",
     "l_one",
     "l_one_series",
+    "l_one_series_batch",
     "l_one_derivative",
     "residue_main_term",
     "PoleError",
@@ -118,8 +119,10 @@ def kronecker_array(a, n) -> np.ndarray:
     a = +-1, else 0, as `kronecker` does); any n < 0 raises ValueError.
     The binary Jacobi loop (Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 1.4.10) with each pass over the entries still
-    active only, so the number of passes grows like log n.  It forms no
-    products, so nothing overflows inside the int64 domain.
+    active only; an entry leaves it as soon as n < _JACOBI_N, by one gather
+    from the cached table of (a|n) there, so a symbol whose n is small after
+    the first reduction takes one pass.  It forms no products, so nothing
+    overflows inside the int64 domain.
     """
     a, n = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(n, dtype=np.int64))
     if np.any(n < 0):
@@ -130,13 +133,30 @@ def kronecker_array(a, n) -> np.ndarray:
     low = n & -n
     n = n // low
     sign = np.where(_two_flips(low, a), -1, 1)
-    a = a % n  # n is now odd and positive
+    out[live] = _jacobi(a % n, n, sign, _jacobi_table())  # n is now odd and positive
+    return out
+
+
+#: Odd n below this finish the Jacobi loop by one gather (_jacobi_table).
+_JACOBI_N = 1 << 8
+
+
+def _jacobi(a: np.ndarray, n: np.ndarray, sign: np.ndarray, table=None) -> np.ndarray:
+    """sign * (a|n) elementwise for odd n > 0 and 0 <= a < n, by the binary
+    Jacobi loop, which keeps a < n.  An entry ends once a = 0, as
+    sign * [n = 1], or with table (_jacobi_table) once n < _JACOBI_N, as
+    sign * table[n // 2, a].  As (0|n) = [n = 1], the table's last row
+    serves a = 0 at any larger n."""
     pos = np.arange(len(a))
     res = np.empty(len(a), dtype=np.int64)
     while len(a):
-        done = a == 0
+        done = (a == 0) if table is None else (a == 0) | (n < _JACOBI_N)
         if done.any():
-            res[pos[done]] = np.where(n[done] == 1, sign[done], 0)
+            a_d, n_d, s_d = a[done], n[done], sign[done]
+            if table is None:
+                res[pos[done]] = np.where(n_d == 1, s_d, 0)
+            else:
+                res[pos[done]] = s_d * table[np.minimum(n_d, _JACOBI_N - 1) >> 1, a_d]
             keep = ~done
             a, n, sign, pos = a[keep], n[keep], sign[keep], pos[keep]
             if not len(a):
@@ -146,8 +166,24 @@ def kronecker_array(a, n) -> np.ndarray:
         flip = _two_flips(low, n) ^ (((a & 3) == 3) & ((n & 3) == 3))
         sign = np.where(flip, -sign, sign)
         a, n = n % a, a
-    out[live] = res
-    return out
+    return res
+
+
+@lru_cache(maxsize=1)
+def _jacobi_table() -> np.ndarray:
+    """(a|n) at [n // 2, a] for the odd n < _JACOBI_N and 0 <= a < n, as
+    int8 (0 elsewhere; read-only, built on first use): _jacobi's own loop,
+    without the table, over the pairs of 8 odd n at a time, at most 2^11
+    pairs a call, so that its temporaries stay small beside the 32 KiB
+    table."""
+    table = np.zeros((_JACOBI_N // 2, _JACOBI_N), dtype=np.int8)
+    for lo in range(1, _JACOBI_N, 16):
+        sizes = np.arange(lo, lo + 16, 2)  # n, and its number of residues a
+        n = np.repeat(sizes, sizes)
+        a = np.arange(len(n)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        table[n >> 1, a] = _jacobi(a, n, np.ones(len(n), dtype=np.int64))
+    table.setflags(write=False)
+    return table
 
 
 def _square_prime(n: int):
@@ -352,7 +388,7 @@ def l_one(chi: RealCharacter) -> float:
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
     q = chi.conductor
     if chi.parity == "odd":
-        return -math.pi * _power_moments(chi, 1)[1] / q**1.5
+        return -math.pi * _power_moments([chi], 1)[0][1] / q**1.5
     s = math.fsum(chain.from_iterable(
         memoryview(c * np.fromiter((math.log(math.sin(math.pi * a / q))
                                     for a in memoryview(np.minimum(n, q - n))), np.float64, len(n)))
@@ -360,17 +396,24 @@ def l_one(chi: RealCharacter) -> float:
     return -s / math.sqrt(q)
 
 
-def _power_moments(chi: RealCharacter, j_max: int) -> list:
-    """A_j = sum_{a=1..q} chi(a) a^j as exact ints, j = 0..j_max, from each
-    tile's a^j as int64 columns of w-bit limbs, low limb first: a limb times a
-    plus its carry, and chi(a) times a limb summed over a tile, stay below 2^63."""
-    q = chi.conductor
-    w = min(49, 62 - q.bit_length())
-    moments = [0] * (j_max + 1)
-    for c, a in _nonzero_tiles(chi, 1, q):
+def _power_moments(chis: Sequence[RealCharacter], j_max: int) -> list:
+    """[A_0, ..., A_j_max] for each character of chis, in order, where
+    A_j = sum_{a=1..q} chi(a) a^j, as exact ints.
+
+    The characters' tiles of nonzero (chi(a), a) go whole into batches of
+    at most TILE entries (_moment_batches), so a batch costs the same numpy
+    passes whatever number of characters it holds.  A batch holds a^j as
+    int64 columns of w-bit limbs, low limb first, w from the largest
+    conductor: a limb times a plus its carry, and chi(a) times a limb
+    summed over a tile (one np.add.reduceat segment), stay below 2^63."""
+    w = min(49, 62 - max(chi.conductor for chi in chis).bit_length())
+    moments = [[0] * (j_max + 1) for _ in chis]
+    for owners, starts, c, a in _moment_batches(chis):
         limbs = [np.ones_like(a)]
         for j in range(j_max + 1):
-            moments[j] += sum(int(c @ limb) << w * i for i, limb in enumerate(limbs))
+            for i, limb in enumerate(limbs):
+                for k, s in zip(owners, np.add.reduceat(c * limb, starts).tolist()):
+                    moments[k][j] += s << w * i
             carry = 0
             for limb in limbs:
                 limb *= a
@@ -382,10 +425,38 @@ def _power_moments(chi: RealCharacter, j_max: int) -> list:
     return moments
 
 
-def _log_series(chi: RealCharacter, e: int) -> float:
-    """sum_{n>=1} chi(n) log(n)^e / n, e = 0 (L(1, chi)) or 1 (-L'(1, chi)):
-    the terms over K = _PERIODS periods and the moment tail to order
-    J = _TAIL_ORDER in one math.fsum.
+def _moment_batches(chis: Sequence[RealCharacter]):
+    """(owners, starts, c, a) per batch of _power_moments: the nonempty
+    tiles of _nonzero_tiles(chi, 1, q) of every character in turn, packed
+    whole and in order into batches of at most TILE entries; c and a are
+    their concatenations, and tile i of a batch starts at starts[i] and
+    belongs to chis[owners[i]]."""
+    held = []
+
+    def batch():
+        sizes = [len(a) for _, _, a in held]
+        return ([k for k, _, _ in held], np.cumsum([0] + sizes[:-1]),
+                np.concatenate([c for _, c, _ in held]), np.concatenate([a for _, _, a in held]))
+
+    size = 0
+    for k, chi in enumerate(chis):
+        for c, a in _nonzero_tiles(chi, 1, chi.conductor):
+            if held and size + len(a) > TILE:
+                yield batch()
+                held, size = [], 0
+            if len(a):
+                held.append((k, c, a))
+                size += len(a)
+    if held:
+        yield batch()
+
+
+def _log_series(chis: Sequence[RealCharacter], e: int) -> list:
+    """sum_{n>=1} chi(n) log(n)^e / n for each character of chis, in order,
+    e = 0 (L(1, chi)) or 1 (-L'(1, chi)): the terms over K = _PERIODS
+    periods and the moment tail to order J = _TAIL_ORDER in one math.fsum
+    per character.  The characters' power moments come from one
+    _power_moments call.
 
     Tail: for n = qk + a > Kq, u = a/(qk) < 1/K and log(n)^e / n =
     (1/(qk)) sum_j (-u)^j (log(qk) - H_j)^e, H_j harmonic.  Over a and k,
@@ -398,29 +469,37 @@ def _log_series(chi: RealCharacter, e: int) -> float:
     At K = 8, J = 19 the omitted tail is below 2^-60 (log(qK) + 4)^e / 100,
     1.7e-19 at q = 400009.
     """
-    if chi.is_trivial:
+    if any(chi.is_trivial for chi in chis):
         raise PoleError("L(s, chi_1) is zeta; no finite value at s = 1")
-    q = chi.conductor
-    moments = _power_moments(chi, _TAIL_ORDER)
-    logq, harmonic, tail = math.log(q), 0.0, []
-    for j in range(1, _TAIL_ORDER + 1):
-        harmonic += 1.0 / j
-        z, zp = _hurwitz_zeta_pair(j + 1)
-        tail.append((-1) ** j * (moments[j] / q ** (j + 1)) * ((logq - harmonic) * z - zp if e else z))
-    partial = (c * np.fromiter(map(math.log, memoryview(n)), np.float64, len(n)) / n if e else c / n
-               for c, n in _nonzero_tiles(chi, 1, _PERIODS * q))
-    return math.fsum(chain(chain.from_iterable(map(memoryview, partial)), tail))
+    out = []
+    for chi, moments in zip(chis, _power_moments(chis, _TAIL_ORDER)):
+        q = chi.conductor
+        logq, harmonic, tail = math.log(q), 0.0, []
+        for j in range(1, _TAIL_ORDER + 1):
+            harmonic += 1.0 / j
+            z, zp = _hurwitz_zeta_pair(j + 1)
+            tail.append((-1) ** j * (moments[j] / q ** (j + 1)) * ((logq - harmonic) * z - zp if e else z))
+        partial = (c * np.fromiter(map(math.log, memoryview(n)), np.float64, len(n)) / n if e else c / n
+                   for c, n in _nonzero_tiles(chi, 1, _PERIODS * q))
+        out.append(math.fsum(chain(chain.from_iterable(map(memoryview, partial)), tail)))
+    return out
 
 
 def l_one_series(chi: RealCharacter) -> float:
-    """L(1, chi) from the Dirichlet series, l_one's oracle in verify-all."""
-    return _log_series(chi, 0)
+    """L(1, chi) from the Dirichlet series, l_one's oracle."""
+    return _log_series([chi], 0)[0]
+
+
+def l_one_series_batch(chis: Sequence[RealCharacter]) -> list:
+    """l_one_series of each character of chis, in order, with their power
+    moments computed together: verify-all's oracle for l_one."""
+    return _log_series(chis, 0)
 
 
 @lru_cache(maxsize=256)
 def l_one_derivative(chi: RealCharacter) -> float:
     """L'(1, chi) = -sum chi(n) log(n)/n, from the Dirichlet series."""
-    return -_log_series(chi, 1)
+    return -_log_series([chi], 1)[0]
 
 
 @lru_cache(maxsize=1024)

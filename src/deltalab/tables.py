@@ -245,19 +245,9 @@ def _cutoff(chi: RealCharacter, cutoff: Optional[int]) -> int:
     return C
 
 
-def _lam_at_prime_power(c: int, e: int) -> int:
-    """lam(p^e) = sum_{k <= e} chi(p^k), where c = chi(p)."""
-    return sum(c**k for k in range(e + 1))
-
-
 def _nu_at_prime_power(c: int, e: int) -> int:
     """nu(p^e) = sum_{i+k=e} mu(p^i) mu(p^k) c^k: 1, -1 - c, c, then 0."""
     return (1, -1 - c, c)[e] if e < 3 else 0
-
-
-def _rho_at_prime_power(c: int, e: int) -> int:
-    """rho(p^e) = sum_{k <= e} lam(p^k)."""
-    return sum(_lam_at_prime_power(c, k) for k in range(e + 1))
 
 
 def nu_value(chi: RealCharacter, m: int) -> int:
@@ -359,39 +349,46 @@ def _build_skeleton(N: int) -> _Skeleton:
     return _Skeleton(limit=N, pe=pe, powers=powers, primes=bases, exps=exps, logs=base_logs)
 
 
-#: The rule columns of _multiplicative_tables: dtype and f(p^e) as a
-#: function of (chi(p), e).  lam'(p^e) / log p = sum_{k=1..e} lam(p^(e-k))
-#: = rho(p^(e-1)).
-_RULES = {
-    "lam": (np.int64, _lam_at_prime_power),
-    "nu": (np.int64, _nu_at_prime_power),
-    "rho": (np.int64, _rho_at_prime_power),
-    "lam_prime": (np.float64, lambda c, e: _rho_at_prime_power(c, e - 1)),
-}
+#: The rule columns of _multiplicative_tables and their dtypes.
+_RULES = {"lam": np.int64, "nu": np.int64, "rho": np.int64, "lam_prime": np.float64}
+
+
+def _prime_power_values(c: int, E: int) -> dict:
+    """f(p^e) for e = 0..E-1 of each rule column, where c = chi(p), as ints
+    (lam' divided by log p), by running sums: lam(p^e) = lam(p^(e-1)) + c^e,
+    rho(p^e) = rho(p^(e-1)) + lam(p^e), and lam'(p^e) / log p =
+    sum_{k=1..e} lam(p^(e-k)) = rho(p^(e-1))."""
+    lam, rho, lam_prime = [1], [1], [0]
+    for e in range(1, E):
+        lam_prime.append(rho[-1])
+        lam.append(lam[-1] + c**e)
+        rho.append(rho[-1] + lam[-1])
+    return {"lam": lam, "nu": [_nu_at_prime_power(c, e) for e in range(E)],
+            "rho": rho, "lam_prime": lam_prime}
 
 
 def _multiplicative_tables(sk: _Skeleton, chi: RealCharacter, names) -> list:
     """The named columns of _RULES on [0, N], N = sk.limit (entry 0 is 0),
     in the order of names; lam_prime needs lam beside it.
 
-    f(p^e) comes from the rule at (chi(p), e) over the skeleton's prime
-    powers, times log p for lam'; then, block by block over the same
-    doubling blocks as the skeleton, f(n) = f(m) f(pe) with pe = pe(n),
-    m = n / pe, and lam' = lam * Lambda by the Leibniz rule over that
-    coprime split, lam'(n) = lam(m) lam'(pe) + lam(pe) lam'(m): two products
-    and one add, each rounded, per level, on the two lam gathers.  m and pe
-    are at most n / 2, so they fall in earlier blocks.  A column's bytes do
-    not depend on which others are built with it."""
+    f(p^e) comes from _prime_power_values at (chi(p), e) over the
+    skeleton's prime powers, times log p for lam'; then, block by block
+    over the same doubling blocks as the skeleton, f(n) = f(m) f(pe) with
+    pe = pe(n), m = n / pe, and lam' = lam * Lambda by the Leibniz rule over
+    that coprime split, lam'(n) = lam(m) lam'(pe) + lam(pe) lam'(m): two
+    products and one add, each rounded, per level, on the two lam gathers.
+    m and pe are at most n / 2, so they fall in earlier blocks.  A column's
+    bytes do not depend on which others are built with it."""
     N = sk.limit
     E = N.bit_length()  # every e with 2^e <= N is below E
-    # rule values at k = (chi(p) + 1) * E + e give f(p^e)
+    # the values at k = (chi(p) + 1) * E + e give f(p^e)
     k = (chi.values(sk.primes) + 1) * E + sk.exps
+    values = [_prime_power_values(c, E) for c in (-1, 0, 1)]
     cols = {}
     for name in names:
-        dtype, rule = _RULES[name]
-        f = cols[name] = np.empty(N + 1, dtype=dtype)
-        f[:2] = (0, rule(0, 0))  # f(1) = f(p^0)
-        f[sk.powers] = np.array([rule(c, e) for c in (-1, 0, 1) for e in range(E)])[k]
+        f = cols[name] = np.empty(N + 1, dtype=_RULES[name])
+        f[:2] = (0, values[0][name][0])  # f(1) = f(p^0)
+        f[sk.powers] = np.array([v[name] for v in values]).ravel()[k]
     lam_prime = cols.get("lam_prime")
     if lam_prime is not None:
         lam_prime[sk.powers] *= sk.logs
@@ -891,7 +888,7 @@ class ChiFreeArrays:
     """What verify_table_identities needs at limit N that does not depend
     on chi: mu, the primes <= N (the first n_small of them <= isqrt(N)),
     the bound tau(n) log n (log 1 at n = 0), and log p for the primes above
-    isqrt(N) as a column.  No per-prime vector is held: each prime's
+    isqrt(N).  No per-prime vector is held: each prime's
     coefficient vectors are p-adic sums of two arrays that depend on chi
     (_log_coefficients), a few strided adds each.  Built by
     chi_free_arrays(N)."""
@@ -918,7 +915,7 @@ def chi_free_arrays(N: int) -> ChiFreeArrays:
         primes=primes,
         n_small=n_small,
         tau_log=tau_array(N) * np.log(n_arr),
-        large_logs=np.array([math.log(p) for p in large.tolist()])[:, None],
+        large_logs=np.array([math.log(p) for p in large.tolist()]),
     )
 
 
@@ -946,6 +943,44 @@ def _log_coefficients(lam: np.ndarray, E: np.ndarray, p: int, N: int):
         sub[q] += 1
         q *= p
     return _p_adic_sum(lam, p, top), star, sub
+
+
+def _coefficient_floats(lam: np.ndarray, E: np.ndarray, shared: ChiFreeArrays) -> list:
+    """lam', Lambda* and Lambda_* on [0, N] as float64, from their exact
+    log p coefficient vectors (_log_coefficients) against the shared
+    math.log values, one prime at a time by increasing p.
+
+    The primes p <= isqrt(N) take one strided add each.  A prime above has
+    N // p < p, so its vectors are prefixes of those of the first such
+    prime, and the (p, j) with p j <= N go in ragged runs of whole primes,
+    at most TILE entries a run, one fancy-indexed add per array each.  The
+    indices p j are distinct, since n has at most one prime factor above
+    isqrt(N).  That factor is n's largest, so its add comes last for n, as
+    in a build by increasing p, and the floats are the same bit for bit."""
+    N = shared.limit
+    floats = [np.zeros(N + 1) for _ in range(3)]
+    primes, n_small = shared.primes, shared.n_small
+    for p in primes[:n_small].tolist():
+        lp = math.log(p)
+        for out, v in zip(floats, _log_coefficients(lam, E, p, N)):
+            out[p :: p] += lp * v[1:]
+    large = primes[n_small:]
+    if len(large):
+        vectors = _log_coefficients(lam, E, int(large[0]), N)
+        tops = N // large
+        ends = np.cumsum(tops)
+        lo = 0
+        while lo < len(large):
+            start = int(ends[lo] - tops[lo])  # the run's first entry
+            hi = max(lo + 1, int(np.searchsorted(ends, start + TILE, side="right")))
+            sizes = tops[lo:hi]
+            j = np.arange(1, int(ends[hi - 1]) - start + 1) - np.repeat(ends[lo:hi] - sizes - start, sizes)
+            idx = np.repeat(large[lo:hi], sizes) * j
+            lp = np.repeat(shared.large_logs[lo:hi], sizes)
+            for out, v in zip(floats, vectors):
+                out[idx] += lp * v[j]
+            lo = hi
+    return floats
 
 
 def _first_mismatch(name: str, got: np.ndarray, ref: np.ndarray) -> None:
@@ -1020,30 +1055,7 @@ def verify_table_identities(t: FunctionTable, shared: Optional[ChiFreeArrays] = 
     E = convolve(t.nu, lam_ref, N, fmax=C)
     del lam_ref  # t.lam equals it on [1, N], and both are 0 at 0
 
-    # The exact coefficient vectors and the shared-log float build of lam',
-    # Lambda* and Lambda_*, one prime at a time by increasing p.
-    lamp_float, _, _ = floats = [np.zeros(N + 1) for _ in range(3)]
-    primes, n_small = shared.primes, shared.n_small
-    for p in primes[:n_small].tolist():
-        lp = math.log(p)
-        for out, v in zip(floats, _log_coefficients(t.lam, E, p, N)):
-            out[p :: p] += lp * v[1:]
-
-    # The primes above isqrt(N): the float build goes once per class of
-    # equal top = N // p, as one fancy-indexed add over all its primes.  The
-    # indices p*j are distinct, since n has at most one prime factor above
-    # isqrt(N).  That factor is n's largest, so this add comes last for n,
-    # as in a build by increasing p, and the float arrays are the same bit
-    # for bit.
-    large = primes[n_small:]
-    if len(large):
-        vectors = _log_coefficients(t.lam, E, int(large[0]), N)
-        tops, firsts, counts = np.unique(N // large, return_index=True, return_counts=True)
-        for top, lo, k in zip(tops.tolist(), firsts.tolist(), counts.tolist()):
-            idx = large[lo : lo + k, None] * np.arange(1, top + 1)
-            lp = shared.large_logs[lo : lo + k]
-            for out, v in zip(floats, vectors):
-                out[idx] += lp * v[1 : top + 1]
+    lamp_float, _, _ = floats = _coefficient_floats(t.lam, E, shared)
     del E
 
     # lam'(1) = 0 and the inequality 0 <= lam' <= tau log with slack.
@@ -1065,6 +1077,6 @@ def verify_table_identities(t: FunctionTable, shared: Optional[ChiFreeArrays] = 
     return TableCheckReport(
         limit=N,
         discriminant=chi.discriminant,
-        primes_checked=len(primes),
+        primes_checked=len(shared.primes),
         max_float_deviation=max(devs),
     )

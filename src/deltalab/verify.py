@@ -153,7 +153,15 @@ def _check_rng(seed: int, name: str) -> np.random.Generator:
 def _gauss_deviations(chi: ch.RealCharacter, m_cap: Optional[int]):
     """max ||G(m)| - sqrt q| and max |G(m) - chi(m) G(1)| over the first
     m_cap m in [1, q] coprime to q (all when m_cap is None), with every G
-    from one gauss_sums call."""
+    from one gauss_sums call.
+
+    The twist deviation is 0 exactly, by construction: for m coprime to q,
+    k -> km mod q permutes the residues, so G(m)'s terms chi(k) e(km/q) are
+    chi(m) times G(1)'s floats in another order, and each fsum is correctly
+    rounded whatever the order.  So that half tests the gather in
+    gauss_sums (which root each term reads), not its arithmetic: a row of
+    roots read one residue off, G(m) e(1/q), keeps |G(m)| = sqrt q, and
+    only the twist sees it."""
     q = chi.conductor
     per = chi.period_array()
     ms = [m for m in range(1, q + 1) if math.gcd(m, q) == 1]
@@ -218,7 +226,8 @@ def _check_characters(limits: dict, rng: np.random.Generator) -> List[CheckResul
     )
 
     lvals = [ch.l_one(chi) for d, chi in chis.items() if abs(d) <= lbound]
-    series_dev = max(abs(ch.l_one(chis[d]) - ch.l_one_series(chis[d])) for d in discs)
+    series = ch.l_one_series_batch([chis[d] for d in discs])
+    series_dev = max(abs(ch.l_one(chis[d]) - s) for d, s in zip(discs, series))
     r3 = CheckResult(
         "l-values", min(lvals) > 0 and series_dev < 1e-9, True,
         f"L(1,chi) > 0 for |D| <= {lbound} (min {_fmt(min(lvals))}); "
@@ -349,17 +358,26 @@ def _check_exp_sum() -> CheckResult:
     )
 
 
-def _minus4_table(n: int, table: Optional[tb.FunctionTable]) -> tb.FunctionTable:
-    """sieve_tables(n, chi_-4): `table`, a prebuilt chi_-4 table, when its
-    limit is n, else a new build."""
-    if table is not None and table.limit == n:
-        return table
-    return tb.sieve_tables(n, ch.make_character(-4))
+def _minus4_tables(keep: Optional[int] = None) -> Callable[[int], tb.FunctionTable]:
+    """x -> sieve_tables(x, chi_-4).  The table at x = keep is built on its
+    first call and held for the later ones, as long as the function is; a
+    table at any other x is a new build that only its caller holds."""
+    chi = ch.make_character(-4)
+    held = {}
+
+    def table_at(x: int) -> tb.FunctionTable:
+        if x != keep:
+            return tb.sieve_tables(x, chi)
+        if x not in held:
+            held[x] = tb.sieve_tables(x, chi)
+        return held[x]
+
+    return table_at
 
 
-def _check_residuals(limits: dict, table: Optional[tb.FunctionTable] = None) -> CheckResult:
+def _check_residuals(limits: dict, table_at=None) -> CheckResult:
     xs = limits["residual_xs"]
-    t = _minus4_table(max(xs), table)
+    t = (table_at or _minus4_tables())(max(xs))
     worst = 0.0
     rows = []
     for f in ("lambda", "lambda_prime", "rho"):
@@ -375,7 +393,8 @@ def _check_residuals(limits: dict, table: Optional[tb.FunctionTable] = None) -> 
     )
 
 
-def _check_psi(limits: dict, table: Optional[tb.FunctionTable] = None) -> List[CheckResult]:
+def _check_psi(limits: dict, table_at=None) -> List[CheckResult]:
+    table_at = table_at or _minus4_tables()
     chi = ch.make_character(-4)
     out = []
     rep = tb.psi_counts(100, chi, 100, 10)
@@ -387,7 +406,7 @@ def _check_psi(limits: dict, table: Optional[tb.FunctionTable] = None) -> List[C
     oracle_ok = True
     details = []
     for x in limits["psi_xs"]:
-        t = _minus4_table(x, table)
+        t = table_at(x)
         for y in (x // 10, x ** float(fs.PAPER_THETA)):  # y = x^0.4923
             r = tb.psi_counts(x, chi, x, y)
             window, window_err = _lambda_star_window(t, x, y)
@@ -471,12 +490,18 @@ def run_suite(quick: bool = True, seed: int = 0, overrides: Optional[dict] = Non
     # at N = max residual x.  When the tables check runs at that N too, it
     # takes this table as its D = -4 one and drops it there, so no table is
     # built twice, the tables check holds one table at a time, and none is
-    # alive during the delta check.  The results keep their order.
-    table = tb.sieve_tables(max(limits["residual_xs"]), ch.make_character(-4))
-    residuals = _check_residuals(limits, table)
-    psi = _check_psi(limits, table)
+    # alive during the delta check.  The psi check runs first, over its x
+    # in order (ascending in both modes), so the chi-free skeleton that
+    # sieve_tables holds for one limit moves to N once and is still there
+    # for the tables check; its table at a smaller x goes once the one at N
+    # is built.  The results keep their order.
+    N = max(limits["residual_xs"])
+    table_at = _minus4_tables(N)
+    psi = _check_psi(limits, table_at)
+    residuals = _check_residuals(limits, table_at)
+    table = table_at(N)
     prebuilt = {-4: table} if table.limit == limits["table_limit"] else {}
-    del table
+    del table, table_at
     results.append(_check_tables(limits, prebuilt))
     results.extend(_check_delta(limits, _check_rng(seed, "delta-oracle")))
     results.append(_check_exp_sum())

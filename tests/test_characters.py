@@ -126,6 +126,26 @@ def test_kronecker_array_on_random_products_below_1e12():
         assert g == kronecker(di, mi * ki) == kronecker_oracle(di, mi * ki, factors), (di, mi, ki)
 
 
+def test_kronecker_array_around_the_jacobi_table_edge():
+    """n in [2^8 - 8, 2^9], where the loop hands small n to the cached table
+    (n < 2^8) or runs one more pass; a from all of int64."""
+    rng = np.random.default_rng(11)
+    n = np.arange(2**8 - 8, 2**9 + 1)
+    a = np.concatenate([rng.integers(-(2**63), 2**63, size=40, dtype=np.int64),
+                        [-(2**63), 2**63 - 1, -1, 0, 1, 2]])
+    got = kronecker_array(a[:, None], n[None, :])
+    for i, ai in enumerate(a.tolist()):
+        for j, nj in enumerate(n.tolist()):
+            assert got[i, j] == kronecker(ai, nj), (ai, nj)
+
+
+def test_jacobi_table_equals_the_scalar_symbol():
+    table = characters._jacobi_table()
+    assert table.dtype == np.int8 and table.shape == (128, 256) and not table.flags.writeable
+    for n in range(1, 256, 2):
+        assert table[n // 2].tolist() == [kronecker(a, n) for a in range(n)] + [0] * (256 - n), n
+
+
 def test_kronecker_array_scalar_shape_and_negative_bottom():
     assert kronecker_array(5, 2).shape == ()
     assert int(kronecker_array(5, 2)) == -1
@@ -392,7 +412,24 @@ def test_power_moments_equal_their_definition_over_three_tiles():
     """q = 32771 > 2 * 2^14: the moments cross two tile edges, and each
     a^16 spans six 46-bit limbs."""
     chi = make_character(-32771)
-    assert characters._power_moments(chi, 16) == _moments(chi, 16)
+    assert characters._power_moments([chi], 16) == [_moments(chi, 16)]
+
+
+def test_power_moments_batched_equal_their_definition_up_to_500():
+    """Every fundamental |d| <= 500 in one call, in shuffled order, so the
+    batches mix small and large conductors and split between characters."""
+    discs = fundamental_discriminants(500)
+    random.Random(2).shuffle(discs)
+    chis = [make_character(d) for d in discs]
+    j_max = characters._TAIL_ORDER
+    assert sum(chi.conductor for chi in chis) > 4 * characters.TILE  # several batches
+    assert characters._power_moments(chis, j_max) == [_moments(chi, j_max) for chi in chis]
+
+
+def test_l_one_series_batch_equals_one_call_per_character():
+    chis = [make_character(d) for d in fundamental_discriminants(200)]
+    got = characters.l_one_series_batch(chis)
+    assert [v.hex() for v in got] == [l_one_series(chi).hex() for chi in chis]
 
 
 def test_l_one_pi_over_four_via_leibniz_oracle():

@@ -847,6 +847,41 @@ def test_checker_reports_pinned_bits_in_o_sqrt_n_passes(N, passes, monkeypatch):
     assert calls <= passes
 
 
+#: sha256 of the checker's float lam', Lambda* and Lambda_* for the five
+#: TABLE_DISCS in turn, recorded from the build that took one fancy-indexed
+#: add per class of N // p for the primes above isqrt(N).
+_PINNED_FLOATS = {
+    1000: "6d7751a14350fb3146ef588f6742c1bd14c1bbca29d6d557496e9b5d8493ed84",
+    (1 << 14) + 1: "9f63140c0065fcff181ea7b37a281112ba9967acc74a82be09999b124fa377b0",
+    10**5: "6f23dd49024fd50a99cf5939f1da89b6aff8066be2525a7da55750a69de675f1",
+}
+
+
+@pytest.mark.parametrize("N", sorted(_PINNED_FLOATS))
+def test_checker_floats_pinned_by_sha256(N):
+    """The float arrays the checker compares the tables with, to the last
+    bit; at 1e5 the large primes' (p, j) runs take several tiles."""
+    shared = chi_free_arrays(N)
+    h = hashlib.sha256()
+    for d in verify.TABLE_DISCS:
+        t = sieve_tables(N, make_character(d))
+        E = convolve(t.nu, t.lam, N, fmax=t.cutoff)
+        for f in tables._coefficient_floats(t.lam, E, shared):
+            h.update(f.tobytes())
+    assert h.hexdigest() == _PINNED_FLOATS[N]
+
+
+def test_prime_power_values_equal_their_defining_sums():
+    E = 64
+    for c in (-1, 0, 1):
+        got = tables._prime_power_values(c, E)
+        lam = [sum(c**k for k in range(e + 1)) for e in range(E)]
+        rho = [sum(lam[: e + 1]) for e in range(E)]
+        lam_prime = [sum(lam[e - k] for k in range(1, e + 1)) for e in range(E)]
+        assert got == {"lam": lam, "nu": [1, -1 - c, c] + [0] * (E - 3), "rho": rho,
+                       "lam_prime": lam_prime}, c
+
+
 def test_unit_check_catches_a_nu_from_a_mismatched_mu():
     """nu rebuilt from mu with mu(94) = 0 passes the nu check against that
     mu, but it is no longer the inverse of lam: lam*nu = [n = 1] fails at
@@ -1181,9 +1216,10 @@ def test_psi_star_oracle_catches_summatory_off_by_1e_6(monkeypatch):
 def test_residual_and_psi_checks_share_one_table(monkeypatch):
     limits = {"residual_xs": (10**3, 10**4), "psi_xs": (10**4,)}
     alone = [verify._check_residuals(limits), *verify._check_psi(limits)]
-    table = sieve_tables(10**4, CHI4)
+    table_at = verify._minus4_tables(10**4)
+    table_at(10**4)
     monkeypatch.setattr(tables, "sieve_tables", lambda *a, **k: pytest.fail("table rebuilt"))
-    assert [verify._check_residuals(limits, table), *verify._check_psi(limits, table)] == alone
+    assert [verify._check_residuals(limits, table_at), *verify._check_psi(limits, table_at)] == alone
 
 
 def test_count_report_rejects_broken_split():
@@ -1286,7 +1322,7 @@ def _character_kernels(d):
     chi = make_character(d)
     chi.partial_sum(1)
     characters.gauss_sum(1, chi)
-    characters._power_moments(chi, characters._TAIL_ORDER)
+    characters._power_moments([chi], characters._TAIL_ORDER)
 
 
 def _read_all(t):

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -128,6 +129,43 @@ def test_gauss_check_fails_on_a_perturbed_unit_root(monkeypatch):
     monkeypatch.setattr(characters, "_unit_roots", perturbed)
     r = verify._check_characters(CHARACTER_LIMITS, np.random.default_rng(0))[0]
     assert r.name == "gauss-invariants" and r.gating and not r.ok, r.detail
+
+
+def test_gauss_check_fails_on_a_gather_one_residue_off(monkeypatch):
+    """gauss_sums with G(m), m > 1, rotated by e(1/q), as if each term read
+    the root one residue on.  |G(m)| stays sqrt q, so the magnitude half
+    passes and only the twist half, exact by construction, sees it."""
+    orig = characters.gauss_sums
+
+    def rotated(ms, chi):
+        ms = list(ms)
+        turn = cmath.exp(2j * math.pi / chi.conductor)
+        for m, g in zip(ms, orig(ms, chi)):
+            yield g * turn if m > 1 else g
+
+    monkeypatch.setattr(characters, "gauss_sums", rotated)
+    r = verify._check_characters(CHARACTER_LIMITS, np.random.default_rng(0))[0]
+    assert r.name == "gauss-invariants" and r.gating and not r.ok, r.detail
+    mag, twist = map(float, re.search(r"= (\S+), max twist dev = (\S+)$", r.detail).groups())
+    assert mag < 1e-9 < twist, r.detail
+
+
+def test_suite_builds_one_skeleton_per_limit(monkeypatch):
+    """The psi check's table below the shared N is built before it, as in
+    full mode (psi x = 1e5 and 1e6, tables at 1e6), so the held chi-free
+    skeleton moves to N once and the tables check at N finds it there."""
+    orig = tables._build_skeleton
+    calls = []
+
+    def counted(N):
+        calls.append(N)
+        return orig(N)
+
+    monkeypatch.setattr(tables, "_build_skeleton", counted)
+    monkeypatch.setattr(tables, "_SKELETON", None)
+    limits = dict(SMALL, table_limit=10_000, residual_xs=(1000, 10_000), psi_xs=(1000, 10_000))
+    assert all(r.ok for r in verify.run_suite(quick=True, seed=0, overrides=limits))
+    assert calls == [1000, 10_000]
 
 
 def test_residue_zero_failure_names_the_residue(monkeypatch):
